@@ -9,7 +9,7 @@
 
 #include "algo/attr_set.h"
 #include "algo/partition/stripped_partition.h"
-#include "common/fault_injection.h"
+#include "common/run_context.h"
 #include "common/snapshot.h"
 #include "common/timer.h"
 #include "od/dependency_set.h"
@@ -131,7 +131,6 @@ FastodResult DiscoverFastod(const rel::CodedRelation& relation,
   const std::uint64_t fingerprint = ck.enabled ? relation.Fingerprint() : 0;
   if (ck.enabled) {
     snap = std::make_unique<SnapshotStore>(options.checkpoint.dir, "fastod");
-    snap->set_fault_injector(ctx->fault_injector());
   }
 
   // Partitions are not persisted; any set's stripped partition can be

@@ -7,7 +7,7 @@
 
 #include "algo/attr_set.h"
 #include "algo/partition/stripped_partition.h"
-#include "common/fault_injection.h"
+#include "common/run_context.h"
 #include "common/timer.h"
 #include "od/dependency_set.h"
 

@@ -9,7 +9,7 @@
 
 #include "algo/attr_set.h"
 #include "algo/partition/stripped_partition.h"
-#include "common/fault_injection.h"
+#include "common/run_context.h"
 #include "common/snapshot.h"
 #include "common/timer.h"
 #include "od/dependency_set.h"
@@ -63,7 +63,6 @@ TaneResult DiscoverFds(const rel::CodedRelation& relation,
   const std::uint64_t fingerprint = ck.enabled ? relation.Fingerprint() : 0;
   if (ck.enabled) {
     snap = std::make_unique<SnapshotStore>(options.checkpoint.dir, "tane");
-    snap->set_fault_injector(ctx->fault_injector());
   }
 
   auto partition_for = [&](const AttrSet& s) {

@@ -422,11 +422,8 @@ struct SessionOps {
   static std::string EncodeState(const IncrementalSession& s);
   static Status DecodeState(const SnapshotView& view, IncrementalSession& s);
 
-  static bool WriteState(IncrementalSession& s, RunContext* ctx,
-                         std::string* warning) {
+  static bool WriteState(IncrementalSession& s, std::string* warning) {
     if (!s.store_) return false;
-    s.store_->set_fault_injector(ctx != nullptr ? ctx->fault_injector()
-                                                : nullptr);
     Result<std::uint64_t> gen =
         s.store_->Write(EncodeState(s), s.options_.keep_generations);
     if (!gen.ok()) {
@@ -639,7 +636,7 @@ Result<IncrementalSession> IncrementalSession::Start(
     std::filesystem::create_directories(options.state_dir, ec);
     s.store_ = std::make_unique<SnapshotStore>(options.state_dir, kStateName);
     std::string warning;
-    SessionOps::WriteState(s, ctx, &warning);
+    SessionOps::WriteState(s, &warning);
     if (!warning.empty()) s.open_warning_ = warning;
   }
   return s;
@@ -755,7 +752,7 @@ Result<BatchApplyStats> IncrementalSession::ApplyBatch(
   stats.appends = batch.appends.size();
   stats.num_rows = relation_.num_rows();
   stats.result = last_;
-  stats.snapshot_written = SessionOps::WriteState(*this, ctx, &stats.warning);
+  stats.snapshot_written = SessionOps::WriteState(*this, &stats.warning);
   stats.seconds = timer.ElapsedSeconds();
   return stats;
 }

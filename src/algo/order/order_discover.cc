@@ -5,7 +5,7 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/fault_injection.h"
+#include "common/run_context.h"
 #include "common/timer.h"
 #include "core/checker.h"
 #include "core/list_partition.h"

@@ -27,6 +27,9 @@ int FaultErrno(IoFaultKind kind) {
       return EMFILE;
     case IoFaultKind::kNone:
     case IoFaultKind::kShortWrite:
+    case IoFaultKind::kCancel:
+    case IoFaultKind::kAlloc:
+    case IoFaultKind::kThrow:
       break;
   }
   return EIO;
@@ -56,8 +59,19 @@ const char* IoFaultKindName(IoFaultKind kind) {
       return "short";
     case IoFaultKind::kCrash:
       return "crash";
+    case IoFaultKind::kCancel:
+      return "cancel";
+    case IoFaultKind::kAlloc:
+      return "alloc";
+    case IoFaultKind::kThrow:
+      return "throw";
   }
   return "unknown";
+}
+
+bool IsRunFaultKind(IoFaultKind kind) {
+  return kind == IoFaultKind::kCancel || kind == IoFaultKind::kAlloc ||
+         kind == IoFaultKind::kThrow;
 }
 
 const char* IoOpKindName(IoOp::Kind kind) {
@@ -123,20 +137,17 @@ Result<std::vector<IoFaultSpec>> ParseIoFaultSpecs(const std::string& text) {
       }
       kind = kind.substr(0, at);
     }
-    if (kind == "enospc") {
-      spec.kind = IoFaultKind::kEnospc;
-    } else if (kind == "eio") {
-      spec.kind = IoFaultKind::kEio;
-    } else if (kind == "emfile") {
-      spec.kind = IoFaultKind::kEmfile;
-    } else if (kind == "short") {
-      spec.kind = IoFaultKind::kShortWrite;
-    } else if (kind == "crash") {
-      spec.kind = IoFaultKind::kCrash;
-    } else {
+    for (IoFaultKind k :
+         {IoFaultKind::kEnospc, IoFaultKind::kEio, IoFaultKind::kEmfile,
+          IoFaultKind::kShortWrite, IoFaultKind::kCrash, IoFaultKind::kCancel,
+          IoFaultKind::kAlloc, IoFaultKind::kThrow}) {
+      if (kind == IoFaultKindName(k)) spec.kind = k;
+    }
+    if (spec.kind == IoFaultKind::kNone) {
       return Status::InvalidArgument(
           "io fault spec '" + entry +
-          "': unknown kind (enospc, eio, emfile, short, crash)");
+          "': unknown kind (enospc, eio, emfile, short, crash, cancel, "
+          "alloc, throw)");
     }
     specs.push_back(std::move(spec));
     if (comma == text.size()) break;
@@ -147,6 +158,9 @@ Result<std::vector<IoFaultSpec>> ParseIoFaultSpecs(const std::string& text) {
 IoEnv& IoEnv::Get() {
   static IoEnv* env = [] {
     auto* e = new IoEnv();
+    // Until here RunFaultsArmed() reads true, so the first injection-point
+    // poll lands in this initializer and sees the faults armed below.
+    run_armed_.store(false, std::memory_order_relaxed);
     if (const char* spec = std::getenv("OCDD_IO_FAULTS")) {
       // Arm faults for the whole process, e.g. the nightly sweep running
       // `OCDD_IO_FAULTS='snapshot.*=enospc' ocdd serve ...`. A malformed
@@ -169,6 +183,9 @@ IoEnv& IoEnv::Get() {
 
 void IoEnv::ArmFault(IoFaultSpec spec) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (IsRunFaultKind(spec.kind)) {
+    run_armed_.store(true, std::memory_order_relaxed);
+  }
   faults_.push_back(std::move(spec));
   spec_hits_.push_back(0);
 }
@@ -176,11 +193,7 @@ void IoEnv::ArmFault(IoFaultSpec spec) {
 Status IoEnv::ArmFaultString(const std::string& text) {
   OCDD_ASSIGN_OR_RETURN(std::vector<IoFaultSpec> specs,
                         ParseIoFaultSpecs(text));
-  std::lock_guard<std::mutex> lock(mu_);
-  for (IoFaultSpec& spec : specs) {
-    faults_.push_back(std::move(spec));
-    spec_hits_.push_back(0);
-  }
+  for (IoFaultSpec& spec : specs) ArmFault(std::move(spec));
   return Status::OK();
 }
 
@@ -188,12 +201,15 @@ void IoEnv::ClearFaults() {
   std::lock_guard<std::mutex> lock(mu_);
   faults_.clear();
   spec_hits_.clear();
+  site_hits_.clear();
+  site_faults_.clear();
   crashed_ = false;
+  run_armed_.store(false, std::memory_order_relaxed);
 }
 
 void IoEnv::SeedFaultRng(std::uint64_t seed) {
   std::lock_guard<std::mutex> lock(mu_);
-  rng_state_ = seed ^ 0x9e3779b97f4a7c15ull;
+  rng_state_[0] = rng_state_[1] = seed ^ 0x9e3779b97f4a7c15ull;
 }
 
 bool IoEnv::crashed() const {
@@ -201,22 +217,25 @@ bool IoEnv::crashed() const {
   return crashed_;
 }
 
-IoFaultKind IoEnv::PollLocked(const char* site) {
+IoFaultKind IoEnv::PollLocked(const char* site, bool run_point) {
   ++site_hits_[site];
-  if (crashed_) {
+  if (crashed_ && !run_point) {
     ++site_faults_[site];
     return IoFaultKind::kCrash;
   }
   for (std::size_t i = 0; i < faults_.size(); ++i) {
     const IoFaultSpec& spec = faults_[i];
-    if (!spec.Matches(site)) continue;
+    if (IsRunFaultKind(spec.kind) != run_point || !spec.Matches(site)) {
+      continue;
+    }
     const std::uint64_t hit = ++spec_hits_[i];
     bool fire = false;
     if (spec.after_n != 0) {
       fire = hit == spec.after_n;
     } else if (spec.rate >= 0.0) {
       const double u =
-          static_cast<double>(NextRng(&rng_state_) >> 11) * 0x1.0p-53;
+          static_cast<double>(NextRng(&rng_state_[run_point]) >> 11) *
+          0x1.0p-53;
       fire = u < spec.rate;
     } else {
       fire = true;
@@ -231,7 +250,13 @@ IoFaultKind IoEnv::PollLocked(const char* site) {
 
 IoFaultKind IoEnv::Poll(const char* site) {
   std::lock_guard<std::mutex> lock(mu_);
-  return PollLocked(site);
+  return PollLocked(site, /*run_point=*/false);
+}
+
+IoFaultKind IoEnv::PollRunPoint(const char* point) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!run_armed_.load(std::memory_order_relaxed)) return IoFaultKind::kNone;
+  return PollLocked(point, /*run_point=*/true);
 }
 
 void IoEnv::Record(IoOp op) {

@@ -3,6 +3,7 @@
 
 #include <sys/types.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -39,12 +40,18 @@ namespace ocdd {
 /// of such a log into a fresh directory with the final operation torn —
 /// the crash-consistency harness replays every prefix and asserts recovery
 /// (tests/crash_consistency_test.cc).
+///
+/// The same registry arms the discovery algorithms' fault points: the *run*
+/// kinds (`cancel`, `alloc`, `throw`) fire at `RunContext::AtInjectionPoint`
+/// points (`"ocd.check"`, `"tane.check"`, ...), so one grammar and one
+/// environment variable cover both storage and check-loop faults.
 
 // ---------------------------------------------------------------------------
 // Fault vocabulary
 // ---------------------------------------------------------------------------
 
-/// Simulated failure modes for an armed fault point.
+/// Simulated failure modes for an armed fault point. The I/O kinds match
+/// only I/O call sites, the run kinds only algorithm injection points.
 enum class IoFaultKind {
   kNone = 0,
   kEnospc,      ///< fail with ENOSPC (disk full)
@@ -52,9 +59,15 @@ enum class IoFaultKind {
   kEmfile,      ///< fail with EMFILE (fd exhaustion)
   kShortWrite,  ///< write() persists only half the requested bytes
   kCrash,       ///< latch the env as crashed: this and every later op fails
+  kCancel,      ///< run kind: cooperative stop, `StopReason::kFaultInjected`
+  kAlloc,       ///< run kind: simulated allocation failure, memory-budget stop
+  kThrow,       ///< run kind: throws FaultInjectedError from the point
 };
 
 const char* IoFaultKindName(IoFaultKind kind);
+
+/// True for the kinds that fire at algorithm injection points.
+bool IsRunFaultKind(IoFaultKind kind);
 
 /// One armed fault: which sites it matches, what it does, and when it fires.
 struct IoFaultSpec {
@@ -76,11 +89,13 @@ struct IoFaultSpec {
 ///
 ///   spec     := entry (',' entry)*
 ///   entry    := site '=' kind trigger?
-///   kind     := 'enospc' | 'eio' | 'emfile' | 'short' | 'crash'
+///   kind     := 'enospc' | 'eio' | 'emfile' | 'short' | 'crash'   (I/O)
+///             | 'cancel' | 'alloc' | 'throw'                      (run)
 ///   trigger  := '#' N        (one-shot, fires on the Nth matching call)
 ///             | '@' RATE     (probabilistic, RATE in [0,1])
 ///
-/// Examples: "snapshot.*=enospc", "*=eio@0.05", "snapshot.rename=crash#3".
+/// Examples: "snapshot.*=enospc", "*=eio@0.05", "snapshot.rename=crash#3",
+/// "ocd.check=throw#5".
 Result<std::vector<IoFaultSpec>> ParseIoFaultSpecs(const std::string& text);
 
 // ---------------------------------------------------------------------------
@@ -147,13 +162,29 @@ class IoEnv {
   int Unlink(const char* site, const std::string& path);
   int Mkdir(const char* site, const std::string& path, mode_t mode);
 
+  // --- algorithm injection points -----------------------------------------
+
+  /// False when no run-kind fault is armed: one relaxed load, no lock, so
+  /// `RunContext::AtInjectionPoint` costs next to nothing in check loops.
+  /// Reads true until the process environment has been read.
+  static bool RunFaultsArmed() {
+    return run_armed_.load(std::memory_order_relaxed);
+  }
+  /// Counts a hit of algorithm point `point` and returns the run kind to
+  /// apply there (kNone for a clean pass). Only run-kind specs match, so
+  /// polling never advances an I/O spec's counter or its rate draws.
+  IoFaultKind PollRunPoint(const char* point);
+
   // --- fault arming -------------------------------------------------------
 
   void ArmFault(IoFaultSpec spec);
   /// Parses and arms a whole spec string (see ParseIoFaultSpecs).
   Status ArmFaultString(const std::string& text);
+  /// Disarms every fault and clears the crash latch and the per-site
+  /// counters.
   void ClearFaults();
-  /// Seed for `@rate` probabilistic faults (deterministic sweeps).
+  /// Seed for `@rate` probabilistic faults (deterministic sweeps). I/O and
+  /// run kinds draw from separate streams seeded alike.
   void SeedFaultRng(std::uint64_t seed);
   /// True once a kCrash fault fired; every subsequent op fails with EIO
   /// until ClearFaults.
@@ -161,8 +192,9 @@ class IoEnv {
 
   // --- introspection ------------------------------------------------------
 
-  /// Every site name seen so far, sorted — the sweep harness enumerates the
-  /// injection surface from a clean recording run.
+  /// Every site name seen since the last `ClearFaults`, sorted — the sweep
+  /// harness enumerates the injection surface from a clean recording run.
+  /// Algorithm points are counted only while a run-kind fault is armed.
   std::vector<std::string> SeenSites() const;
   IoEnvStats StatsFor(const std::string& site) const;
   std::uint64_t TotalFaultsFired() const;
@@ -175,10 +207,14 @@ class IoEnv {
 
  private:
   /// Returns the fault to apply at `site` (kNone for a clean pass) and
-  /// counts the hit.
-  IoFaultKind PollLocked(const char* site);
+  /// counts the hit. `run_point` selects which class of kinds may match.
+  IoFaultKind PollLocked(const char* site, bool run_point);
   IoFaultKind Poll(const char* site);
   void Record(IoOp op);
+
+  /// True while a run-kind spec is armed, and before the environment has
+  /// been read.
+  static inline std::atomic<bool> run_armed_{true};
 
   mutable std::mutex mu_;
   std::vector<IoFaultSpec> faults_;
@@ -186,7 +222,9 @@ class IoEnv {
   std::unordered_map<std::string, std::uint64_t> site_faults_;
   /// Matching-call counters per armed spec (parallel to faults_).
   std::vector<std::uint64_t> spec_hits_;
-  std::uint64_t rng_state_ = 0x9e3779b97f4a7c15ull;
+  /// Rate-draw streams: [0] for I/O kinds, [1] for run kinds.
+  std::uint64_t rng_state_[2] = {0x9e3779b97f4a7c15ull,
+                                 0x9e3779b97f4a7c15ull};
   bool crashed_ = false;
   bool logging_ = false;
   std::vector<IoOp> op_log_;

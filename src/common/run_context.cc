@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <string>
 
-#include "common/fault_injection.h"
+#include "common/io_env.h"
 
 namespace ocdd {
 
@@ -140,18 +140,18 @@ void RunContext::ReleaseMemory(std::size_t bytes) {
 }
 
 void RunContext::AtInjectionPoint(const char* point) {
-  if (injector_ == nullptr) return;
-  switch (injector_->Poll(point)) {
-    case FaultAction::kNone:
-      return;
-    case FaultAction::kCancel:
+  if (!IoEnv::RunFaultsArmed()) return;
+  switch (IoEnv::Get().PollRunPoint(point)) {
+    case IoFaultKind::kCancel:
       RequestStop(StopReason::kFaultInjected);
       return;
-    case FaultAction::kAllocFailure:
+    case IoFaultKind::kAlloc:
       RequestStop(StopReason::kMemoryBudget);
       return;
-    case FaultAction::kThrow:
+    case IoFaultKind::kThrow:
       throw FaultInjectedError(std::string("fault injected at ") + point);
+    default:
+      return;
   }
 }
 

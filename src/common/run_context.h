@@ -5,13 +5,23 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace ocdd {
 
-class FaultInjector;
 class RunContext;
+
+/// The exception a `throw` fault raises at an injection point. Algorithms
+/// treat it like any other exception escaping their check machinery: the
+/// run stops, the partial result is returned with
+/// `StopReason::kFaultInjected`.
+class FaultInjectedError : public std::runtime_error {
+ public:
+  explicit FaultInjectedError(const std::string& what)
+      : std::runtime_error(what) {}
+};
 
 /// A portable bundle of the three RunContext budgets — the unit in which
 /// callers hand out quotas. One value serves both deployment shapes: applied
@@ -90,8 +100,10 @@ struct StopState {
 ///    charged by algorithms for their dominant allocations: candidate
 ///    frontiers and per-level partition sets),
 ///  * an atomic **cancellation flag** — `Cancel()` is async-signal-safe and
-///    callable from any thread or signal handler,
-///  * an optional **fault injector** (see fault_injection.h).
+///    callable from any thread or signal handler.
+///
+/// Its injection points (`AtInjectionPoint`) fire the run-kind faults armed
+/// in the process-global fault registry (common/io_env.h).
 ///
 /// The first stop condition observed wins: `stop_reason()` is latched once
 /// and never overwritten, so a run that hits its deadline while a SIGINT
@@ -125,10 +137,6 @@ class RunContext {
   std::size_t memory_budget() const {
     return memory_budget_.load(std::memory_order_relaxed);
   }
-
-  /// Attaches a fault injector (not owned); nullptr detaches.
-  void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-  FaultInjector* fault_injector() const { return injector_; }
 
   /// Arms the checkpoint cadence: `CheckpointDue()` turns true after
   /// `every_checks` further checks or `every_seconds` elapsed wall-clock
@@ -169,8 +177,10 @@ class RunContext {
   /// Returns previously charged bytes to the budget.
   void ReleaseMemory(std::size_t bytes);
 
-  /// Fault-injection hook: a no-op without an injector; otherwise may latch
-  /// a stop, simulate allocation failure, or throw FaultInjectedError.
+  /// Fault-injection hook for the run-kind faults armed on `IoEnv::Get()`
+  /// (`<point>=cancel|alloc|throw`): latches `kFaultInjected`, latches
+  /// `kMemoryBudget` as a failed allocation would, or throws
+  /// FaultInjectedError. One relaxed load when no run fault is armed.
   void AtInjectionPoint(const char* point);
 
   // ---- checkpoint cadence (consulted at level boundaries) ----
@@ -203,7 +213,7 @@ class RunContext {
     return memory_peak_.load(std::memory_order_relaxed);
   }
 
-  /// Clears latched stop state and counters (budgets and the injector stay)
+  /// Clears latched stop state and counters (budgets stay)
   /// so the context can drive another run. Must not race with a run.
   void Reset();
 
@@ -221,7 +231,6 @@ class RunContext {
   std::atomic<std::int64_t> checkpoint_every_ns_{0};
   std::atomic<std::uint64_t> checkpoint_checks_mark_{0};
   std::atomic<std::int64_t> checkpoint_time_mark_ns_{0};
-  FaultInjector* injector_ = nullptr;
 };
 
 }  // namespace ocdd

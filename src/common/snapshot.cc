@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/fault_injection.h"
 #include "common/ingest_error.h"
 #include "common/io_env.h"
 #include "common/status.h"
@@ -222,33 +221,9 @@ Result<std::uint64_t> SnapshotStore::Write(const std::string& encoded,
   std::vector<std::uint64_t> gens = Generations();
   const std::uint64_t generation = gens.empty() ? 1 : gens.back() + 1;
 
-  // The fault points model distinct failure instants; the *point name*
-  // selects the mode, any armed action fires it.
-  std::string bytes = encoded;
-  bool torn = false;
-  if (injector_ != nullptr) {
-    if (injector_->Poll("snapshot.bit_flip") != FaultAction::kNone &&
-        !bytes.empty()) {
-      // Flip a bit in the middle of the image, after all CRCs were computed.
-      bytes[bytes.size() / 2] ^= 0x10;
-    }
-    if (injector_->Poll("snapshot.torn_write") != FaultAction::kNone) {
-      torn = true;
-    }
-  }
-
   const std::string tmp_path = dir_ + "/" + name_ + ".tmp";
-  const std::size_t write_len = torn ? bytes.size() / 2 : bytes.size();
-  OCDD_RETURN_IF_ERROR(WriteFileSynced(tmp_path, bytes.data(), write_len));
-
-  if (injector_ != nullptr &&
-      injector_->Poll("snapshot.crash_before_rename") != FaultAction::kNone) {
-    // Simulated crash: the temp file is durable but never became a
-    // generation. A real crash would leave exactly this state.
-    return Status::Internal(
-        "snapshot fault injected: crash before rename (tmp left at " +
-        tmp_path + ")");
-  }
+  OCDD_RETURN_IF_ERROR(
+      WriteFileSynced(tmp_path, encoded.data(), encoded.size()));
 
   const std::string final_path = PathFor(generation);
   if (IoEnv::Get().Rename("snapshot.rename", tmp_path, final_path) != 0) {
@@ -257,8 +232,9 @@ Result<std::uint64_t> SnapshotStore::Write(const std::string& encoded,
   OCDD_RETURN_IF_ERROR(SyncDir(dir_));
 
   // Read-back verification: only a snapshot that validates from disk counts
-  // as written, and only then may older generations be pruned. A torn or
-  // bit-flipped file fails here and the previous generations survive.
+  // as written, and only then may older generations be pruned. A file torn
+  // or flipped on its way to disk fails here and the previous generations
+  // survive.
   OCDD_ASSIGN_OR_RETURN(std::string reread, ReadFileAll(final_path));
   OCDD_ASSIGN_OR_RETURN(SnapshotView view, SnapshotView::Decode(reread));
   (void)view;

@@ -12,8 +12,6 @@
 
 namespace ocdd {
 
-class FaultInjector;
-
 /// Crash-safe snapshot persistence for long discovery runs (see
 /// docs/checkpointing.md).
 ///
@@ -208,24 +206,15 @@ struct LoadedSnapshot {
 /// increase monotonically across process restarts (the next generation is
 /// derived from the files on disk).
 ///
-/// Fault-injection points (armed through the injector attached with
-/// `set_fault_injector`, any action arms them — the *point name* selects the
-/// simulated fault):
-///   * `snapshot.bit_flip`          — flips one payload bit after the CRCs
-///                                    are computed (written file is corrupt);
-///   * `snapshot.torn_write`        — persists only a prefix of the image,
-///                                    simulating a power cut mid-write;
-///   * `snapshot.crash_before_rename` — abandons the write after the temp
-///                                    file is durable but before the rename.
-/// All three leave the previous generation untouched; `Load()` must recover
-/// it (tests/checkpoint_test.cc holds the matrix).
+/// Every syscall goes through `IoEnv` sites named `snapshot.*`, so the
+/// fault registry (`OCDD_IO_FAULTS`) arms failures anywhere in the protocol.
+/// A write that fails, or a generation corrupted at rest, leaves the
+/// previous generation intact and `Load()` recovers it
+/// (tests/checkpoint_test.cc, tests/crash_consistency_test.cc).
 class SnapshotStore {
  public:
   SnapshotStore(std::string dir, std::string name)
       : dir_(std::move(dir)), name_(std::move(name)) {}
-
-  /// Not owned; nullptr disables the snapshot fault points.
-  void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
 
   /// Writes `encoded` (a SnapshotBuilder::Encode image) as the next
   /// generation. On success the new file has been read back and validated,
@@ -249,7 +238,6 @@ class SnapshotStore {
 
   std::string dir_;
   std::string name_;
-  FaultInjector* injector_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------

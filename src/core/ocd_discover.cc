@@ -7,7 +7,7 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/fault_injection.h"
+#include "common/run_context.h"
 #include "common/prof.h"
 #include "common/snapshot.h"
 #include "common/thread_pool.h"
@@ -95,7 +95,6 @@ class Driver {
     if (ck.enabled) {
       snap = std::make_unique<SnapshotStore>(options_.checkpoint.dir,
                                              "ocddiscover");
-      snap->set_fault_injector(ctx_->fault_injector());
     }
 
     // State blob captured at the last level boundary (start of the level

@@ -14,7 +14,6 @@
 #include <unistd.h>
 
 #include "algo/incremental/incremental.h"
-#include "common/fault_injection.h"
 #include "common/io_env.h"
 #include "common/rng.h"
 #include "common/simd_dispatch.h"
@@ -146,13 +145,14 @@ std::vector<Discrepancy> CheckStoppedRuns(const rel::CodedRelation& coded,
     check_list_partial(RunOcddiscoverClaims(coded, &budgeted), complete,
                        "ocddiscover", "budgeted");
 
-    FaultInjector injector;
-    injector.Arm("ocd.check", FaultAction::kCancel,
-                 std::max<std::uint64_t>(1, runs.ocdd.num_checks / 3));
+    IoEnv& env = IoEnv::Get();
+    env.ArmFault({"ocd.check", IoFaultKind::kCancel,
+                  std::max<std::uint64_t>(1, runs.ocdd.num_checks / 3),
+                  -1.0});
     RunContext faulted;
-    faulted.set_fault_injector(&injector);
-    check_list_partial(RunOcddiscoverClaims(coded, &faulted), complete,
-                       "ocddiscover", "fault-injected");
+    ClaimSet partial = RunOcddiscoverClaims(coded, &faulted);
+    env.ClearFaults();
+    check_list_partial(partial, complete, "ocddiscover", "fault-injected");
   }
 
   if (runs.order.num_checks >= 2) {
@@ -1028,27 +1028,18 @@ QaSummary RunQa(const QaOptions& options) {
     rel::CodedRelation coded = rel::CodedRelation::Encode(relation);
     AlgorithmRuns runs = RunAllClaims(coded);
 
-    // Corruption is delivered through the shared fault-injection subsystem:
-    // arm the qa point, let the oracle poll it.
-    FaultInjector injector;
     OracleOptions oracle_options;
     oracle_options.max_side_len = options.max_side_len;
-    if (options.inject != CorruptionMode::kNone) {
-      injector.Arm(CorruptionPoint(options.inject), FaultAction::kCancel, 1);
-      oracle_options.injector = &injector;
-    }
+    oracle_options.corruption = options.inject;
 
     OracleReport report = CrossCheckRuns(coded, runs, oracle_options);
     summary.oracle_comparisons += report.comparisons;
     summary.skipped += report.skipped;
 
     if (!report.clean()) {
-      OracleOptions shrink_options;
-      shrink_options.max_side_len = options.max_side_len;
-      shrink_options.corruption = options.inject;
-      auto still_fails = [&shrink_options](const rel::Relation& r) {
+      auto still_fails = [&oracle_options](const rel::Relation& r) {
         if (r.num_rows() == 0 || r.num_columns() == 0) return false;
-        return !CrossCheck(rel::CodedRelation::Encode(r), shrink_options)
+        return !CrossCheck(rel::CodedRelation::Encode(r), oracle_options)
                     .clean();
       };
       ShrinkResult shrunk = ShrinkFailingRelation(relation, still_fails);
@@ -1057,7 +1048,7 @@ QaSummary RunQa(const QaOptions& options) {
       // minimal statement.
       OracleReport shrunk_report =
           CrossCheck(rel::CodedRelation::Encode(shrunk.relation),
-                     shrink_options);
+                     oracle_options);
       QaFailure f = MakeFailure(
           i, iter_seed, "oracle",
           shrunk_report.clean() ? std::move(report.discrepancies)

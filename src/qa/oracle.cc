@@ -26,10 +26,6 @@ const char* CorruptionModeName(CorruptionMode mode) {
   return "?";
 }
 
-std::string CorruptionPoint(CorruptionMode mode) {
-  return std::string("qa.corrupt.") + CorruptionModeName(mode);
-}
-
 namespace {
 
 /// The engine only materializes normalized lists of length ≤ max_len; facts
@@ -148,16 +144,6 @@ OracleReport CrossCheckRuns(const rel::CodedRelation& relation,
   const std::size_t L =
       options.max_list_len != 0 ? options.max_list_len : DefaultMaxListLen(n);
   ApplyCorruption(relation, options.corruption, options.max_side_len, &runs);
-  if (options.injector != nullptr) {
-    for (CorruptionMode mode :
-         {CorruptionMode::kDropOcddiscover, CorruptionMode::kInventOrderOd,
-          CorruptionMode::kDropFastodCompat}) {
-      if (options.injector->Poll(CorruptionPoint(mode).c_str()) !=
-          FaultAction::kNone) {
-        ApplyCorruption(relation, mode, options.max_side_len, &runs);
-      }
-    }
-  }
 
   OracleReport report;
   report.all_completed = runs.AllCompleted();

@@ -6,15 +6,14 @@
 #include <string>
 #include <vector>
 
-#include "common/fault_injection.h"
 #include "qa/claims.h"
 #include "relation/coded_relation.h"
 
 namespace ocdd::qa {
 
-/// Deliberate result corruption, driven by the fault-injection harness: the
-/// oracle mutates one algorithm's claims *after* the run and before
-/// cross-checking, simulating a buggy implementation end-to-end (detection →
+/// Deliberate result corruption (`ocdd qa --inject`): the oracle mutates
+/// one algorithm's claims *after* the run and before cross-checking,
+/// simulating a buggy implementation end-to-end (detection →
 /// shrinking → repro). Each mode is a pure, deterministic function of the
 /// relation, so a corruption-triggered failure replays bit-identically.
 enum class CorruptionMode {
@@ -32,12 +31,6 @@ enum class CorruptionMode {
 };
 
 const char* CorruptionModeName(CorruptionMode mode);
-
-/// The fault-injection point the oracle polls for `mode`
-/// ("qa.corrupt.<mode-name>"). Arming it on an injector passed through
-/// `OracleOptions::injector` triggers the corruption via the shared
-/// fault-injection subsystem, same as the algorithms' own points.
-std::string CorruptionPoint(CorruptionMode mode);
 
 /// One cross-check failure. `check` is the oracle stage ("soundness",
 /// "completeness", "differential", "mapping_theorem", "constancy_vs_fds",
@@ -59,10 +52,6 @@ struct OracleOptions {
   /// Inference-engine list bound; 0 = DefaultMaxListLen(num_columns).
   std::size_t max_list_len = 0;
   CorruptionMode corruption = CorruptionMode::kNone;
-  /// Optional injector polled at the `CorruptionPoint` of every mode before
-  /// cross-checking; an armed point that fires selects that corruption (in
-  /// addition to `corruption` above). Not owned.
-  FaultInjector* injector = nullptr;
 };
 
 struct OracleReport {

@@ -72,11 +72,9 @@ CodedColumn EncodeColumn(const Relation& relation, ColumnId col,
 
 }  // namespace
 
-void CodedColumn::SyncCompressedForms(bool bit_pack) {
+void CodedColumn::SyncCompressedForms() {
   codes8.clear();
   codes16.clear();
-  packed.clear();
-  bits_per_code = 0;
   std::size_t m = codes.size();
   if (m > 0) {
     if (num_distinct <= 256) {
@@ -90,42 +88,6 @@ void CodedColumn::SyncCompressedForms(bool bit_pack) {
         codes16[r] = static_cast<std::uint16_t>(codes[r]);
       }
     }
-  }
-  if (bit_pack && m > 0) {
-    std::uint32_t max_code =
-        num_distinct > 0 ? static_cast<std::uint32_t>(num_distinct - 1) : 0;
-    std::uint8_t bits = 1;
-    while ((max_code >> bits) != 0) ++bits;
-    bits_per_code = bits;
-    packed.assign((m * bits + 63) / 64, 0);
-    for (std::size_t r = 0; r < m; ++r) {
-      std::uint64_t v = static_cast<std::uint32_t>(codes[r]);
-      std::size_t bit = r * bits;
-      std::size_t word = bit / 64;
-      std::size_t off = bit % 64;
-      packed[word] |= v << off;
-      if (off + bits > 64) packed[word + 1] |= v >> (64 - off);
-    }
-  }
-}
-
-std::int32_t CodedColumn::PackedCodeAt(std::size_t row) const {
-  assert(bits_per_code > 0);
-  std::uint8_t bits = bits_per_code;
-  std::size_t bit = row * bits;
-  std::size_t word = bit / 64;
-  std::size_t off = bit % 64;
-  std::uint64_t v = packed[word] >> off;
-  if (off + bits > 64) v |= packed[word + 1] << (64 - off);
-  std::uint64_t mask = bits >= 64 ? ~0ULL : ((1ULL << bits) - 1);
-  return static_cast<std::int32_t>(v & mask);
-}
-
-void CodedColumn::UnpackInto(std::vector<std::int32_t>* out) const {
-  assert(bits_per_code > 0);
-  out->resize(codes.size());
-  for (std::size_t r = 0; r < codes.size(); ++r) {
-    (*out)[r] = PackedCodeAt(r);
   }
 }
 
@@ -147,7 +109,7 @@ CodedRelation CodedRelation::Encode(const Relation& relation,
   out.columns_.reserve(relation.num_columns());
   for (ColumnId c = 0; c < relation.num_columns(); ++c) {
     out.columns_.push_back(EncodeColumn(relation, c, options));
-    out.columns_.back().SyncCompressedForms(options.bit_pack);
+    out.columns_.back().SyncCompressedForms();
   }
   return out;
 }
@@ -157,7 +119,7 @@ CodedRelation CodedRelation::FromColumns(std::vector<CodedColumn> columns) {
   out.num_rows_ = columns.empty() ? 0 : columns[0].codes.size();
   for (CodedColumn& c : columns) {
     assert(c.codes.size() == out.num_rows_);
-    c.SyncCompressedForms(c.bits_per_code > 0);
+    c.SyncCompressedForms();
   }
   out.columns_ = std::move(columns);
   return out;
@@ -233,7 +195,7 @@ CodedRelation CodedRelation::HeadRows(std::size_t n) const {
           sorted.begin());
     }
     trimmed.num_distinct = static_cast<std::int32_t>(sorted.size());
-    trimmed.SyncCompressedForms(c.bits_per_code > 0);
+    trimmed.SyncCompressedForms();
     out.columns_.push_back(std::move(trimmed));
   }
   return out;

@@ -33,12 +33,6 @@ struct EncodeOptions {
   /// order. Mirrors FASTOD's all-columns-are-strings behaviour (§5.2.2) and
   /// OCDDISCOVER's optional lexicographic mode.
   bool force_lexicographic = false;
-
-  /// Additionally bit-pack each column's codes at ⌈log₂ d⌉ bits per code
-  /// (see CodedColumn::packed). Off by default: the fixed-width narrow
-  /// mirrors are what the check kernels consume; the packed form exists
-  /// for storage experiments and is unpacked before use.
-  bool bit_pack = false;
 };
 
 /// One order-preserving dictionary-encoded column.
@@ -51,7 +45,7 @@ struct EncodeOptions {
 /// `int32` comparison.
 ///
 /// `codes` is the canonical form. The narrow mirrors (`codes8`/`codes16`)
-/// and the optional bit-packed form are *derived*: they are rebuilt by
+/// are *derived*: they are rebuilt by
 /// `CodedRelation::Encode`/`FromColumns`/`HeadRows` and must never be
 /// edited directly. Code that mutates `codes` by hand must round-trip the
 /// column through `FromColumns` before the kernels see it (every in-tree
@@ -70,12 +64,6 @@ struct CodedColumn {
   std::vector<std::uint8_t> codes8;
   std::vector<std::uint16_t> codes16;
 
-  /// Optional bit-packed codes (EncodeOptions::bit_pack): little-endian
-  /// bit stream, `bits_per_code` bits per row, `bits_per_code == 0` when
-  /// not packed.
-  std::vector<std::uint64_t> packed;
-  std::uint8_t bits_per_code = 0;
-
   bool is_constant() const { return num_distinct <= 1; }
 
   /// Narrowest storage this column carries.
@@ -83,13 +71,7 @@ struct CodedColumn {
 
   /// Rebuilds the derived forms from `codes`. Internal; called by the
   /// CodedRelation factories.
-  void SyncCompressedForms(bool bit_pack);
-
-  /// Reads one code from the bit-packed form (requires bits_per_code > 0).
-  std::int32_t PackedCodeAt(std::size_t row) const;
-
-  /// Unpacks the bit-packed form into `out` (resized); requires packing.
-  void UnpackInto(std::vector<std::int32_t>* out) const;
+  void SyncCompressedForms();
 };
 
 /// Read-only view of a column's narrowest code array; the kernels'

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "common/fault_injection.h"
+#include "common/io_env.h"
 #include "common/run_context.h"
 #include "core/ocd_discover.h"
 #include "datagen/registry.h"
@@ -36,6 +36,28 @@ struct ScratchDir {
   }
   std::string path;
 };
+
+/// Path of generation `gen` of store `name` in `dir` (the store's layout).
+std::string GenerationPath(const std::string& dir, const char* name,
+                           std::uint64_t gen) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%06llu",
+                static_cast<unsigned long long>(gen));
+  return dir + "/" + name + "." + buf + ".snap";
+}
+
+/// Flips one bit in the middle of `path`: corruption at rest.
+void FlipMiddleByte(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr) << path;
+  std::fseek(f, 0, SEEK_END);
+  long size = std::ftell(f);
+  std::fseek(f, size / 2, SEEK_SET);
+  int ch = std::fgetc(f);
+  std::fseek(f, size / 2, SEEK_SET);
+  std::fputc(ch ^ 0x04, f);
+  std::fclose(f);
+}
 
 rel::CodedRelation TestRelation() {
   auto relation = datagen::MakeDataset("LINEITEM", 120, 7);
@@ -240,53 +262,44 @@ TEST(SnapshotStoreTest, GenerationsAdvanceAndPrune) {
   EXPECT_EQ(*loaded->view.Find("meta"), "gen3");
 }
 
-/// The fault matrix: each snapshot fault point leaves the previous
-/// generation recoverable.
+/// The fault matrix: a newer generation that never became valid leaves the
+/// previous one recoverable. Covered here: a bit flipped in the file at
+/// rest, and a rename that fails after the temp file is durable (the
+/// never-renamed generation). Torn writes are replayed op by op in
+/// crash_consistency_test.
 TEST(SnapshotStoreTest, FaultMatrixFallsBackToPreviousGeneration) {
-  struct Case {
-    const char* point;
-    bool write_fails;     ///< Write() reports an error
-    bool leaves_new_gen;  ///< a (corrupt) newer generation file exists
-  };
-  const Case cases[] = {
-      {"snapshot.bit_flip", true, true},
-      {"snapshot.torn_write", true, true},
-      {"snapshot.crash_before_rename", true, false},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.point);
-    ScratchDir scratch(std::string("fault_") +
-                       (c.point + sizeof("snapshot.") - 1));
+  for (const bool flip_at_rest : {true, false}) {
+    SCOPED_TRACE(flip_at_rest ? "bit flip at rest" : "snapshot.rename=eio#1");
+    ScratchDir scratch(flip_at_rest ? "fault_flip" : "fault_rename");
     SnapshotStore store(scratch.path, "algo");
 
     SnapshotBuilder good;
     good.AddSection("meta", "good");
     ASSERT_TRUE(store.Write(good.Encode()).ok());
 
-    FaultInjector injector;
-    injector.Arm(c.point, FaultAction::kThrow, 1);
-    store.set_fault_injector(&injector);
     SnapshotBuilder next;
     next.AddSection("meta", "doomed");
-    auto written = store.Write(next.Encode());
-    EXPECT_EQ(written.ok(), !c.write_fails);
-
-    std::vector<std::uint64_t> gens = store.Generations();
-    if (c.leaves_new_gen) {
-      EXPECT_EQ(gens, (std::vector<std::uint64_t>{1, 2}));
+    if (flip_at_rest) {
+      ASSERT_TRUE(store.Write(next.Encode()).ok());
+      FlipMiddleByte(GenerationPath(scratch.path, "algo", 2));
+      EXPECT_EQ(store.Generations(), (std::vector<std::uint64_t>{1, 2}));
     } else {
-      EXPECT_EQ(gens, (std::vector<std::uint64_t>{1}));
+      IoEnv& env = IoEnv::Get();
+      ASSERT_TRUE(env.ArmFaultString("snapshot.rename=eio#1").ok());
+      auto written = store.Write(next.Encode());
+      env.ClearFaults();
+      EXPECT_FALSE(written.ok());
+      EXPECT_EQ(store.Generations(), (std::vector<std::uint64_t>{1}));
     }
 
     // Load must transparently recover the good generation.
     auto loaded = store.Load();
     ASSERT_TRUE(loaded.ok());
     EXPECT_EQ(loaded->generation, 1u);
-    EXPECT_EQ(loaded->corrupt_skipped, c.leaves_new_gen ? 1u : 0u);
+    EXPECT_EQ(loaded->corrupt_skipped, flip_at_rest ? 1u : 0u);
     EXPECT_EQ(*loaded->view.Find("meta"), "good");
 
-    // The armings are one-shot: the next write succeeds and supersedes the
-    // corrupt leftovers.
+    // The next write succeeds and supersedes the corrupt leftovers.
     SnapshotBuilder retry;
     retry.AddSection("meta", "recovered");
     ASSERT_TRUE(store.Write(retry.Encode()).ok());
@@ -359,11 +372,12 @@ TEST(CheckpointResumeTest, FaultInjectedStopDrainsAndResumes) {
   CheckpointConfig cfg;
   cfg.dir = scratch.path;
 
-  FaultInjector injector;
-  injector.Arm("ocd.check", FaultAction::kThrow, complete.num_checks / 2);
+  IoEnv& env = IoEnv::Get();
+  env.ArmFault({"ocd.check", IoFaultKind::kThrow, complete.num_checks / 2,
+                -1.0});
   RunContext faulted;
-  faulted.set_fault_injector(&injector);
   qa::ClaimSet partial = qa::RunOcddiscoverClaims(coded, &faulted, &cfg);
+  env.ClearFaults();
   EXPECT_FALSE(partial.completed);
   EXPECT_EQ(partial.stop_reason, StopReason::kFaultInjected);
   EXPECT_FALSE(SnapshotStore(scratch.path, "ocddiscover").Generations()
@@ -395,27 +409,7 @@ TEST(CheckpointResumeTest, ResumeFallsBackPastCorruptGeneration) {
   SnapshotStore store(scratch.path, "ocddiscover");
   std::vector<std::uint64_t> gens = store.Generations();
   ASSERT_FALSE(gens.empty());
-  // Flip one byte in the middle of the newest generation file.
-  const std::string newest =
-      scratch.path + "/ocddiscover." +
-      [&] {
-        char buf[16];
-        std::snprintf(buf, sizeof(buf), "%06llu",
-                      static_cast<unsigned long long>(gens.back()));
-        return std::string(buf);
-      }() +
-      ".snap";
-  {
-    std::FILE* f = std::fopen(newest.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    long size = std::ftell(f);
-    std::fseek(f, size / 2, SEEK_SET);
-    int ch = std::fgetc(f);
-    std::fseek(f, size / 2, SEEK_SET);
-    std::fputc(ch ^ 0x04, f);
-    std::fclose(f);
-  }
+  FlipMiddleByte(GenerationPath(scratch.path, "ocddiscover", gens.back()));
 
   CheckpointConfig resume_cfg = cfg;
   resume_cfg.resume = true;

@@ -152,40 +152,6 @@ TEST(CodedRelationTest, HeadRowsRebuildsMirrors) {
   EXPECT_EQ(c.codes8, (std::vector<std::uint8_t>{0, 0}));
 }
 
-TEST(CodedRelationTest, BitPackedCodesRoundTrip) {
-  Relation table = testutil::IntTable({{4, 1, 3, 1, 2, 0, 4}});
-  EncodeOptions opts;
-  opts.bit_pack = true;
-  CodedRelation r = CodedRelation::Encode(table, opts);
-  const CodedColumn& c = r.column(0);
-  // 5 distinct values pack at ceil(log2 5) = 3 bits per code.
-  EXPECT_EQ(c.bits_per_code, 3);
-  ASSERT_FALSE(c.packed.empty());
-  for (std::size_t i = 0; i < c.codes.size(); ++i) {
-    EXPECT_EQ(c.PackedCodeAt(i), c.codes[i]) << "row " << i;
-  }
-  std::vector<std::int32_t> unpacked;
-  c.UnpackInto(&unpacked);
-  EXPECT_EQ(unpacked, c.codes);
-}
-
-TEST(CodedRelationTest, BitPackHandlesCrossWordCodes) {
-  // 33 distinct values -> 6 bits per code; codes straddle 64-bit word
-  // boundaries from row 10 onwards.
-  CodedColumn c;
-  c.name = "x";
-  for (std::int32_t i = 0; i < 33; ++i) c.codes.push_back(i);
-  for (std::int32_t i = 32; i >= 0; --i) c.codes.push_back(i);
-  c.num_distinct = 33;
-  CodedRelation r = CodedRelation::FromColumns({c});
-  CodedColumn packed = r.column(0);
-  packed.SyncCompressedForms(/*bit_pack=*/true);
-  EXPECT_EQ(packed.bits_per_code, 6);
-  std::vector<std::int32_t> unpacked;
-  packed.UnpackInto(&unpacked);
-  EXPECT_EQ(unpacked, r.column(0).codes);
-}
-
 TEST(CodedRelationTest, MixedDoubleIntColumnOrdering) {
   Relation::Builder b(Schema({Attribute{"d", DataType::kDouble}}));
   ASSERT_TRUE(b.AddRow({Value::Double(1.5)}).ok());

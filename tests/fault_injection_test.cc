@@ -1,15 +1,16 @@
 // Fault-injection matrix over every discovery algorithm: each named
-// injection point is struck with every action (cancel, simulated alloc
-// failure, forced exception) at several hit positions, and the partial
-// result must be a sound, well-formed prefix of the complete run — never a
-// crash, never an escaped exception, never a dependency the complete run
-// would not emit.
+// injection point is struck with every run kind of the fault registry
+// (cancel, simulated alloc failure, forced exception) at several hit
+// positions, and the partial result must be a sound, well-formed prefix of
+// the complete run — never a crash, never an escaped exception, never a
+// dependency the complete run would not emit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/fastod/fastod.h"
@@ -17,9 +18,8 @@
 #include "algo/fd/tane.h"
 #include "algo/order/order_discover.h"
 #include "algo/ucc/ucc.h"
-#include "common/fault_injection.h"
+#include "common/io_env.h"
 #include "common/run_context.h"
-#include "core/monitor.h"
 #include "core/ocd_discover.h"
 #include "od/brute_force.h"
 #include "test_util.h"
@@ -52,49 +52,61 @@ struct Outcome {
 
 using RunFn = std::function<Outcome(RunContext*)>;
 
+/// Arms `spec` on the process-global registry for one run.
+Outcome RunArmed(const std::string& spec, const RunFn& run) {
+  IoEnv& env = IoEnv::Get();
+  env.ClearFaults();
+  EXPECT_TRUE(env.ArmFaultString(spec).ok()) << spec;
+  RunContext ctx;
+  Outcome out = run(&ctx);  // must not throw or crash
+  env.ClearFaults();
+  return out;
+}
+
 /// Dry-runs `run` to learn the injection surface and the complete output,
-/// then strikes every (point, action, position) combination and checks the
-/// partial-result contract.
+/// then strikes every (point, run kind, position) combination through the
+/// registry and checks the partial-result contract.
 void CheckInjectionMatrix(const std::string& algorithm, const RunFn& run,
                           std::size_t min_points) {
-  FaultInjector dry;
+  // `*=cancel@0` matches every point and never fires, so the dry run counts
+  // each point's hits.
+  IoEnv& env = IoEnv::Get();
+  env.ClearFaults();
+  ASSERT_TRUE(env.ArmFaultString("*=cancel@0").ok());
   RunContext dry_ctx;
-  dry_ctx.set_fault_injector(&dry);
   Outcome complete = run(&dry_ctx);
+  std::vector<std::pair<std::string, std::uint64_t>> points;
+  for (const std::string& point : env.SeenSites()) {
+    points.emplace_back(point, env.StatsFor(point).ops);
+  }
+  env.ClearFaults();
   ASSERT_TRUE(complete.completed) << algorithm << ": dry run must finish";
   ASSERT_EQ(complete.reason, StopReason::kNone) << algorithm;
   std::sort(complete.deps.begin(), complete.deps.end());
-
-  std::vector<std::string> points = dry.SeenPoints();
   ASSERT_GE(points.size(), min_points)
       << algorithm << ": too few injection points reached";
 
   const struct {
-    FaultAction action;
+    const char* kind;
     StopReason expected;
-  } kActions[] = {
-      {FaultAction::kCancel, StopReason::kFaultInjected},
-      {FaultAction::kAllocFailure, StopReason::kMemoryBudget},
-      {FaultAction::kThrow, StopReason::kFaultInjected},
+  } kKinds[] = {
+      {"cancel", StopReason::kFaultInjected},
+      {"alloc", StopReason::kMemoryBudget},
+      {"throw", StopReason::kFaultInjected},
   };
 
-  for (const std::string& point : points) {
-    std::uint64_t total = dry.hits(point);
+  for (const auto& [point, total] : points) {
     ASSERT_GE(total, 1u) << algorithm << "/" << point;
     // Deterministic spread over the point's lifetime: first, middle, last.
     std::vector<std::uint64_t> positions{1, total / 2 + 1, total};
     positions.erase(std::unique(positions.begin(), positions.end()),
                     positions.end());
-    for (const auto& [action, expected] : kActions) {
+    for (const auto& [kind, expected] : kKinds) {
       for (std::uint64_t at : positions) {
-        SCOPED_TRACE(algorithm + "/" + point + " action=" +
-                     std::to_string(static_cast<int>(action)) + " hit=" +
-                     std::to_string(at));
-        FaultInjector fi;
-        fi.Arm(point, action, at);
-        RunContext ctx;
-        ctx.set_fault_injector(&fi);
-        Outcome partial = run(&ctx);  // must not throw or crash
+        const std::string spec =
+            point + "=" + kind + "#" + std::to_string(at);
+        SCOPED_TRACE(algorithm + ": " + spec);
+        Outcome partial = RunArmed(spec, run);
         EXPECT_FALSE(partial.completed);
         EXPECT_EQ(partial.reason, expected);
         std::sort(partial.deps.begin(), partial.deps.end());
@@ -133,14 +145,12 @@ TEST(FaultInjectionTest, OcdDiscoverParallelSurvivesThrow) {
   ASSERT_TRUE(complete.completed);
   std::sort(complete.deps.begin(), complete.deps.end());
 
-  for (std::uint64_t at : {std::uint64_t{1}, std::uint64_t{5}}) {
-    FaultInjector fi;
-    fi.Arm("ocd.check", FaultAction::kThrow, at);
-    RunContext ctx;
-    ctx.set_fault_injector(&fi);
+  for (const char* spec : {"ocd.check=throw#1", "ocd.check=throw#5"}) {
     // The throw happens on a pool worker; the pool contains it, the driver
     // sees the failed Status and unwinds with kFaultInjected.
-    Outcome partial = RunOcdDiscover(&ctx, coded, /*num_threads=*/2);
+    Outcome partial = RunArmed(spec, [&](RunContext* ctx) {
+      return RunOcdDiscover(ctx, coded, /*num_threads=*/2);
+    });
     EXPECT_FALSE(partial.completed);
     EXPECT_EQ(partial.reason, StopReason::kFaultInjected);
     std::sort(partial.deps.begin(), partial.deps.end());
@@ -229,14 +239,14 @@ TEST(FaultInjectionTest, UccMatrix) {
 
 TEST(FaultInjectionTest, OcdDiscoverPartialIsSound) {
   CodedRelation coded = TestTable();
-  for (std::uint64_t at : {std::uint64_t{2}, std::uint64_t{7}}) {
-    FaultInjector fi;
-    fi.Arm("ocd.check", FaultAction::kThrow, at);
+  for (const char* spec : {"ocd.check=throw#2", "ocd.check=throw#7"}) {
+    IoEnv& env = IoEnv::Get();
+    ASSERT_TRUE(env.ArmFaultString(spec).ok());
     RunContext ctx;
-    ctx.set_fault_injector(&fi);
     core::OcdDiscoverOptions opts;
     opts.run_context = &ctx;
     core::OcdDiscoverResult r = core::DiscoverOcds(coded, opts);
+    env.ClearFaults();
     EXPECT_FALSE(r.completed);
     for (const auto& ocd : r.ocds) {
       EXPECT_TRUE(od::BruteForceHoldsOcd(coded, ocd.lhs, ocd.rhs))
@@ -251,13 +261,13 @@ TEST(FaultInjectionTest, OcdDiscoverPartialIsSound) {
 
 TEST(FaultInjectionTest, TanePartialIsSound) {
   CodedRelation coded = TestTable();
-  FaultInjector fi;
-  fi.Arm("tane.check", FaultAction::kCancel, 4);
+  IoEnv& env = IoEnv::Get();
+  ASSERT_TRUE(env.ArmFaultString("tane.check=cancel#4").ok());
   RunContext ctx;
-  ctx.set_fault_injector(&fi);
   algo::TaneOptions opts;
   opts.run_context = &ctx;
   algo::TaneResult r = algo::DiscoverFds(coded, opts);
+  env.ClearFaults();
   EXPECT_FALSE(r.completed);
   for (const auto& fd : r.fds) {
     EXPECT_TRUE(od::BruteForceHoldsFd(coded, fd.lhs, fd.rhs))
@@ -347,41 +357,6 @@ TEST(FaultInjectionTest, CancelledContextYieldsCancelledResult) {
   auto r = core::DiscoverOcds(coded, opts);
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.stop_reason, StopReason::kCancelled);
-}
-
-// ---- the monitor's revalidation sweep ----
-
-TEST(FaultInjectionTest, MonitorStopsRevalidationConservatively) {
-  RunContext ctx;
-  core::OcdDiscoverOptions opts;
-  opts.run_context = &ctx;
-  core::DependencyMonitor monitor(
-      testutil::IntTable({
-          {1, 2, 3, 4, 5, 6},
-          {0, 0, 1, 1, 2, 2},
-          {1, 1, 2, 2, 3, 3},
-      }),
-      opts);
-  ASSERT_TRUE(monitor.current().completed);
-  std::size_t deps_before =
-      monitor.current().ocds.size() + monitor.current().ods.size();
-  ASSERT_GT(deps_before, 0u);
-
-  // Stop after the very first revalidation check: the sweep must keep the
-  // unverified dependencies and skip any re-discovery.
-  FaultInjector fi;
-  fi.Arm("monitor.revalidate", FaultAction::kCancel, 2);
-  ctx.set_fault_injector(&fi);
-  auto report = monitor.AppendRows({{rel::Value::Int(7), rel::Value::Int(3),
-                                     rel::Value::Int(4)}});
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report->revalidation_complete);
-  EXPECT_EQ(report->stop_reason, StopReason::kFaultInjected);
-  EXPECT_FALSE(report->rediscovered);
-  EXPECT_EQ(monitor.current().ocds.size() + monitor.current().ods.size(),
-            deps_before - report->invalidated_ocds.size() -
-                report->invalidated_ods.size());
-  EXPECT_FALSE(monitor.current().completed);
 }
 
 }  // namespace

@@ -156,6 +156,16 @@ TEST(FsckCliTest, FaultEnvHookCrossesTheExecBoundary) {
   EXPECT_NE(run.output.find("warning"), std::string::npos) << run.output;
   EXPECT_TRUE(fs::exists(scratch.path + "/store.000001.snap"));
 
+  // Run kinds cross the same hook: a throw at the 5th of NUMBERS' 37
+  // checks stops discovery with a partial, well-formed report.
+  RunResult faulted = RunCli("discover NUMBERS --json",
+                             "OCDD_IO_FAULTS='ocd.check=throw#5' ");
+  EXPECT_EQ(faulted.exit_code, 0) << faulted.output;
+  auto doc = report::ParseJson(faulted.output);
+  ASSERT_TRUE(doc.ok()) << faulted.output;
+  EXPECT_FALSE((*doc)["completed"].bool_value());
+  EXPECT_EQ((*doc)["stop_reason"].string_value(), "fault_injected");
+
   // A malformed spec is refused loudly at startup, never half-applied.
   RunResult bad = RunCli("fsck " + scratch.path,
                          "OCDD_IO_FAULTS='store=warpdrive' ");

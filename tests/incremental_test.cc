@@ -3,19 +3,23 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/run_context.h"
+#include "datagen/fixtures.h"
 #include "datagen/registry.h"
 #include "relation/batch.h"
 #include "relation/relation.h"
 #include "relation/value.h"
+#include "test_util.h"
 
 namespace ocdd {
 namespace {
@@ -147,6 +151,56 @@ TEST(IncrementalTest, AppendOnlyBatchesStayEquivalent) {
   }
   // The warm state must actually be doing work, not just staying correct.
   EXPECT_GT(served, 0u);
+
+  // Single appends that break structure: a constant column, an equivalence
+  // class, an emitted OD, and an OCD with no OD at stake.
+  using Claims = core::OcdDiscoverResult;
+  const struct {
+    const char* what;
+    rel::Relation base;
+    std::vector<rel::Value> row;
+    std::function<bool(const Claims&, const Claims&)> broke;
+  } kBreaks[] = {
+      {"constant", testutil::IntTable({{7, 7, 7}, {1, 2, 3}}),
+       {rel::Value::Int(8), rel::Value::Int(4)},
+       [](const Claims& before, const Claims& after) {
+         return before.reduction.constant_columns.size() == 1 &&
+                after.reduction.constant_columns.empty();
+       }},
+      {"equivalence", testutil::IntTable({{1, 2, 3}, {10, 20, 30}, {5, 5, 7}}),
+       {rel::Value::Int(4), rel::Value::Int(1), rel::Value::Int(9)},
+       [](const Claims& before, const Claims& after) {
+         return before.reduction.equivalence_classes.size() == 1 &&
+                after.reduction.equivalence_classes.empty();
+       }},
+      {"od", datagen::MakeTaxInfo(),  // income -> bracket
+       {rel::Value::String("Z. Test"), rel::Value::Int(90000),
+        rel::Value::Int(11000), rel::Value::Int(1), rel::Value::Int(15000)},
+       [](const Claims& before, const Claims& after) {
+         return std::any_of(before.ods.begin(), before.ods.end(),
+                            [&](const od::OrderDependency& od) {
+                              return std::find(after.ods.begin(),
+                                               after.ods.end(),
+                                               od) == after.ods.end();
+                            });
+       }},
+      {"ocd", datagen::MakeYes(),  // A ~ B holds, no OD does
+       {rel::Value::Int(10), rel::Value::Int(0)},
+       [](const Claims& before, const Claims& after) {
+         return before.ocds.size() == 1 && after.ocds.empty();
+       }},
+  };
+  for (const auto& brk : kBreaks) {
+    SCOPED_TRACE(brk.what);
+    auto small = IncrementalSession::Start(brk.base, options);
+    ASSERT_TRUE(small.ok());
+    const Claims before = small->last_result();
+    rel::RowBatch batch;
+    batch.appends.push_back(brk.row);
+    ASSERT_TRUE(small->ApplyBatch(batch).ok());
+    EXPECT_TRUE(brk.broke(before, small->last_result()));
+    ExpectEquivalent(*small, options);
+  }
 }
 
 TEST(IncrementalTest, DeleteOnlyBatchesStayEquivalent) {
@@ -266,6 +320,11 @@ TEST(IncrementalTest, ValidationErrorLeavesSessionUnchanged) {
   mistyped.appends.emplace_back(session->relation().num_columns(),
                                 rel::Value::String("not-an-int-anywhere"));
   EXPECT_FALSE(session->ApplyBatch(mistyped).ok());
+  EXPECT_EQ(session->batch_seq(), 0u);
+
+  rel::RowBatch short_row;
+  short_row.appends.push_back({rel::Value::Int(4)});
+  EXPECT_FALSE(session->ApplyBatch(short_row).ok());
   EXPECT_EQ(session->batch_seq(), 0u);
 
   // The session still works after rejected batches.

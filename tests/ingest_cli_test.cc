@@ -147,13 +147,27 @@ TEST(IngestCliTest, FailPolicyExitsNonzeroNamingByteOffsetAndRow) {
   EXPECT_NE(run.output.find("row 3"), std::string::npos) << run.output;
 }
 
-TEST(IngestCliTest, UnknownPolicyIsRejected) {
+TEST(IngestCliTest, MalformedFlagValuesAreRejected) {
   ScratchDir scratch;
   std::string csv = WriteFile(scratch, "dirty.csv", kDirtyCsv);
   RunResult run = RunCli("discover " + csv + " --on-bad-row=purge --json");
   EXPECT_EQ(run.exit_code, 1) << run.output;
   EXPECT_NE(run.output.find("unknown --on-bad-row"), std::string::npos)
       << run.output;
+
+  // A malformed number is a usage error naming the flag, never a silent 0
+  // ("unlimited").
+  for (const char* flags :
+       {"--max-checks abc", "--threads -1", "--threads=-1", "--time-limit 1x",
+        "--max-checks"}) {
+    SCOPED_TRACE(flags);
+    RunResult bad = RunCli(std::string("discover NUMBERS --json ") + flags);
+    EXPECT_EQ(bad.exit_code, 2) << bad.output;
+    const std::string flag = std::string(flags).substr(
+        0, std::string(flags).find_first_of(" ="));
+    EXPECT_NE(bad.output.find(flag + " expects"), std::string::npos)
+        << bad.output;
+  }
 }
 
 TEST(IngestCliTest, CleanCsvReportsCleanIngest) {

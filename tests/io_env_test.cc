@@ -14,6 +14,8 @@
 #include <filesystem>
 #include <string>
 
+#include "common/run_context.h"
+
 namespace ocdd {
 namespace {
 
@@ -59,6 +61,11 @@ TEST_F(IoEnvTest, ParseSpecGrammar) {
   EXPECT_DOUBLE_EQ((*specs)[2].rate, 0.25);
 
   EXPECT_FALSE(ParseIoFaultSpecs("snapshot.write").ok());     // no '='
+  auto run = ParseIoFaultSpecs("ocd.check=cancel,x=alloc#2,*=throw@0.5");
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ((*run)[0].kind, IoFaultKind::kCancel);
+  EXPECT_EQ((*run)[1].kind, IoFaultKind::kAlloc);
+  EXPECT_EQ((*run)[2].kind, IoFaultKind::kThrow);
   EXPECT_FALSE(ParseIoFaultSpecs("x=warp").ok());             // unknown kind
   EXPECT_FALSE(ParseIoFaultSpecs("x=eio@1.5").ok());          // rate > 1
   EXPECT_FALSE(ParseIoFaultSpecs("x=eio#0").ok());            // N must be >= 1
@@ -153,25 +160,48 @@ TEST_F(IoEnvTest, RateFaultIsSeededAndDeterministic) {
   ScratchDir scratch("rate");
   IoEnv& env = IoEnv::Get();
 
-  auto run_sweep = [&](std::uint64_t seed) {
+  // `*=cancel@0` matches every algorithm point and never fires: with
+  // `poll_points`, each I/O call is preceded by injection-point polls that
+  // take the armed path. They must not perturb the I/O rate draws.
+  auto run_sweep = [&](std::uint64_t seed, bool poll_points) {
     env.ClearFaults();
     env.SeedFaultRng(seed);
-    EXPECT_TRUE(env.ArmFaultString("t_rate.write=eio@0.5").ok());
+    EXPECT_TRUE(env.ArmFaultString("*=eio@0.5,*=cancel@0").ok());
+    RunContext ctx;
     std::string pattern;
     for (int i = 0; i < 32; ++i) {
-      Status s = IoWriteFileSynced(env, "t_rate",
-                                   scratch.path + "/f" + std::to_string(i),
-                                   "x", 1);
-      pattern += s.ok() ? '.' : 'X';
+      if (poll_points) {
+        ctx.AtInjectionPoint("t_rate.check");
+        ctx.AtInjectionPoint("t_rate.check");
+      }
+      const std::string dir = scratch.path + "/" +
+                              std::to_string(poll_points) + "_" +
+                              std::to_string(i);
+      pattern += env.Mkdir("t_rate.mkdir", dir, 0755) == 0 ? '.' : 'X';
     }
+    EXPECT_FALSE(ctx.stop_requested());  // I/O kinds never fire at points
     return pattern;
   };
 
-  const std::string a = run_sweep(7);
-  const std::string b = run_sweep(7);
+  const std::string a = run_sweep(7, false);
+  const std::string b = run_sweep(7, true);
   EXPECT_EQ(a, b);  // same seed, same fault pattern
   EXPECT_NE(a.find('X'), std::string::npos);  // some faults fired
   EXPECT_NE(a.find('.'), std::string::npos);  // some calls passed
+}
+
+TEST_F(IoEnvTest, KindsMatchOnlyTheirOwnClassOfSite) {
+  ScratchDir scratch("classes");
+  IoEnv& env = IoEnv::Get();
+  ASSERT_TRUE(env.ArmFaultString("*=throw,*=eio#2").ok());
+  // Run kinds fire at algorithm points, and those polls do not count
+  // towards the I/O spec's #2 ...
+  RunContext ctx;
+  EXPECT_THROW(ctx.AtInjectionPoint("t_class.check"), FaultInjectedError);
+  EXPECT_THROW(ctx.AtInjectionPoint("t_class.check"), FaultInjectedError);
+  // ... while I/O sites ignore `*=throw` and see their own 2nd call fail.
+  EXPECT_EQ(env.Mkdir("t_class.mkdir", scratch.path + "/a", 0755), 0);
+  EXPECT_NE(env.Mkdir("t_class.mkdir", scratch.path + "/b", 0755), 0);
 }
 
 TEST_F(IoEnvTest, SeenSitesEnumeratesTheInjectionSurface) {

@@ -1,6 +1,6 @@
 // Tests of the QA differential oracle: canonical-closure decision procedure,
 // closure-equivalence comparisons, clean cross-checks on fixed data,
-// corruption detection through the fault-injection subsystem, and regression
+// corruption detection, and regression
 // pins for the two documented oracle scope boundaries (tests/repros/).
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/fault_injection.h"
 #include "od/brute_force.h"
 #include "od/dependency.h"
 #include "od/inference.h"
@@ -203,29 +202,17 @@ TEST(OracleTest, DetectsEveryCorruptionMode) {
     opts.corruption = mode;
     auto report = qa::CrossCheck(r, opts);
     EXPECT_FALSE(report.clean()) << qa::CorruptionModeName(mode);
+    if (mode == qa::CorruptionMode::kInventOrderOd) {
+      bool order_blamed = false;
+      for (const auto& d : report.discrepancies) {
+        if (d.algorithm.find("order") != std::string::npos) {
+          order_blamed = true;
+        }
+      }
+      EXPECT_TRUE(order_blamed);
+    }
   }
   EXPECT_TRUE(qa::CrossCheck(r).clean());
-}
-
-TEST(OracleTest, CorruptionFiresThroughFaultInjector) {
-  CodedRelation r = CodedIntTable({{1, 2, 3, 4}, {2, 4, 6, 8}, {4, 1, 3, 2}});
-  FaultInjector injector;
-  injector.Arm(qa::CorruptionPoint(qa::CorruptionMode::kInventOrderOd),
-               FaultAction::kCancel);
-  qa::OracleOptions opts;
-  opts.injector = &injector;
-  auto report = qa::CrossCheck(r, opts);
-  ASSERT_FALSE(report.clean());
-  bool order_blamed = false;
-  for (const auto& d : report.discrepancies) {
-    if (d.algorithm.find("order") != std::string::npos) order_blamed = true;
-  }
-  EXPECT_TRUE(order_blamed);
-  // An injector with nothing armed corrupts nothing.
-  FaultInjector idle;
-  qa::OracleOptions clean_opts;
-  clean_opts.injector = &idle;
-  EXPECT_TRUE(qa::CrossCheck(r, clean_opts).clean());
 }
 
 // --- regression pins for the documented scope boundaries ------------------

@@ -8,7 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/fault_injection.h"
+#include "common/io_env.h"
 
 namespace ocdd {
 namespace {
@@ -192,79 +192,43 @@ TEST(RunContextTest, CancelFromAnotherThread) {
   EXPECT_EQ(ctx.stop_reason(), StopReason::kCancelled);
 }
 
-TEST(FaultInjectorTest, UnarmedPollCountsHits) {
-  FaultInjector fi;
-  EXPECT_EQ(fi.Poll("p"), FaultAction::kNone);
-  EXPECT_EQ(fi.Poll("p"), FaultAction::kNone);
-  EXPECT_EQ(fi.hits("p"), 2u);
-  EXPECT_EQ(fi.hits("never"), 0u);
-}
+/// Run-kind faults are armed on the process-global registry; each test
+/// clears it so armings never leak into the next.
+class RunContextFaultTest : public ::testing::Test {
+ protected:
+  void TearDown() override { IoEnv::Get().ClearFaults(); }
+};
 
-TEST(FaultInjectorTest, ArmFiresOnceThenDisarms) {
-  FaultInjector fi;
-  fi.Arm("p", FaultAction::kThrow, 2);
-  EXPECT_EQ(fi.Poll("p"), FaultAction::kNone);   // hit 1
-  EXPECT_EQ(fi.Poll("p"), FaultAction::kThrow);  // hit 2 fires
-  EXPECT_EQ(fi.Poll("p"), FaultAction::kNone);   // one-shot: disarmed
-  EXPECT_EQ(fi.hits("p"), 3u);
-}
-
-TEST(FaultInjectorTest, AfterHitsIsRelativeToNow) {
-  FaultInjector fi;
-  fi.Poll("p");
-  fi.Poll("p");
-  fi.Arm("p", FaultAction::kCancel, 1);  // the very next hit
-  EXPECT_EQ(fi.Poll("p"), FaultAction::kCancel);
-}
-
-TEST(FaultInjectorTest, SeenPointsEnumeratesSorted) {
-  FaultInjector fi;
-  fi.Poll("b.check");
-  fi.Poll("a.level");
-  fi.Poll("b.check");
-  EXPECT_EQ(fi.SeenPoints(),
-            (std::vector<std::string>{"a.level", "b.check"}));
-}
-
-TEST(FaultInjectorTest, ResetClearsHitsAndArmings) {
-  FaultInjector fi;
-  fi.Arm("p", FaultAction::kThrow, 1);
-  fi.Poll("q");
-  fi.Reset();
-  EXPECT_EQ(fi.hits("q"), 0u);
-  EXPECT_EQ(fi.Poll("p"), FaultAction::kNone);  // arming gone
-}
-
-TEST(RunContextFaultTest, NoInjectorIsANoOp) {
+TEST_F(RunContextFaultTest, NothingArmedIsANoOp) {
   RunContext ctx;
   ctx.AtInjectionPoint("anything");
   EXPECT_FALSE(ctx.stop_requested());
 }
 
-TEST(RunContextFaultTest, CancelActionLatchesFaultInjected) {
-  RunContext ctx;
-  FaultInjector fi;
-  fi.Arm("p", FaultAction::kCancel, 1);
-  ctx.set_fault_injector(&fi);
-  ctx.AtInjectionPoint("p");
-  EXPECT_EQ(ctx.stop_reason(), StopReason::kFaultInjected);
+TEST_F(RunContextFaultTest, RunKindsMapToStopReasons) {
+  ASSERT_TRUE(IoEnv::Get().ArmFaultString("c=cancel,a=alloc,t=throw").ok());
+  RunContext cancelled;
+  cancelled.AtInjectionPoint("c");
+  EXPECT_EQ(cancelled.stop_reason(), StopReason::kFaultInjected);
+  RunContext alloc;
+  alloc.AtInjectionPoint("a");
+  EXPECT_EQ(alloc.stop_reason(), StopReason::kMemoryBudget);
+  RunContext thrown;
+  EXPECT_THROW(thrown.AtInjectionPoint("t"), FaultInjectedError);
 }
 
-TEST(RunContextFaultTest, AllocFailureActionLatchesMemoryBudget) {
+TEST_F(RunContextFaultTest, OneShotFiresOnNthHitAndPointsAreCounted) {
+  IoEnv& env = IoEnv::Get();
+  ASSERT_TRUE(env.ArmFaultString("b.check=throw#2").ok());
   RunContext ctx;
-  FaultInjector fi;
-  fi.Arm("p", FaultAction::kAllocFailure, 1);
-  ctx.set_fault_injector(&fi);
-  ctx.AtInjectionPoint("p");
-  EXPECT_EQ(ctx.stop_reason(), StopReason::kMemoryBudget);
-}
-
-TEST(RunContextFaultTest, ThrowActionThrowsFaultInjectedError) {
-  RunContext ctx;
-  FaultInjector fi;
-  fi.Arm("p", FaultAction::kThrow, 1);
-  ctx.set_fault_injector(&fi);
-  EXPECT_THROW(ctx.AtInjectionPoint("p"), FaultInjectedError);
+  EXPECT_NO_THROW(ctx.AtInjectionPoint("b.check"));  // hit 1
+  EXPECT_NO_THROW(ctx.AtInjectionPoint("a.level"));
+  EXPECT_THROW(ctx.AtInjectionPoint("b.check"), FaultInjectedError);
+  EXPECT_NO_THROW(ctx.AtInjectionPoint("b.check"));  // one-shot: spent
+  EXPECT_EQ(env.SeenSites(),
+            (std::vector<std::string>{"a.level", "b.check"}));
+  EXPECT_EQ(env.StatsFor("b.check").ops, 3u);
+  EXPECT_EQ(env.StatsFor("b.check").faults_fired, 1u);
 }
 
 }  // namespace

@@ -31,10 +31,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -90,6 +94,11 @@ extern "C" void HandleSigint(int) {
   }
 }
 
+/// A numeric flag whose value does not parse; main() reports it and exits 2.
+struct BadFlag : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 struct Args {
   std::string command;
   std::string source;
@@ -100,22 +109,35 @@ struct Args {
     auto it = flags.find(name);
     return it == flags.end() ? dflt : it->second;
   }
+  /// Non-negative finite number; anything else throws BadFlag.
   double GetDouble(const std::string& name, double dflt) const {
     auto it = flags.find(name);
-    return it == flags.end() ? dflt : std::atof(it->second.c_str());
+    if (it == flags.end()) return dflt;
+    const std::string& v = it->second;
+    char* end = nullptr;
+    const double d = std::strtod(v.c_str(), &end);
+    if (v.empty() || *end != '\0' || !std::isfinite(d) || d < 0.0) {
+      throw BadFlag("--" + name + " expects a non-negative number, got '" +
+                    v + "'");
+    }
+    return d;
   }
   std::size_t GetSize(const std::string& name, std::size_t dflt) const {
-    auto it = flags.find(name);
-    return it == flags.end()
-               ? dflt
-               : static_cast<std::size_t>(std::atoll(it->second.c_str()));
+    return static_cast<std::size_t>(GetU64(name, dflt));
   }
   /// Full-range uint64 parse — qa replay seeds routinely exceed int64.
+  /// Digits only; anything else throws BadFlag.
   std::uint64_t GetU64(const std::string& name, std::uint64_t dflt) const {
     auto it = flags.find(name);
-    return it == flags.end()
-               ? dflt
-               : std::strtoull(it->second.c_str(), nullptr, 10);
+    if (it == flags.end()) return dflt;
+    const std::string& v = it->second;
+    std::uint64_t n = 0;
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+    if (v.empty() || ec != std::errc() || end != v.data() + v.size()) {
+      throw BadFlag("--" + name + " expects a non-negative integer, got '" +
+                    v + "'");
+    }
+    return n;
   }
 };
 
@@ -137,7 +159,10 @@ Result<Args> ParseArgs(int argc, char** argv) {
       // --flag=value spelling.
       value = flag.substr(eq + 1);
       flag = flag.substr(0, eq);
-    } else if (i + 1 < argc && argv[i + 1][0] != '-') {
+    } else if (i + 1 < argc &&
+               (argv[i + 1][0] != '-' ||
+                std::isdigit(static_cast<unsigned char>(argv[i + 1][1])))) {
+      // A negative number is a value (which GetSize rejects by name).
       value = argv[++i];
     }
     args.flags[flag] = value;
@@ -1335,6 +1360,32 @@ void Usage() {
       stderr);
 }
 
+int Dispatch(const Args& args, char** argv) {
+  const std::string& cmd = args.command;
+  if (cmd == "run") return CmdRun(args);
+  if (cmd == "supervise") return CmdSupervise(args, argv[0]);
+  if (cmd == "serve") return CmdServe(args, argv[0]);
+  if (cmd == "request") return CmdRequest(args);
+  if (cmd == "fsck") return CmdFsck(args);
+  if (cmd == "discover") return CmdDiscover(args);
+  if (cmd == "apply-batch") return CmdApplyBatch(args);
+  if (cmd == "fds") return CmdFds(args);
+  if (cmd == "fastod") return CmdFastod(args);
+  if (cmd == "fastod-bid") return CmdFastodBid(args);
+  if (cmd == "order") return CmdOrder(args);
+  if (cmd == "approx") return CmdApprox(args);
+  if (cmd == "uccs") return CmdUccs(args);
+  if (cmd == "polarized") return CmdPolarized(args);
+  if (cmd == "profile") return CmdProfile(args);
+  if (cmd == "rewrite") return CmdRewrite(args);
+  if (cmd == "explain") return CmdExplain(args);
+  if (cmd == "diff") return CmdDiff(args);
+  if (cmd == "generate") return CmdGenerate(args);
+  if (cmd == "qa") return CmdQa(args, argv[0]);
+  Usage();
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1343,27 +1394,10 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
-  const std::string& cmd = args->command;
-  if (cmd == "run") return CmdRun(*args);
-  if (cmd == "supervise") return CmdSupervise(*args, argv[0]);
-  if (cmd == "serve") return CmdServe(*args, argv[0]);
-  if (cmd == "request") return CmdRequest(*args);
-  if (cmd == "fsck") return CmdFsck(*args);
-  if (cmd == "discover") return CmdDiscover(*args);
-  if (cmd == "apply-batch") return CmdApplyBatch(*args);
-  if (cmd == "fds") return CmdFds(*args);
-  if (cmd == "fastod") return CmdFastod(*args);
-  if (cmd == "fastod-bid") return CmdFastodBid(*args);
-  if (cmd == "order") return CmdOrder(*args);
-  if (cmd == "approx") return CmdApprox(*args);
-  if (cmd == "uccs") return CmdUccs(*args);
-  if (cmd == "polarized") return CmdPolarized(*args);
-  if (cmd == "profile") return CmdProfile(*args);
-  if (cmd == "rewrite") return CmdRewrite(*args);
-  if (cmd == "explain") return CmdExplain(*args);
-  if (cmd == "diff") return CmdDiff(*args);
-  if (cmd == "generate") return CmdGenerate(*args);
-  if (cmd == "qa") return CmdQa(*args, argv[0]);
-  Usage();
-  return 2;
+  try {
+    return Dispatch(*args, argv);
+  } catch (const BadFlag& e) {
+    std::fprintf(stderr, "ocdd: %s\n", e.what());
+    return 2;
+  }
 }

@@ -9,11 +9,12 @@
 # docs/performance.md for the format and how to compare two sweeps.
 #
 # After the sweep, every fresh BENCH_*.json is diffed against the
-# committed baseline of the same name in the repo root (when one exists):
-# matching entries (same dataset/label/threads/mode) that got more than
-# 10% slower are flagged with a WARN line. The diff never fails the run —
-# timings on a shared box are advisory — but the warnings make eyeballing
-# a regression a one-line affair.
+# committed baseline of the same name in the repo root (when one exists).
+# Matching entries (same dataset/rows/label/threads/mode, both completed)
+# must agree on `checks`, `ocds` and `ods`: any drift is printed as FAIL and
+# the script exits 1 after the sweep. Entries that got more than 10% slower
+# are flagged with a WARN line; timings on a shared box are advisory, so
+# warnings never fail the run.
 #
 #   tools/run_bench.sh [out_dir]          # default out_dir: bench-out
 #
@@ -65,30 +66,42 @@ echo "==> reports:"
 ls -l "${OUT}"/BENCH_*.json
 
 # Diff each fresh report against the committed baseline of the same name.
-echo "==> regression check vs committed baselines (>10% slower => WARN)"
+echo "==> regression check vs committed baselines" \
+     "(count drift => FAIL, >10% slower => WARN)"
+drift=0
 for fresh in "${OUT}"/BENCH_*.json; do
   base="$(basename "${fresh}")"
   [[ -f "${base}" ]] || { echo "  ${base}: no committed baseline"; continue; }
-  python3 - "$base" "$fresh" <<'EOF'
+  python3 - "$base" "$fresh" <<'EOF' || drift=1
 import json, sys
 
 base_path, fresh_path = sys.argv[1], sys.argv[2]
 def key(e):
-    return (e.get("dataset"), e.get("label", ""), e.get("threads"),
-            e.get("use_sorted_partitions"))
+    return (e.get("dataset"), e.get("rows"), e.get("label", ""),
+            e.get("threads"), e.get("use_sorted_partitions"))
 base = {key(e): e for e in json.load(open(base_path))["entries"]}
-warned = matched = 0
+warned = matched = failed = 0
 for e in json.load(open(fresh_path))["entries"]:
     b = base.get(key(e))
     if b is None or not e.get("completed") or not b.get("completed"):
         continue
     matched += 1
+    for count in ("checks", "ocds", "ods"):
+        if e.get(count) != b.get(count):
+            failed += 1
+            print(f"  FAIL {base_path} {key(e)}: {count} "
+                  f"{b.get(count)} -> {e.get(count)}")
     old, new = b["seconds"], e["seconds"]
     if old > 0 and new > old * 1.10:
         warned += 1
         print(f"  WARN {base_path} {key(e)}: {old:.3f}s -> {new:.3f}s "
               f"(+{100.0 * (new - old) / old:.0f}%)")
-print(f"  {base_path}: {matched} comparable entries, {warned} regression "
-      f"warning(s)")
+print(f"  {base_path}: {matched} comparable entries, {failed} count "
+      f"drift(s), {warned} regression warning(s)")
+sys.exit(1 if failed else 0)
 EOF
 done
+if [[ "${drift}" -ne 0 ]]; then
+  echo "==> result counts drifted from the committed baselines" >&2
+  exit 1
+fi
