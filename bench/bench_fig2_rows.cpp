@@ -30,8 +30,10 @@ void RowSweep(const char* name, const ocdd::rel::CodedRelation& full,
     std::size_t ocds = 0;
     bool completed = true;
     for (int rep = 0; rep < repetitions; ++rep) {
+      // First series: the paper's fresh sort per check (§4.3).
       ocdd::core::OcdDiscoverOptions opts;
       opts.time_limit_seconds = RunBudgetSeconds();
+      opts.use_sorted_partitions = false;
       auto result = ocdd::core::DiscoverOcds(sample, opts);
       total += result.elapsed_seconds;
       checks = result.num_checks;
@@ -40,8 +42,8 @@ void RowSweep(const char* name, const ocdd::rel::CodedRelation& full,
 
       // Second series: the sorted-partition backend the paper's section
       // 5.3.1 discusses — per-check cost drops from O(m log m) to O(m).
-      ocdd::core::OcdDiscoverOptions part_opts = opts;
-      part_opts.use_sorted_partitions = true;
+      ocdd::core::OcdDiscoverOptions part_opts;
+      part_opts.time_limit_seconds = RunBudgetSeconds();
       auto part = ocdd::core::DiscoverOcds(sample, part_opts);
       total_part += part.elapsed_seconds;
     }

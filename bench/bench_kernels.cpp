@@ -165,7 +165,6 @@ int main() {
       ocdd::simd::ForceBackendForTest(backend);
       ocdd::core::OcdDiscoverOptions opts;
       opts.num_threads = 1;
-      opts.use_sorted_partitions = true;
       opts.max_partition_cache_bytes = std::size_t{2} << 30;
       opts.time_limit_seconds =
           std::max(ocdd::bench::RunBudgetSeconds(), 120.0);

@@ -12,6 +12,7 @@
 #include "algo/fd/tane.h"
 #include "algo/order/order_discover.h"
 #include "bench_util.h"
+#include "common/prof.h"
 #include "core/expansion.h"
 #include "core/ocd_discover.h"
 #include "datagen/registry.h"
@@ -32,19 +33,24 @@ void RunDataset(const ocdd::datagen::DatasetSpec& spec,
   tane_opts.time_limit_seconds = budget;
   auto tane = ocdd::algo::DiscoverFds(r, tane_opts);
 
-  // ORDER baseline.
+  // ORDER baseline; its entry's profile covers this call only.
   ocdd::algo::OrderDiscoverOptions order_opts;
   order_opts.time_limit_seconds = budget;
+  ocdd::prof::Reset();
   auto order = ocdd::algo::DiscoverOrderDependencies(r, order_opts);
+  report.Add({spec.name, r.num_rows(), r.num_columns(), 1, true,
+              order.elapsed_seconds, order.num_checks, 0, order.ods.size(),
+              order.completed, "order", {}});
 
   // FASTOD baseline.
   ocdd::algo::FastodOptions fastod_opts;
   fastod_opts.time_limit_seconds = budget;
   auto fastod = ocdd::algo::DiscoverFastod(r, fastod_opts);
 
-  // OCDDISCOVER.
+  // OCDDISCOVER; its entry's profile covers this call only.
   ocdd::core::OcdDiscoverOptions ocd_opts;
   ocd_opts.time_limit_seconds = budget;
+  ocdd::prof::Reset();
   auto mine = ocdd::core::DiscoverOcds(r, ocd_opts);
   report.Add({spec.name, r.num_rows(), r.num_columns(), ocd_opts.num_threads,
               ocd_opts.use_sorted_partitions, mine.elapsed_seconds,

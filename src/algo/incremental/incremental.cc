@@ -413,8 +413,6 @@ struct SessionOps {
     w.run_context = ctx;
     w.num_threads = s.options_.num_threads;
     w.max_level = s.options_.max_level;
-    w.use_sorted_partitions = s.options_.use_sorted_partitions;
-    w.max_partition_cache_bytes = s.options_.max_partition_cache_bytes;
     w.check_hook = hook;
     return w;
   }
@@ -611,8 +609,6 @@ core::OcdDiscoverResult DiscoverFromScratch(const rel::Relation& relation,
   w.run_context = ctx;
   w.num_threads = options.num_threads;
   w.max_level = options.max_level;
-  w.use_sorted_partitions = options.use_sorted_partitions;
-  w.max_partition_cache_bytes = options.max_partition_cache_bytes;
   return core::DiscoverOcds(coded, w);
 }
 

@@ -51,11 +51,6 @@ struct IncrementalOptions {
   /// from-scratch oracle's cap for equivalence comparisons.
   std::size_t max_level = 0;
 
-  /// Cache-miss candidates are checked with the sorted-partition pipeline
-  /// (core/list_partition.h) under this byte budget.
-  bool use_sorted_partitions = true;
-  std::size_t max_partition_cache_bytes = 1ULL << 30;
-
   /// Byte budget for the warm per-list sorted-permutation cache that powers
   /// the append counting fast path. A list that does not fit simply misses
   /// the hook and is recomputed against the data — never an error.

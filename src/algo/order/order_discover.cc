@@ -1,58 +1,25 @@
 #include "algo/order/order_discover.h"
 
-#include <functional>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "common/run_context.h"
 #include "common/timer.h"
-#include "core/checker.h"
-#include "core/list_partition.h"
+#include "core/partition_checker.h"
 #include "od/dependency_set.h"
 
 namespace ocdd::algo {
 
-namespace {
-
+using core::Candidate;
+using core::CandidateBytes;
+using core::CandidateHash;
 using core::OdCheckOutcome;
-using core::OrderChecker;
 using od::AttributeList;
-using od::AttributeListHash;
-
-struct Candidate {
-  AttributeList lhs;
-  AttributeList rhs;
-
-  friend bool operator==(const Candidate& a, const Candidate& b) {
-    return a.lhs == b.lhs && a.rhs == b.rhs;
-  }
-};
-
-struct CandidateHash {
-  std::size_t operator()(const Candidate& c) const {
-    AttributeListHash h;
-    return h(c.lhs) * 1000003ULL ^ h(c.rhs);
-  }
-};
-
-}  // namespace
-
-namespace {
-
-/// Frontier memory unit charged to the RunContext budget.
-std::size_t CandidateBytes(const Candidate& c) {
-  return sizeof(Candidate) +
-         (c.lhs.size() + c.rhs.size()) * sizeof(rel::ColumnId);
-}
-
-}  // namespace
 
 OrderDiscoverResult DiscoverOrderDependencies(
     const rel::CodedRelation& relation, const OrderDiscoverOptions& options) {
   WallTimer timer;
   OrderDiscoverResult result;
-  OrderChecker checker(relation);
 
   RunContext local_ctx;
   RunContext* ctx =
@@ -62,36 +29,8 @@ OrderDiscoverResult DiscoverOrderDependencies(
     ctx->set_time_limit_seconds(options.time_limit_seconds);
   }
 
-  // Sorted-partition cache (only populated when the option is set): each
-  // list's rank vector derives from its prefix's by one refinement.
-  std::unordered_map<AttributeList, core::ListPartition, AttributeListHash>
-      part_cache;
-  std::size_t cache_bytes = 0;
-  std::uint64_t part_checks = 0;
-  std::function<const core::ListPartition*(const AttributeList&)> ensure =
-      [&](const AttributeList& list) -> const core::ListPartition* {
-    auto it = part_cache.find(list);
-    if (it != part_cache.end()) return &it->second;
-    core::ListPartition part;
-    if (list.size() == 1) {
-      part = core::ListPartition::ForColumn(relation, list[0]);
-    } else {
-      AttributeList prefix(std::vector<rel::ColumnId>(
-          list.ids().begin(), list.ids().end() - 1));
-      const core::ListPartition* parent = ensure(prefix);
-      if (parent == nullptr) return nullptr;
-      part = parent->Refine(relation, list[list.size() - 1]);
-    }
-    std::size_t bytes = part.MemoryBytes();
-    if (options.max_partition_cache_bytes != 0 &&
-        cache_bytes + bytes > options.max_partition_cache_bytes) {
-      return nullptr;
-    }
-    cache_bytes += bytes;
-    auto [pos, inserted] = part_cache.emplace(list, std::move(part));
-    (void)inserted;
-    return &pos->second;
-  };
+  core::PartitionChecker checker(relation, *ctx,
+                                options.max_partition_cache_bytes);
 
   std::size_t n = relation.num_columns();
 
@@ -124,6 +63,8 @@ OrderDiscoverResult DiscoverOrderDependencies(
         cap_reason = StopReason::kLevelCap;
         break;
       }
+      checker.Prepare(level, nullptr);
+
       std::vector<Candidate> next;
       std::size_t next_bytes = 0;
       std::unordered_set<Candidate, CandidateHash> seen;
@@ -135,27 +76,14 @@ OrderDiscoverResult DiscoverOrderDependencies(
         ctx->AtInjectionPoint("order.check");
         // Full classification: a swap must be detected even when a split
         // occurs first, because only swaps prune the subtree.
-        OdCheckOutcome outcome;
-        const core::ListPartition* pl = nullptr;
-        const core::ListPartition* pr = nullptr;
-        if (options.use_sorted_partitions) {
-          pl = ensure(c.lhs);
-          pr = ensure(c.rhs);
-        }
-        ctx->CountCheck(1);
-        if (pl != nullptr && pr != nullptr) {
-          outcome = core::ListPartition::CheckOd(*pl, *pr);
-          ++part_checks;
-        } else {
-          outcome = checker.CheckOd(c.lhs, c.rhs, /*early_exit=*/false);
-        }
+        const OdCheckOutcome outcome = checker.CheckOd(c.x, c.y);
         if (outcome.valid()) {
           ctx->AtInjectionPoint("order.generate");
-          result.ods.push_back(od::OrderDependency{c.lhs, c.rhs});
+          result.ods.push_back(od::OrderDependency{c.x, c.y});
           // Extend RHS only: X → YA is not implied by X → Y, but XA → Y is.
           for (rel::ColumnId a = 0; a < n; ++a) {
-            if (c.lhs.Contains(a) || c.rhs.Contains(a)) continue;
-            Candidate child{c.lhs, c.rhs.WithAppended(a)};
+            if (c.x.Contains(a) || c.y.Contains(a)) continue;
+            Candidate child{c.x, c.y.WithAppended(a)};
             if (seen.count(child) != 0) continue;
             std::size_t bytes = CandidateBytes(child);
             if (!ctx->ChargeMemory(bytes)) {
@@ -170,8 +98,8 @@ OrderDiscoverResult DiscoverOrderDependencies(
           // Split only: extending the RHS can never repair a split,
           // extending the LHS can.
           for (rel::ColumnId a = 0; a < n; ++a) {
-            if (c.lhs.Contains(a) || c.rhs.Contains(a)) continue;
-            Candidate child{c.lhs.WithAppended(a), c.rhs};
+            if (c.x.Contains(a) || c.y.Contains(a)) continue;
+            Candidate child{c.x.WithAppended(a), c.y};
             if (seen.count(child) != 0) continue;
             std::size_t bytes = CandidateBytes(child);
             if (!ctx->ChargeMemory(bytes)) {
@@ -200,7 +128,7 @@ OrderDiscoverResult DiscoverOrderDependencies(
 
   aborted = aborted || ctx->stop_requested();
   od::SortUnique(result.ods);
-  result.num_checks = checker.stats().TotalChecks() + part_checks;
+  result.num_checks = checker.num_checks();
   result.stop_state.checks = result.num_checks;
   result.stop_state.level = current_level;
   result.stop_state.frontier_size = level.size();

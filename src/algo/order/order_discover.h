@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/run_context.h"
+#include "core/partition_checker.h"
 #include "od/dependency.h"
 #include "relation/coded_relation.h"
 
@@ -21,11 +22,10 @@ struct OrderDiscoverOptions {
   double time_limit_seconds = 0.0;     ///< 0 = unlimited
   std::size_t max_level = 0;           ///< cap on |X|+|Y| (0 = unlimited)
 
-  /// Check candidates with cached sorted partitions (the original ORDER's
-  /// own checking scheme — see core/list_partition.h) instead of per-
-  /// candidate sorts. Identical results; bounded memory with sort fallback.
-  bool use_sorted_partitions = false;
-  std::size_t max_partition_cache_bytes = 1ULL << 30;  // 1 GiB
+  /// Byte budget of the sorted-partition cache candidates are checked
+  /// with (core/partition_checker.h); lists that do not fit are checked by
+  /// sorting. 0 = unlimited.
+  std::size_t max_partition_cache_bytes = core::kDefaultPartitionCacheBytes;
 };
 
 struct OrderDiscoverResult {

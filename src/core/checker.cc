@@ -130,8 +130,6 @@ __attribute__((target("avx2"))) bool AnyDescendingAvx2(
 
 bool OrderChecker::HoldsOcd(const AttributeList& x,
                             const AttributeList& y) const {
-  stats_.ocd_checks.fetch_add(1, std::memory_order_relaxed);
-
   // Theorem 4.1: X ~ Y iff XY → YX. Sorting by the concatenation XY makes
   // the Y projection the only possible source of violations: for adjacent
   // rows a ⪯_XY b, YX(a) ≻ YX(b) iff Y(a) ≻ Y(b) (see DESIGN.md §5).
@@ -162,8 +160,6 @@ bool OrderChecker::HoldsOcd(const AttributeList& x,
 OdCheckOutcome OrderChecker::CheckOd(const AttributeList& lhs,
                                      const AttributeList& rhs,
                                      bool early_exit) const {
-  stats_.od_checks.fetch_add(1, std::memory_order_relaxed);
-
   OdCheckOutcome outcome;
   std::size_t m = relation_.num_rows();
   if (m < 2) return outcome;

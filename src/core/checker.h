@@ -1,9 +1,6 @@
 #ifndef OCDD_CORE_CHECKER_H_
 #define OCDD_CORE_CHECKER_H_
 
-#include <atomic>
-#include <cstdint>
-
 #include "od/attribute_list.h"
 #include "relation/coded_relation.h"
 
@@ -23,28 +20,15 @@ struct OdCheckOutcome {
   bool valid() const { return !has_split && !has_swap; }
 };
 
-/// Counters accumulated across checks; readable concurrently.
-struct CheckStats {
-  std::atomic<std::uint64_t> ocd_checks{0};
-  std::atomic<std::uint64_t> od_checks{0};
-
-  std::uint64_t TotalChecks() const {
-    return ocd_checks.load(std::memory_order_relaxed) +
-           od_checks.load(std::memory_order_relaxed);
-  }
-  void Reset() {
-    ocd_checks.store(0, std::memory_order_relaxed);
-    od_checks.store(0, std::memory_order_relaxed);
-  }
-};
-
 /// Validity checker for OD/OCD candidates over a coded relation
 /// (paper §4.3, "Order Checking").
 ///
 /// All methods are const and thread-safe: the parallel OCDDISCOVER driver
 /// calls them concurrently from the worker pool. Each check sorts a fresh
 /// row index by the candidate's left-hand side — `O(m log m)` comparisons,
-/// matching the paper's "Checking with Indexes".
+/// matching the paper's "Checking with Indexes". The walks reach it only
+/// through `PartitionChecker` (partition_checker.h), as the fallback for
+/// lists without a cached partition; that class also counts the checks.
 class OrderChecker {
  public:
   explicit OrderChecker(const rel::CodedRelation& relation)
@@ -73,11 +57,9 @@ class OrderChecker {
   bool HoldsOd(const AttributeList& lhs, const AttributeList& rhs) const;
 
   const rel::CodedRelation& relation() const { return relation_; }
-  CheckStats& stats() const { return stats_; }
 
  private:
   const rel::CodedRelation& relation_;
-  mutable CheckStats stats_;
 };
 
 }  // namespace ocdd::core

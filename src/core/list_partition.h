@@ -73,9 +73,10 @@ struct RefineScratch {
 ///  * `CheckOd` / `CheckOcd` validate a candidate from the two sides'
 ///    partitions in O(m) — no sorting at all.
 ///
-/// The BFS candidate tree extends sides by appending one attribute, so each
-/// level's partitions derive from the previous level's — see the
-/// `use_sorted_partitions` option of `DiscoverOcds`.
+/// The lattice walks extend sides by appending one attribute, so each
+/// level's partitions derive from the previous level's — see
+/// `PartitionChecker` (partition_checker.h), the cache every walk checks
+/// through.
 ///
 /// Storage is width-adaptive: the rank vector lives in the narrowest of
 /// `uint8`/`uint16`/`int32` that holds `[0, num_groups)`, chosen from the
@@ -147,7 +148,8 @@ class ListPartition {
   }
 
   /// Full OD check `X → Y` from the two sides' partitions (split and swap
-  /// classification identical to OrderChecker::CheckOd), in O(m + groups).
+  /// classification identical to the sort-based check of checker.h), in
+  /// O(m + groups).
   /// `has_swap` alone decides the OCD single check (Theorem 4.1), so one
   /// call answers both "X ~ Y?" and "X → Y?".
   static OdCheckOutcome CheckOd(const ListPartition& lhs,

@@ -1,9 +1,6 @@
 #include "core/ocd_discover.h"
 
-#include <algorithm>
-#include <atomic>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -12,8 +9,7 @@
 #include "common/snapshot.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/checker.h"
-#include "core/list_partition.h"
+#include "core/partition_checker.h"
 #include "od/dependency_set.h"
 
 namespace ocdd::core {
@@ -21,46 +17,23 @@ namespace ocdd::core {
 namespace {
 
 using od::AttributeList;
-using od::AttributeListHash;
-
-/// One node of the candidate tree: the pair (X, Y) of an OCD candidate.
-struct Candidate {
-  AttributeList x;
-  AttributeList y;
-
-  friend bool operator==(const Candidate& a, const Candidate& b) {
-    return a.x == b.x && a.y == b.y;
-  }
-};
-
-struct CandidateHash {
-  std::size_t operator()(const Candidate& c) const {
-    AttributeListHash h;
-    return h(c.x) * 1000003ULL ^ h(c.y);
-  }
-};
-
-/// Heap-inclusive footprint estimate of one candidate, the unit the
-/// RunContext memory budget is charged in for the level frontier.
-std::size_t CandidateBytes(const Candidate& c) {
-  return sizeof(Candidate) +
-         (c.x.size() + c.y.size()) * sizeof(rel::ColumnId);
-}
 
 /// Per-candidate check outcome, filled by the (possibly parallel) check
 /// phase and consumed by the sequential generation phase.
 struct CheckedCandidate {
   bool checked = false;  // false when the budget aborted before this one
-  bool ocd_valid = false;
-  bool od_xy = false;
-  bool od_yx = false;
+  CandidateOutcome out;
 };
 
 class Driver {
  public:
   Driver(const rel::CodedRelation& relation, const OcdDiscoverOptions& options)
-      : relation_(relation), options_(options), checker_(relation) {
-    ctx_ = options.run_context != nullptr ? options.run_context : &local_ctx_;
+      : relation_(relation),
+        options_(options),
+        ctx_(options.run_context != nullptr ? options.run_context
+                                            : &local_ctx_),
+        checker_(relation, *ctx_, options.max_partition_cache_bytes,
+                 options.use_sorted_partitions) {
     if (options.max_checks != 0) ctx_->set_check_budget(options.max_checks);
     if (options.time_limit_seconds > 0.0) {
       ctx_->set_time_limit_seconds(options.time_limit_seconds);
@@ -293,65 +266,27 @@ class Driver {
         if (options_.check_hook != nullptr) {
           served.assign(level.size(), 0);
           for (std::size_t i = 0; i < level.size(); ++i) {
-            CandidateOutcome out;
-            if (options_.check_hook->Lookup(level[i].x, level[i].y, &out)) {
+            if (options_.check_hook->Lookup(level[i].x, level[i].y,
+                                            &checked[i].out)) {
               served[i] = 1;
-              checked[i] =
-                  CheckedCandidate{true, out.ocd_valid, out.od_xy, out.od_yx};
+              checked[i].checked = true;
               ++hook_served_;
             }
           }
         }
 
-        // Sorted-partition mode: make sure both sides of every candidate
-        // have a cached rank vector before the (parallel, read-only) check
-        // phase. Refinement itself is parallel — see
-        // PrepareLevelPartitions.
-        if (options_.use_sorted_partitions) {
-          PrepareLevelPartitions(level, pool.get(),
-                                 served.empty() ? nullptr : &served);
-        }
+        // Cache both sides' partitions of every candidate the hook did not
+        // serve before the (parallel, read-only) check phase.
+        checker_.Prepare(level, pool.get(), served.empty() ? nullptr : &served);
 
         auto check_one = [&](std::size_t i) {
           if (!served.empty() && served[i] != 0) return;
           if (ctx_->ShouldStop()) return;
           ctx_->AtInjectionPoint("ocd.check");
-          const Candidate& c = level[i];
-          CheckedCandidate& out = checked[i];
-          out.checked = true;
-
-          const ListPartition* px = FindPartition(c.x);
-          const ListPartition* py = FindPartition(c.y);
-          if (px != nullptr && py != nullptr) {
-            // One row pass fills both directions' extremes, answering the
-            // OCD single check (swap only, Theorem 4.1) and both embedded
-            // ODs X → Y and Y → X at once — the rank vectors are streamed
-            // once instead of twice. The check accounting is unchanged:
-            // 1 OCD check, plus 2 OD checks at valid nodes.
-            part_checks_.fetch_add(1, std::memory_order_relaxed);
-            ctx_->CountCheck(1);
-            OdCheckOutcome xy;
-            OdCheckOutcome yx;
-            ListPartition::CheckOdBoth(*px, *py, &xy, &yx);
-            out.ocd_valid = !xy.has_swap;
-            if (out.ocd_valid) {
-              part_checks_.fetch_add(2, std::memory_order_relaxed);
-              ctx_->CountCheck(2);
-              out.od_xy = xy.valid();
-              out.od_yx = yx.valid();
-            }
-            return;
-          }
-
-          ctx_->CountCheck(1);
-          out.ocd_valid = checker_.HoldsOcd(c.x, c.y);
-          if (out.ocd_valid) {
-            // §4.2.1: at every valid OCD node, test both embedded ODs. These
-            // drive pruning and are emitted when valid (Algorithm 3).
-            ctx_->CountCheck(2);
-            out.od_xy = checker_.HoldsOd(c.x, c.y);
-            out.od_yx = checker_.HoldsOd(c.y, c.x);
-          }
+          // §4.2.1: the OCD single check, plus both embedded ODs at valid
+          // nodes — they drive pruning and are emitted when valid.
+          checked[i] = CheckedCandidate{
+              true, checker_.CheckOcdAndOds(level[i].x, level[i].y)};
         };
 
         if (pool) {
@@ -373,10 +308,8 @@ class Driver {
           for (std::size_t i = 0; i < level.size(); ++i) {
             if (served[i] != 0 || !checked[i].checked) continue;
             ++hook_recomputed_;
-            options_.check_hook->Observe(
-                level[i].x, level[i].y,
-                CandidateOutcome{checked[i].ocd_valid, checked[i].od_xy,
-                                 checked[i].od_yx});
+            options_.check_hook->Observe(level[i].x, level[i].y,
+                                         checked[i].out);
           }
         }
 
@@ -390,8 +323,9 @@ class Driver {
         prof::ScopedTimer generate_timer(prof::Phase::kGenerate);
         for (std::size_t i = 0; i < level.size(); ++i) {
           const Candidate& c = level[i];
-          const CheckedCandidate& r = checked[i];
-          if (!r.checked || !r.ocd_valid) continue;
+          if (!checked[i].checked) continue;
+          const CandidateOutcome& r = checked[i].out;
+          if (!r.ocd_valid) continue;
           ctx_->AtInjectionPoint("ocd.generate");
 
           store.AddOcd(od::OrderCompatibility{c.x, c.y});
@@ -489,7 +423,7 @@ class Driver {
                                                  : cap_reason;
     result.hook_served = hook_served_;
     result.hook_recomputed = hook_recomputed_;
-    result.partition_cache_bytes = cache_bytes_;
+    result.partition_cache_bytes = checker_.cache_bytes();
     result.elapsed_seconds = timer.ElapsedSeconds();
     return result;
   }
@@ -498,143 +432,17 @@ class Driver {
   std::uint64_t TotalChecks() const {
     // checks_base_ carries the checks of previous attempts when this run
     // was resumed from a snapshot, keeping reported totals cumulative.
-    return checks_base_ + checker_.stats().TotalChecks() +
-           part_checks_.load(std::memory_order_relaxed);
-  }
-
-  /// Cached-partition lookup; nullptr when the list was not cached (the
-  /// caller falls back to the sort-based checker). Read-only, thread-safe
-  /// during the check phase.
-  const ListPartition* FindPartition(const od::AttributeList& list) const {
-    if (!options_.use_sorted_partitions) return nullptr;
-    auto it = part_cache_.find(list);
-    return it == part_cache_.end() ? nullptr : &it->second;
-  }
-
-  /// Two-phase per-level partition pipeline. Phase 1 (sequential) plans
-  /// every list the level needs that the cache is missing, walking each
-  /// side's prefixes so the plan is prefix-closed and its order depends
-  /// only on the candidate order — never on thread count. Phase 2 refines
-  /// the plan layer by layer (all lists of one length are independent once
-  /// the shorter ones are published) on the pool, sorting each layer by
-  /// parent so sibling refinements on one worker share the parent's rank
-  /// histogram, then publishes sequentially under the cache budget.
-  ///
-  /// Budget overflow stays graceful exactly as the old sequential pass: an
-  /// over-budget partition is dropped, its descendants are skipped, and
-  /// the affected candidates fall back to the sort-based checker. The
-  /// RunContext is consulted between layers so a stopped run does not
-  /// grind through refinements whose checks will never execute.
-  /// `served`, when non-null, flags candidates already answered by the
-  /// check hook — their lists are not planned (nor refined, nor charged to
-  /// the cache budget), which is where the incremental walk's partition
-  /// savings come from.
-  void PrepareLevelPartitions(const std::vector<Candidate>& level,
-                              ThreadPool* pool,
-                              const std::vector<char>* served = nullptr) {
-    struct Job {
-      od::AttributeList list;
-      ListPartition result;
-      bool computed = false;
-    };
-    std::vector<Job> jobs;
-    std::unordered_map<od::AttributeList, std::size_t, AttributeListHash>
-        planned;
-    std::size_t max_len = 0;
-    std::vector<std::vector<Job*>> layers;
-    {
-      prof::ScopedTimer plan_timer(prof::Phase::kPlan);
-      auto plan_list = [&](const od::AttributeList& list) {
-        for (std::size_t k = 1; k <= list.size(); ++k) {
-          od::AttributeList prefix(std::vector<ColumnId>(
-              list.ids().begin(), list.ids().begin() + k));
-          if (part_cache_.find(prefix) != part_cache_.end()) continue;
-          if (planned.find(prefix) != planned.end()) continue;
-          planned.emplace(prefix, jobs.size());
-          jobs.push_back(Job{std::move(prefix), ListPartition{}, false});
-        }
-      };
-      for (std::size_t i = 0; i < level.size(); ++i) {
-        if (served != nullptr && (*served)[i] != 0) continue;
-        plan_list(level[i].x);
-        plan_list(level[i].y);
-      }
-      if (jobs.empty()) return;
-
-      for (const Job& j : jobs) max_len = std::max(max_len, j.list.size());
-      layers.resize(max_len + 1);
-      for (Job& j : jobs) layers[j.list.size()].push_back(&j);
-    }
-
-    auto compute_job = [&](Job& job) {
-      if (job.list.size() == 1) {
-        job.result = ListPartition::ForColumn(relation_, job.list[0]);
-        job.computed = true;
-        return;
-      }
-      od::AttributeList prefix(std::vector<ColumnId>(
-          job.list.ids().begin(), job.list.ids().end() - 1));
-      auto parent = part_cache_.find(prefix);
-      if (parent == part_cache_.end()) return;  // dropped by the budget
-      thread_local RefineScratch scratch;
-      job.result = parent->second.Refine(
-          relation_, job.list[job.list.size() - 1], &scratch);
-      job.computed = true;
-    };
-
-    for (std::size_t len = 1; len <= max_len; ++len) {
-      std::vector<Job*>& layer = layers[len];
-      if (layer.empty()) continue;
-      if (ctx_->stop_requested()) return;
-      // Group siblings: jobs that refine the same parent become adjacent,
-      // so one worker's contiguous block reuses the parent histogram.
-      // Deterministic (pure list comparison), hence thread-count-stable.
-      std::stable_sort(layer.begin(), layer.end(),
-                       [](const Job* a, const Job* b) {
-                         return a->list.ids() < b->list.ids();
-                       });
-      if (pool != nullptr && layer.size() > 1) {
-        Status status = pool->ParallelFor(
-            layer.size(), [&](std::size_t i) { compute_job(*layer[i]); });
-        if (!status.ok()) {
-          // A refinement threw (allocation failure or similar): contained
-          // by the pool; stop the run and let the level unwind.
-          ctx_->RequestStop(StopReason::kFaultInjected);
-          return;
-        }
-      } else {
-        for (Job* j : layer) compute_job(*j);
-      }
-      // Publish in the sorted (deterministic) order, shrunk so the budget
-      // is charged for real heap use, not allocator slack.
-      prof::ScopedTimer publish_timer(prof::Phase::kPublish);
-      for (Job* j : layer) {
-        if (!j->computed) continue;
-        j->result.ShrinkToFit();
-        std::size_t bytes = j->result.MemoryBytes();
-        if (options_.max_partition_cache_bytes != 0 &&
-            cache_bytes_ + bytes > options_.max_partition_cache_bytes) {
-          continue;
-        }
-        prof::AddAlloc(bytes);
-        cache_bytes_ += bytes;
-        part_cache_.emplace(std::move(j->list), std::move(j->result));
-      }
-    }
+    return checks_base_ + checker_.num_checks();
   }
 
   const rel::CodedRelation& relation_;
   const OcdDiscoverOptions& options_;
-  OrderChecker checker_;
   RunContext local_ctx_;
-  RunContext* ctx_ = nullptr;
+  RunContext* ctx_;
+  PartitionChecker checker_;
   std::uint64_t checks_base_ = 0;
   std::uint64_t hook_served_ = 0;
   std::uint64_t hook_recomputed_ = 0;
-  std::atomic<std::uint64_t> part_checks_{0};
-  std::unordered_map<od::AttributeList, ListPartition, AttributeListHash>
-      part_cache_;
-  std::size_t cache_bytes_ = 0;
 };
 
 }  // namespace

@@ -9,20 +9,11 @@
 #include "common/run_context.h"
 #include "common/snapshot.h"
 #include "core/column_reduction.h"
+#include "core/partition_checker.h"
 #include "od/dependency.h"
 #include "relation/coded_relation.h"
 
 namespace ocdd::core {
-
-/// The three bits of one candidate's check outcome, as exchanged with a
-/// `CandidateCheckHook`. The OD bits are meaningful only when `ocd_valid`
-/// is set — an invalid OCD candidate spawns nothing and its embedded ODs
-/// are never tested (§4.2.1).
-struct CandidateOutcome {
-  bool ocd_valid = false;
-  bool od_xy = false;
-  bool od_yx = false;
-};
 
 /// Injection seam for incremental maintenance (src/algo/incremental/).
 ///
@@ -78,18 +69,15 @@ struct OcdDiscoverOptions {
   /// Disable to skip the columnsReduction() phase (ablation).
   bool apply_column_reduction = true;
 
-  /// Check candidates with cached *sorted partitions* (list_partition.h)
-  /// instead of sorting a fresh row index per candidate. This is the
-  /// linear-time checking scheme of ORDER [10] that §5.3.1 notes could be
-  /// re-implemented in this approach: each side's rank vector is derived
-  /// from its parent's by one O(m)-ish refinement and every check becomes
-  /// O(m). Costs memory proportional to (#distinct list sides × rows);
-  /// bounded by `max_partition_cache_bytes`, beyond which candidates fall
-  /// back to the sort-based checker. Results are identical either way.
-  bool use_sorted_partitions = false;
+  /// Check with cached *sorted partitions* (partition_checker.h), ORDER's
+  /// O(m) scheme that §5.3.1 notes could be re-implemented here; lists
+  /// that do not fit the budgets sort per check (§4.3). False sorts every
+  /// check — the paper's scheme, for the ablation. Results and check
+  /// counts are identical either way.
+  bool use_sorted_partitions = true;
 
-  /// Memory budget for the sorted-partition cache (0 = unlimited).
-  std::size_t max_partition_cache_bytes = 1ULL << 30;  // 1 GiB
+  /// Byte budget of the sorted-partition cache (0 = unlimited).
+  std::size_t max_partition_cache_bytes = kDefaultPartitionCacheBytes;
 
   /// Disable to skip the Theorem-3.9 pruning rules: every valid OCD then
   /// extends both sides regardless of the embedded ODs (ablation). The
@@ -157,8 +145,8 @@ struct OcdDiscoverResult {
   /// What checkpointing did (zero-initialized when disabled).
   CheckpointStats checkpoint_stats;
 
-  /// Peak footprint of the sorted-partition cache (0 when the sort-based
-  /// checker was used throughout).
+  /// Peak footprint of the sorted-partition cache (0 when every check
+  /// sorted).
   std::size_t partition_cache_bytes = 0;
 
   double elapsed_seconds = 0.0;

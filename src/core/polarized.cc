@@ -4,7 +4,8 @@
 #include <unordered_set>
 
 #include "common/timer.h"
-#include "core/checker.h"
+#include "common/run_context.h"
+#include "core/partition_checker.h"
 #include "od/attribute_list.h"
 #include "od/dependency_set.h"
 
@@ -78,7 +79,6 @@ bool BruteForceHoldsPolarizedOd(const rel::CodedRelation& relation,
 namespace {
 
 using od::AttributeList;
-using od::AttributeListHash;
 
 /// Decodes an augmented column id back to (column, direction).
 PolarizedAttribute Decode(rel::ColumnId virtual_id, std::size_t n) {
@@ -99,22 +99,6 @@ rel::ColumnId BaseColumn(rel::ColumnId virtual_id, std::size_t n) {
   return virtual_id < n ? virtual_id : virtual_id - n;
 }
 
-struct Candidate {
-  AttributeList x;
-  AttributeList y;
-
-  friend bool operator==(const Candidate& a, const Candidate& b) {
-    return a.x == b.x && a.y == b.y;
-  }
-};
-
-struct CandidateHash {
-  std::size_t operator()(const Candidate& c) const {
-    AttributeListHash h;
-    return h(c.x) * 1000003ULL ^ h(c.y);
-  }
-};
-
 bool UsesBase(const AttributeList& list, rel::ColumnId base, std::size_t n) {
   for (std::size_t i = 0; i < list.size(); ++i) {
     if (BaseColumn(list[i], n) == base) return true;
@@ -131,8 +115,11 @@ PolarizedDiscoverResult DiscoverPolarizedOcds(
   PolarizedDiscoverResult result;
   std::size_t n = relation.num_columns();
 
+  RunContext ctx;
+  ctx.set_check_budget(options.max_checks);
+  ctx.set_time_limit_seconds(options.time_limit_seconds);
   rel::CodedRelation augmented = AugmentWithReversedColumns(relation);
-  OrderChecker checker(augmented);
+  PartitionChecker checker(augmented, ctx, kDefaultPartitionCacheBytes);
 
   // Non-constant base columns only; a constant is trivially compatible with
   // everything in both directions.
@@ -155,18 +142,6 @@ PolarizedDiscoverResult DiscoverPolarizedOcds(
   }
   result.candidates_generated += level.size();
 
-  auto budget_exceeded = [&] {
-    if (options.max_checks != 0 &&
-        checker.stats().TotalChecks() >= options.max_checks) {
-      return true;
-    }
-    if (options.time_limit_seconds > 0.0 &&
-        timer.ElapsedSeconds() >= options.time_limit_seconds) {
-      return true;
-    }
-    return false;
-  };
-
   std::size_t current_level = 2;
   bool aborted = false;
   while (!level.empty() && !aborted) {
@@ -174,34 +149,35 @@ PolarizedDiscoverResult DiscoverPolarizedOcds(
       aborted = true;
       break;
     }
+    checker.Prepare(level, nullptr);
+
     std::vector<Candidate> next;
     std::unordered_set<Candidate, CandidateHash> seen;
     for (const Candidate& c : level) {
-      if (budget_exceeded()) {
+      if (ctx.ShouldStop()) {
         aborted = true;
         break;
       }
-      if (!checker.HoldsOcd(c.x, c.y)) continue;
+      const CandidateOutcome out = checker.CheckOcdAndOds(c.x, c.y);
+      if (!out.ocd_valid) continue;
       result.ocds.push_back(
           PolarizedOcd{DecodeList(c.x, n), DecodeList(c.y, n)});
-      bool od_xy = checker.HoldsOd(c.x, c.y);
-      bool od_yx = checker.HoldsOd(c.y, c.x);
-      if (od_xy) {
+      if (out.od_xy) {
         result.ods.push_back(
             PolarizedOd{DecodeList(c.x, n), DecodeList(c.y, n)});
       }
-      if (od_yx) {
+      if (out.od_yx) {
         result.ods.push_back(
             PolarizedOd{DecodeList(c.y, n), DecodeList(c.x, n)});
       }
       for (rel::ColumnId base : active) {
         if (UsesBase(c.x, base, n) || UsesBase(c.y, base, n)) continue;
         for (rel::ColumnId v : {base, base + n}) {
-          if (!od_xy) {
+          if (!out.od_xy) {
             Candidate child{c.x.WithAppended(v), c.y};
             if (seen.insert(child).second) next.push_back(std::move(child));
           }
-          if (!od_yx) {
+          if (!out.od_yx) {
             Candidate child{c.x, c.y.WithAppended(v)};
             if (seen.insert(child).second) next.push_back(std::move(child));
           }
@@ -215,7 +191,7 @@ PolarizedDiscoverResult DiscoverPolarizedOcds(
 
   std::sort(result.ocds.begin(), result.ocds.end());
   std::sort(result.ods.begin(), result.ods.end());
-  result.num_checks = checker.stats().TotalChecks();
+  result.num_checks = checker.num_checks();
   result.completed = !aborted;
   result.elapsed_seconds = timer.ElapsedSeconds();
   return result;

@@ -18,7 +18,8 @@ namespace ocdd::core {
 /// relation r is an ordinary list over the *augmented* relation r± that
 /// contains, for every column, a second copy with reversed value order.
 /// Everything proved for unidirectional ODs therefore transfers verbatim,
-/// and the discovery below reuses the production OrderChecker unchanged.
+/// and the discovery below checks through the production PartitionChecker
+/// unchanged.
 
 struct PolarizedAttribute {
   rel::ColumnId column = 0;

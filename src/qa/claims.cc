@@ -47,7 +47,10 @@ ClaimSet RunOcddiscoverClaims(const rel::CodedRelation& relation,
   core::OcdDiscoverOptions opts;
   opts.run_context = ctx;
   if (checkpoint != nullptr) opts.checkpoint = *checkpoint;
-  core::OcdDiscoverResult r = core::DiscoverOcds(relation, opts);
+  return OcddiscoverClaims(core::DiscoverOcds(relation, opts));
+}
+
+ClaimSet OcddiscoverClaims(const core::OcdDiscoverResult& r) {
   ClaimSet claims;
   claims.algorithm = "ocddiscover";
   claims.completed = r.completed;

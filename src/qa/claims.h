@@ -7,6 +7,7 @@
 
 #include "common/run_context.h"
 #include "common/snapshot.h"
+#include "core/ocd_discover.h"
 #include "od/dependency.h"
 #include "od/inference.h"
 #include "relation/coded_relation.h"
@@ -50,6 +51,8 @@ struct ClaimSet {
 ClaimSet RunOcddiscoverClaims(const rel::CodedRelation& relation,
                               RunContext* ctx = nullptr,
                               const CheckpointConfig* checkpoint = nullptr);
+/// The claims of an OCDDISCOVER result produced by any options.
+ClaimSet OcddiscoverClaims(const core::OcdDiscoverResult& result);
 ClaimSet RunOrderClaims(const rel::CodedRelation& relation,
                         RunContext* ctx = nullptr);
 ClaimSet RunFastodClaims(const rel::CodedRelation& relation,

@@ -304,9 +304,12 @@ std::vector<Discrepancy> CheckSimdFallback(const rel::CodedRelation& coded,
   };
 
   // Leg 1: the sort-based checker (first-diff walk kernels) against the
-  // iteration's default-backend claims.
+  // iteration's default-backend claims. A one-byte cache admits no
+  // partition, so every check sorts.
   simd::ForceBackendForTest(simd::Backend::kScalar);
-  ClaimSet scalar = RunOcddiscoverClaims(coded);
+  core::OcdDiscoverOptions sort_opts;
+  sort_opts.max_partition_cache_bytes = 1;
+  ClaimSet scalar = OcddiscoverClaims(core::DiscoverOcds(coded, sort_opts));
   ++*checks;
   diff_render(runs.ocdd.Render(), scalar.Render(), "sort-walk");
   if (scalar.num_checks != runs.ocdd.num_checks) {
@@ -319,11 +322,9 @@ std::vector<Discrepancy> CheckSimdFallback(const rel::CodedRelation& coded,
 
   // Leg 2: cached sorted partitions (extremes fill/scan kernels), scalar
   // first, then the default backend restored via Refresh.
-  core::OcdDiscoverOptions popts;
-  popts.use_sorted_partitions = true;
-  core::OcdDiscoverResult scalar_part = core::DiscoverOcds(coded, popts);
+  core::OcdDiscoverResult scalar_part = core::DiscoverOcds(coded);
   simd::Refresh();
-  core::OcdDiscoverResult simd_part = core::DiscoverOcds(coded, popts);
+  core::OcdDiscoverResult simd_part = core::DiscoverOcds(coded);
   ++*checks;
   if (scalar_part.ocds != simd_part.ocds ||
       scalar_part.ods != simd_part.ods) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/partition_checker.h"
 #include "datagen/fixtures.h"
 #include "od/brute_force.h"
 #include "test_util.h"
@@ -80,18 +81,31 @@ TEST(OrderCheckerTest, OcdSingleCheckOnFixtures) {
   EXPECT_FALSE(cn.HoldsOcd(AttributeList{0}, AttributeList{1}));
 }
 
-TEST(OrderCheckerTest, StatsCountChecks) {
-  CodedRelation r = CodedIntTable({{1, 2}, {1, 2}});
-  OrderChecker checker(r);
-  EXPECT_EQ(checker.stats().TotalChecks(), 0u);
-  checker.HoldsOcd(AttributeList{0}, AttributeList{1});
-  checker.HoldsOd(AttributeList{0}, AttributeList{1});
-  checker.HoldsOd(AttributeList{1}, AttributeList{0});
-  EXPECT_EQ(checker.stats().ocd_checks.load(), 1u);
-  EXPECT_EQ(checker.stats().od_checks.load(), 2u);
-  EXPECT_EQ(checker.stats().TotalChecks(), 3u);
-  checker.stats().Reset();
-  EXPECT_EQ(checker.stats().TotalChecks(), 0u);
+TEST(PartitionCheckerTest, CountsChecksIdenticallyOnBothPaths) {
+  CodedRelation r = CodedIntTable({{1, 2, 3}, {1, 2, 3}, {3, 2, 1}});
+  const std::vector<Candidate> level = {{AttributeList{0}, AttributeList{1}},
+                                        {AttributeList{0}, AttributeList{2}}};
+  // The default cache, then a one-byte cache that makes every check sort.
+  for (std::size_t cache_bytes : {kDefaultPartitionCacheBytes,
+                                  std::size_t{1}}) {
+    SCOPED_TRACE(cache_bytes);
+    RunContext ctx;
+    {
+      PartitionChecker checker(r, ctx, cache_bytes);
+      checker.Prepare(level, nullptr);
+      EXPECT_EQ(checker.cache_bytes() > 0, cache_bytes > 1);
+      EXPECT_EQ(ctx.memory_used(), checker.cache_bytes());
+      CandidateOutcome ab = checker.CheckOcdAndOds(level[0].x, level[0].y);
+      EXPECT_TRUE(ab.ocd_valid && ab.od_xy && ab.od_yx);
+      CandidateOutcome ac = checker.CheckOcdAndOds(level[1].x, level[1].y);
+      EXPECT_FALSE(ac.ocd_valid);
+      EXPECT_TRUE(checker.CheckOd(level[1].x, level[1].y).has_swap);
+      // 3 at the valid node, 1 at the invalid one, 1 OD check.
+      EXPECT_EQ(checker.num_checks(), 5u);
+      EXPECT_EQ(ctx.checks(), 5u);
+    }
+    EXPECT_EQ(ctx.memory_used(), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

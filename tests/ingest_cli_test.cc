@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "report/json_reader.h"
 
@@ -204,6 +205,75 @@ TEST(IngestCliTest, DatasetSourcesHaveNoIngestMember) {
   auto doc = report::ParseJson(run.output);
   ASSERT_TRUE(doc.ok()) << run.output;
   EXPECT_TRUE((*doc)["ingest"].is_null()) << run.output;
+}
+
+TEST(IngestCliTest, UnknownFlagsAreRejectedBeforeAnyWork) {
+  ScratchDir scratch;
+  const std::string ck = scratch.path + "/ck";
+  struct Case {
+    std::string argv;
+    std::string flag;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"discover NUMBERS --partitions --json", "partitions"},
+           {"discover NUMBERS --sorted-partitions", "sorted-partitions"},
+           {"discover NUMBERS --checkpoint " + ck + " --chekpoint-every 1",
+            "chekpoint-every"},
+           {"run NUMBERS --algo fds --max-level=2 --no-such-flag",
+            "no-such-flag"},
+           {"fds NUMBERS --threads 2", "threads"},
+           {"qa --iters 100000 --no-simd --no-serv", "no-serv"},
+           {"serve --listen 127.0.0.1:0 --executor 2", "executor"},
+       }) {
+    SCOPED_TRACE(c.argv);
+    RunResult run = RunCli(c.argv);
+    EXPECT_EQ(run.exit_code, 2) << run.output;
+    EXPECT_NE(run.output.find("unknown flag --" + c.flag), std::string::npos)
+        << run.output;
+  }
+  // Rejected before the run: no checkpoint was written.
+  EXPECT_FALSE(fs::exists(ck));
+}
+
+TEST(IngestCliTest, WorkerArgvShapesAreAccepted) {
+  ScratchDir scratch;
+  // The argv shapes the serve daemon, the supervisor, the QA harness and
+  // the benchmark hand to `ocdd run` / `ocdd apply-batch`.
+  for (const std::string& argv : std::vector<std::string>{
+           "run NUMBERS --algo discover --json --seed 42",
+           "run NUMBERS --algo discover --json --rows 6 --seed 42 "
+           "--max-level 3 --time-limit 30 --max-checks 100000 "
+           "--memory-limit 64 --checkpoint " + scratch.path + "/ck",
+           "run NUMBERS --algo fastod --json --seed 42 --resume "
+           "--checkpoint " + scratch.path + "/ck2",
+           "apply-batch --state " + scratch.path + "/st --base NUMBERS "
+           "--seed 42 --rows 6 --max-level 3 --json --time-limit 30 "
+           "--max-checks 100000 --memory-limit 64",
+           "supervise NUMBERS --algo fds --checkpoint " + scratch.path +
+               "/sup --max-attempts 2 --backoff 0.01",
+       }) {
+    SCOPED_TRACE(argv);
+    RunResult run = RunCli(argv);
+    EXPECT_EQ(run.exit_code, 0) << run.output;
+    EXPECT_EQ(run.output.find("unknown flag"), std::string::npos)
+        << run.output;
+  }
+}
+
+TEST(IngestCliTest, DiscoverChecksWithPartitionsByDefault) {
+  RunResult run = RunCli("discover DBTESMA_1K --json --profile");
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  auto doc = report::ParseJson(run.output);
+  ASSERT_TRUE(doc.ok()) << run.output;
+  double fill_calls = 0;
+  double sort_calls = 0;
+  for (const report::JsonValue& phase : (*doc)["profile"]["phases"].array()) {
+    const std::string name = phase["name"].string_value();
+    if (name == "check.fill") fill_calls = phase["calls"].number_value();
+    if (name == "check.sort_index") sort_calls = phase["calls"].number_value();
+  }
+  EXPECT_GT(fill_calls, 0.0) << run.output;
+  EXPECT_EQ(sort_calls, 0.0) << run.output;
 }
 
 }  // namespace

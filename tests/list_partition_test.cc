@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/run_context.h"
 #include "core/ocd_discover.h"
 #include "datagen/fixtures.h"
 #include "datagen/random_relation.h"
+#include "datagen/registry.h"
 #include "od/brute_force.h"
 #include "relation/sorted_index.h"
 #include "test_util.h"
@@ -113,10 +115,11 @@ TEST_P(ListPartitionAgreementTest, ChecksMatchSortBasedChecker) {
 
 TEST_P(ListPartitionAgreementTest, DriverEquivalentWithAndWithoutPartitions) {
   CodedRelation r = testutil::RandomCodedTable(GetParam() + 600, 25, 5, 3);
-  OcdDiscoverResult plain = DiscoverOcds(r);
-  OcdDiscoverOptions opts;
-  opts.use_sorted_partitions = true;
-  OcdDiscoverResult fast = DiscoverOcds(r, opts);
+  OcdDiscoverOptions sort_only;
+  sort_only.use_sorted_partitions = false;
+  OcdDiscoverResult plain = DiscoverOcds(r, sort_only);
+  EXPECT_EQ(plain.partition_cache_bytes, 0u);
+  OcdDiscoverResult fast = DiscoverOcds(r);
   EXPECT_EQ(plain.ocds, fast.ocds);
   EXPECT_EQ(plain.ods, fast.ods);
   EXPECT_EQ(plain.num_checks, fast.num_checks);
@@ -126,12 +129,14 @@ TEST_P(ListPartitionAgreementTest, DriverEquivalentWithAndWithoutPartitions) {
 TEST_P(ListPartitionAgreementTest, CacheBudgetFallsBackCorrectly) {
   CodedRelation r = testutil::RandomCodedTable(GetParam() + 900, 25, 5, 3);
   OcdDiscoverOptions opts;
-  opts.use_sorted_partitions = true;
   opts.max_partition_cache_bytes = 512;  // only a handful of lists fit
   OcdDiscoverResult constrained = DiscoverOcds(r, opts);
-  OcdDiscoverResult plain = DiscoverOcds(r);
+  OcdDiscoverOptions sort_only;
+  sort_only.use_sorted_partitions = false;
+  OcdDiscoverResult plain = DiscoverOcds(r, sort_only);
   EXPECT_EQ(plain.ocds, constrained.ocds);
   EXPECT_EQ(plain.ods, constrained.ods);
+  EXPECT_EQ(plain.num_checks, constrained.num_checks);
 }
 
 TEST_P(ListPartitionAgreementTest, RefinePathsAgreeOnRandomRelations) {
@@ -184,10 +189,10 @@ TEST(ListPartitionTest, HeadRowsKeepsDenseRankInvariant) {
     }
   }
   // The partition driver must agree with the sort driver on the slice.
-  OcdDiscoverOptions opts;
-  opts.use_sorted_partitions = true;
-  OcdDiscoverResult fast = DiscoverOcds(head, opts);
-  OcdDiscoverResult plain = DiscoverOcds(head);
+  OcdDiscoverResult fast = DiscoverOcds(head);
+  OcdDiscoverOptions sort_only;
+  sort_only.use_sorted_partitions = false;
+  OcdDiscoverResult plain = DiscoverOcds(head, sort_only);
   EXPECT_EQ(fast.ocds, plain.ocds);
   EXPECT_EQ(fast.ods, plain.ods);
 }
@@ -195,13 +200,38 @@ TEST(ListPartitionTest, HeadRowsKeepsDenseRankInvariant) {
 TEST(ListPartitionTest, ParallelPartitionDriverMatches) {
   CodedRelation r = testutil::RandomCodedTable(42, 40, 5, 3);
   OcdDiscoverOptions seq;
-  seq.use_sorted_partitions = true;
   OcdDiscoverOptions par = seq;
   par.num_threads = 4;
   OcdDiscoverResult a = DiscoverOcds(r, seq);
   OcdDiscoverResult b = DiscoverOcds(r, par);
   EXPECT_EQ(a.ocds, b.ocds);
   EXPECT_EQ(a.ods, b.ods);
+}
+
+TEST(ListPartitionTest, CacheIsChargedToTheRunMemoryBudget) {
+  Result<rel::Relation> lattice = datagen::MakeDataset("LATTICE", 2000, 42);
+  ASSERT_TRUE(lattice.ok());
+  CodedRelation r = CodedRelation::Encode(*lattice);
+  OcdDiscoverResult unbudgeted = DiscoverOcds(r);
+  constexpr std::size_t kBudget = 8u << 20;
+  ASSERT_GT(unbudgeted.partition_cache_bytes, kBudget);
+
+  // The cache fills what the budget allows and sorts the rest: the run
+  // completes with the unbudgeted answer instead of stopping on memory.
+  RunContext ctx;
+  ctx.set_memory_budget(kBudget);
+  OcdDiscoverOptions opts;
+  opts.run_context = &ctx;
+  OcdDiscoverResult budgeted = DiscoverOcds(r, opts);
+  EXPECT_TRUE(budgeted.completed) << StopReasonName(budgeted.stop_reason);
+  EXPECT_GT(budgeted.partition_cache_bytes, 0u);
+  EXPECT_LE(budgeted.partition_cache_bytes, kBudget);
+  EXPECT_LE(ctx.peak_memory(), kBudget);
+  EXPECT_EQ(budgeted.ocds, unbudgeted.ocds);
+  EXPECT_EQ(budgeted.ods, unbudgeted.ods);
+  EXPECT_EQ(budgeted.num_checks, unbudgeted.num_checks);
+  // The charge is returned when the run ends.
+  EXPECT_EQ(ctx.memory_used(), 0u);
 }
 
 }  // namespace

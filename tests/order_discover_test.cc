@@ -126,18 +126,20 @@ class OrderPartitionBackendTest
 TEST_P(OrderPartitionBackendTest, PartitionsBackendMatchesSortBackend) {
   rel::CodedRelation r =
       testutil::RandomCodedTable(GetParam() + 900, 20, 4, 3);
-  OrderDiscoverResult plain = DiscoverOrderDependencies(r);
-  OrderDiscoverOptions opts;
-  opts.use_sorted_partitions = true;
-  OrderDiscoverResult fast = DiscoverOrderDependencies(r, opts);
+  OrderDiscoverResult fast = DiscoverOrderDependencies(r);
+  // A one-byte cache admits no partition: every check sorts.
+  OrderDiscoverOptions sort_only;
+  sort_only.max_partition_cache_bytes = 1;
+  OrderDiscoverResult plain = DiscoverOrderDependencies(r, sort_only);
   EXPECT_EQ(plain.ods, fast.ods);
   EXPECT_EQ(plain.num_checks, fast.num_checks);
 
   // And under a tiny cache budget (forcing sort fallback mid-run).
-  OrderDiscoverOptions tiny = opts;
+  OrderDiscoverOptions tiny;
   tiny.max_partition_cache_bytes = 256;
   OrderDiscoverResult fallback = DiscoverOrderDependencies(r, tiny);
   EXPECT_EQ(plain.ods, fallback.ods);
+  EXPECT_EQ(plain.num_checks, fallback.num_checks);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OrderPartitionBackendTest,

@@ -1,7 +1,7 @@
 // ocdd — command-line data profiler around the library.
 //
 //   ocdd discover <source> [--threads N] [--time-limit S] [--expand]
-//                          [--partitions] [--max-level L] [--lex]
+//                          [--max-level L] [--lex]
 //   ocdd fds      <source> [--time-limit S]
 //   ocdd fastod   <source> [--time-limit S]
 //   ocdd order    <source> [--time-limit S]
@@ -276,7 +276,7 @@ void PrintProfileNote(const ocdd::prof::Report& report) {
               static_cast<unsigned long long>(report.alloc_calls));
 }
 
-int CmdDiscover(const Args& args) {
+int CmdDiscover(const Args& args, const char* /*argv0*/) {
   ApplyRunFlags(args);
   const bool profile = args.Has("profile");
   if (profile) {
@@ -298,7 +298,6 @@ int CmdDiscover(const Args& args) {
   opts.num_threads = args.GetSize("threads", 1);
   opts.time_limit_seconds = args.GetDouble("time-limit", 0.0);
   opts.max_level = args.GetSize("max-level", 0);
-  opts.use_sorted_partitions = args.Has("partitions");
   opts.checkpoint = CheckpointFromArgs(args);
   auto result = ocdd::core::DiscoverOcds(coded, opts);
   result.stop_state.ingest_rejected = source->report.rows_rejected;
@@ -349,7 +348,7 @@ int CmdDiscover(const Args& args) {
 /// bootstrap step of a streaming deployment. Exit codes: 0 ok (including a
 /// budget-stopped partial walk — a truncated answer is still an answer),
 /// 1 error, 2 usage.
-int CmdApplyBatch(const Args& args) {
+int CmdApplyBatch(const Args& args, const char* /*argv0*/) {
   const std::string state_dir = args.Get("state", "");
   if (state_dir.empty()) {
     std::fprintf(stderr, "apply-batch requires --state DIR\n");
@@ -480,7 +479,7 @@ int CmdApplyBatch(const Args& args) {
   return 0;
 }
 
-int CmdFds(const Args& args) {
+int CmdFds(const Args& args, const char* /*argv0*/) {
   ApplyRunFlags(args);
   auto source = LoadSource(args);
   if (!source.ok()) {
@@ -510,7 +509,7 @@ int CmdFds(const Args& args) {
   return 0;
 }
 
-int CmdFastod(const Args& args) {
+int CmdFastod(const Args& args, const char* /*argv0*/) {
   ApplyRunFlags(args);
   auto source = LoadSource(args);
   if (!source.ok()) {
@@ -541,7 +540,7 @@ int CmdFastod(const Args& args) {
   return 0;
 }
 
-int CmdFastodBid(const Args& args) {
+int CmdFastodBid(const Args& args, const char* /*argv0*/) {
   ApplyRunFlags(args);
   auto source = LoadSource(args);
   if (!source.ok()) {
@@ -571,7 +570,7 @@ int CmdFastodBid(const Args& args) {
   return 0;
 }
 
-int CmdOrder(const Args& args) {
+int CmdOrder(const Args& args, const char* /*argv0*/) {
   ApplyRunFlags(args);
   auto source = LoadSource(args);
   if (!source.ok()) {
@@ -600,7 +599,7 @@ int CmdOrder(const Args& args) {
   return 0;
 }
 
-int CmdUccs(const Args& args) {
+int CmdUccs(const Args& args, const char* /*argv0*/) {
   ApplyRunFlags(args);
   auto source = LoadSource(args);
   if (!source.ok()) {
@@ -624,7 +623,7 @@ int CmdUccs(const Args& args) {
   return 0;
 }
 
-int CmdApprox(const Args& args) {
+int CmdApprox(const Args& args, const char* /*argv0*/) {
   auto source = LoadSource(args);
   if (!source.ok()) {
     std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
@@ -650,7 +649,7 @@ int CmdApprox(const Args& args) {
   return 0;
 }
 
-int CmdPolarized(const Args& args) {
+int CmdPolarized(const Args& args, const char* /*argv0*/) {
   auto source = LoadSource(args);
   if (!source.ok()) {
     std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
@@ -674,7 +673,7 @@ int CmdPolarized(const Args& args) {
   return 0;
 }
 
-int CmdProfile(const Args& args) {
+int CmdProfile(const Args& args, const char* /*argv0*/) {
   auto source = LoadSource(args);
   if (!source.ok()) {
     std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
@@ -697,7 +696,7 @@ int CmdProfile(const Args& args) {
   return 0;
 }
 
-int CmdRewrite(const Args& args) {
+int CmdRewrite(const Args& args, const char* /*argv0*/) {
   ApplyRunFlags(args);
   auto source = LoadSource(args);
   if (!source.ok()) {
@@ -755,7 +754,7 @@ int CmdRewrite(const Args& args) {
   return 0;
 }
 
-int CmdExplain(const Args& args) {
+int CmdExplain(const Args& args, const char* /*argv0*/) {
   ApplyRunFlags(args);
   auto source = LoadSource(args);
   if (!source.ok()) {
@@ -825,7 +824,7 @@ int CmdExplain(const Args& args) {
   return 0;
 }
 
-int CmdDiff(const Args& args) {
+int CmdDiff(const Args& args, const char* /*argv0*/) {
   // ocdd diff --before a.json --after b.json  (reports from `--json` runs)
   std::string before_path = args.Get("before", args.source);
   std::string after_path = args.Get("after", "");
@@ -877,7 +876,7 @@ int CmdDiff(const Args& args) {
   return 0;
 }
 
-int CmdGenerate(const Args& args) {
+int CmdGenerate(const Args& args, const char* /*argv0*/) {
   auto source = LoadSource(args);
   if (!source.ok()) {
     std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
@@ -1007,11 +1006,11 @@ int CmdQa(const Args& args, const char* argv0) {
 /// by `ocdd supervise` and the kill-and-resume nightly sweep. Dispatches to
 /// the same code paths as the per-algorithm commands; exists so the child
 /// argv stays stable no matter which algorithm is supervised.
-int CmdRun(const Args& args) {
+int CmdRun(const Args& args, const char* argv0) {
   std::string algo = args.Get("algo", "discover");
-  if (algo == "discover") return CmdDiscover(args);
-  if (algo == "fds" || algo == "tane") return CmdFds(args);
-  if (algo == "fastod") return CmdFastod(args);
+  if (algo == "discover") return CmdDiscover(args, argv0);
+  if (algo == "fds" || algo == "tane") return CmdFds(args, argv0);
+  if (algo == "fastod") return CmdFastod(args, argv0);
   std::fprintf(stderr,
                "unknown --algo '%s' (discover, fds, fastod)\n", algo.c_str());
   return 2;
@@ -1166,7 +1165,7 @@ int CmdServe(const Args& args, const char* argv0) {
 /// the corrupt ones above it) and reaps orphan tmp files. Exit codes:
 /// 0 clean (or all problems repaired), 9 problems remain, 1 cannot scan
 /// (docs/robustness.md).
-int CmdFsck(const Args& args) {
+int CmdFsck(const Args& args, const char* /*argv0*/) {
   if (args.source.empty()) {
     std::fprintf(stderr, "fsck requires a <dir> argument\n");
     return 2;
@@ -1196,7 +1195,7 @@ int CmdFsck(const Args& args) {
 /// 5 rejected, 6 timeout, 7 worker error, 8 retries/deadline/breaker
 /// exhausted, 1 transport/protocol failure without retries
 /// (docs/serving.md).
-int CmdRequest(const Args& args) {
+int CmdRequest(const Args& args, const char* /*argv0*/) {
   if (args.source.empty()) {
     std::fprintf(stderr, "request requires an <endpoint> argument\n");
     return 2;
@@ -1344,12 +1343,14 @@ void Usage() {
       "       --quarantine FILE  (with --on-bad-row quarantine: raw copies\n"
       "        of rejected rows land here; counts go to the JSON report's\n"
       "        \"ingest\" member either way)\n"
-      "       --expand --partitions --lex --max-ratio R --order-by LIST\n"
+      "       --expand --lex --max-ratio R --order-by LIST\n"
       "       --profile  (in-process per-phase cycle/byte profile: a\n"
       "        \"profile\" member in --json reports, `# profile:` lines\n"
       "        otherwise; OCDD_PROFILE=1 enables it process-wide)\n"
       "       --json\n"
       "       --out FILE\n"
+      "       each command accepts only the flags it reads; any other flag\n"
+      "       exits 2 naming it\n"
       "env: OCDD_SIMD=off|scalar|avx2 pins the check-kernel backend\n"
       "     (default: auto-detect; scalar fallback is bit-identical)\n"
       "The first Ctrl-C cancels a discovery run cooperatively: the run\n"
@@ -1360,28 +1361,97 @@ void Usage() {
       stderr);
 }
 
+// Flag groups several verbs share.
+constexpr const char* kSourceFlags = "rows seed lex on-bad-row quarantine";
+constexpr const char* kBudgetFlags = "time-limit memory-limit max-checks";
+constexpr const char* kCheckpointFlags =
+    "checkpoint resume checkpoint-every-checks checkpoint-every-seconds "
+    "keep-generations";
+// Everything `run` hands to discover, fds or fastod.
+constexpr const char* kRunFlags =
+    "algo json threads max-level profile expand max-expanded";
+constexpr const char* kSuperviseFlags =
+    "max-attempts backoff backoff-multiplier max-backoff no-progress-limit";
+
+/// One verb: its handler and the flags it reads, as space-separated names
+/// and groups. A flag outside the list is rejected before any work starts.
+struct Verb {
+  const char* name;
+  int (*run)(const Args& args, const char* argv0);
+  std::vector<const char*> flags;
+};
+
+const std::vector<Verb>& Verbs() {
+  static const std::vector<Verb> verbs = {
+      {"run", CmdRun,
+       {kSourceFlags, kBudgetFlags, kCheckpointFlags, kRunFlags}},
+      {"supervise", CmdSupervise,
+       {kSourceFlags, kBudgetFlags, kCheckpointFlags, kRunFlags,
+        kSuperviseFlags}},
+      {"serve", CmdServe,
+       {"listen executors queue-capacity request-timeout max-attempts "
+        "backoff max-backoff drain-grace memory-watermark-mib cache-mib "
+        "cache-dir checkpoint-root io-timeout frame-deadline "
+        "max-connections persist-interval disk-failure-threshold "
+        "disk-probe-interval tenants"}},
+      {"request", CmdRequest,
+       {"kind id tenant algo source rows seed max-level no-cache batch "
+        "state io-timeout retries deadline retry-backoff breaker-threshold "
+        "report-only"}},
+      {"fsck", CmdFsck, {"repair no-recursive json"}},
+      {"discover", CmdDiscover,
+       {kSourceFlags, kBudgetFlags, kCheckpointFlags,
+        "json threads max-level profile expand max-expanded"}},
+      {"apply-batch", CmdApplyBatch,
+       {kSourceFlags, kBudgetFlags,
+        "state base threads max-level keep-generations perm-cache-mib json"}},
+      {"fds", CmdFds, {kSourceFlags, kBudgetFlags, kCheckpointFlags, "json"}},
+      {"fastod", CmdFastod,
+       {kSourceFlags, kBudgetFlags, kCheckpointFlags, "json"}},
+      {"fastod-bid", CmdFastodBid, {kSourceFlags, kBudgetFlags, "json"}},
+      {"order", CmdOrder, {kSourceFlags, kBudgetFlags, "json"}},
+      {"approx", CmdApprox, {kSourceFlags, "max-ratio json"}},
+      {"uccs", CmdUccs, {kSourceFlags, kBudgetFlags}},
+      {"polarized", CmdPolarized, {kSourceFlags, "max-level time-limit"}},
+      {"profile", CmdProfile, {kSourceFlags}},
+      {"rewrite", CmdRewrite, {kSourceFlags, kBudgetFlags, "order-by"}},
+      {"explain", CmdExplain,
+       {kSourceFlags, kBudgetFlags, "order-by physical"}},
+      {"diff", CmdDiff, {"before after"}},
+      {"generate", CmdGenerate, {kSourceFlags, "out"}},
+      {"qa", CmdQa,
+       {"seed iters max-side no-metamorphic no-stopped-runs no-resume-runs "
+        "no-ingest no-incremental no-simd no-serve chaos max-failures "
+        "repro-dir max-rows max-cols inject json"}},
+  };
+  return verbs;
+}
+
+/// The first flag `verb` does not read, or "" when all are known.
+std::string UnknownFlag(const Verb& verb, const Args& args) {
+  for (const auto& [flag, value] : args.flags) {
+    bool known = false;
+    for (const char* names : verb.flags) {
+      for (const std::string& name : ocdd::SplitString(names, ' ')) {
+        known = known || name == flag;
+      }
+    }
+    if (!known) return flag;
+  }
+  return "";
+}
+
 int Dispatch(const Args& args, char** argv) {
-  const std::string& cmd = args.command;
-  if (cmd == "run") return CmdRun(args);
-  if (cmd == "supervise") return CmdSupervise(args, argv[0]);
-  if (cmd == "serve") return CmdServe(args, argv[0]);
-  if (cmd == "request") return CmdRequest(args);
-  if (cmd == "fsck") return CmdFsck(args);
-  if (cmd == "discover") return CmdDiscover(args);
-  if (cmd == "apply-batch") return CmdApplyBatch(args);
-  if (cmd == "fds") return CmdFds(args);
-  if (cmd == "fastod") return CmdFastod(args);
-  if (cmd == "fastod-bid") return CmdFastodBid(args);
-  if (cmd == "order") return CmdOrder(args);
-  if (cmd == "approx") return CmdApprox(args);
-  if (cmd == "uccs") return CmdUccs(args);
-  if (cmd == "polarized") return CmdPolarized(args);
-  if (cmd == "profile") return CmdProfile(args);
-  if (cmd == "rewrite") return CmdRewrite(args);
-  if (cmd == "explain") return CmdExplain(args);
-  if (cmd == "diff") return CmdDiff(args);
-  if (cmd == "generate") return CmdGenerate(args);
-  if (cmd == "qa") return CmdQa(args, argv[0]);
+  for (const Verb& verb : Verbs()) {
+    if (args.command != verb.name) continue;
+    const std::string unknown = UnknownFlag(verb, args);
+    if (!unknown.empty()) {
+      std::fprintf(stderr, "ocdd %s: unknown flag --%s\n", verb.name,
+                   unknown.c_str());
+      return 2;
+    }
+    return verb.run(args, argv[0]);
+  }
   Usage();
   return 2;
 }
