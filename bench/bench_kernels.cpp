@@ -24,19 +24,30 @@
 //     counting path per storage width (refine is scalar on every backend,
 //     so no backend dimension).
 //
-// Entries report seconds *per iteration* (the loop runs until a fixed
-// wall budget) with `checks` = iterations; every entry carries the
+//  4. `ingest-lineitem` / `encode-lineitem`: the CSV front end of every
+//     discovery run on LINEITEM 50k x 16 (registry seed 42, written as a
+//     CSV file first) — `rel::ReadCsvFileWithReport` and
+//     `CodedRelation::Encode`. Seconds are the median of 7 runs; `checks`
+//     is a result count instead of an iteration count (rows ingested; the
+//     distinct codes summed over all columns), so a drift there means the
+//     front end read or ranked the data differently.
+//
+// Sections 2 and 3 report seconds *per iteration* (the loop runs until a
+// fixed wall budget) with `checks` = iterations; every entry carries the
 // profiler's per-phase counters via BenchReport. Overridable without
 // rebuilding:
 //   OCDD_BENCH_ROWS=100000          rows for the full LATTICE run
 //   OCDD_BENCH_MICRO_ROWS=1048576   rows for the synthetic kernels
 //   OCDD_BENCH_JSON_DIR=dir         where the JSON report lands
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -47,6 +58,8 @@
 #include "core/list_partition.h"
 #include "core/ocd_discover.h"
 #include "datagen/generators.h"
+#include "datagen/registry.h"
+#include "relation/csv.h"
 
 namespace {
 
@@ -112,6 +125,21 @@ std::pair<double, std::uint64_t> TimeLoop(Fn&& fn) {
     elapsed = std::chrono::duration<double>(Clock::now() - start).count();
   } while (elapsed < 0.3 || iters < 3);
   return {elapsed / static_cast<double>(iters), iters};
+}
+
+/// Runs `fn` `runs` times and returns the median wall seconds.
+template <typename Fn>
+double MedianSeconds(int runs, Fn&& fn) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<double> seconds;
+  for (int i = 0; i < runs; ++i) {
+    const auto start = Clock::now();
+    fn();
+    seconds.push_back(
+        std::chrono::duration<double>(Clock::now() - start).count());
+  }
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[seconds.size() / 2];
 }
 
 const char* WidthName(ocdd::rel::CodeWidth w) {
@@ -318,6 +346,68 @@ int main() {
       e.checks = iters;
       report.Add(std::move(e));
     }
+  }
+
+  // --- Section 4: the CSV front end, LINEITEM 50k x 16.
+  {
+    constexpr std::size_t kRows = 50000;
+    constexpr int kRuns = 7;
+    auto lineitem = ocdd::datagen::MakeDataset("LINEITEM", kRows, 42);
+    const std::string csv =
+        (std::filesystem::temp_directory_path() /
+         ("ocdd_bench_lineitem_" + std::to_string(::getpid()) + ".csv"))
+            .string();
+    if (!lineitem.ok() || !ocdd::rel::WriteCsvFile(*lineitem, csv).ok()) {
+      std::fprintf(stderr, "cannot write the LINEITEM CSV to %s\n",
+                   csv.c_str());
+      return 1;
+    }
+    std::printf("\nCSV front end (LINEITEM %zu rows, median of %d):\n", kRows,
+                kRuns);
+
+    ocdd::prof::Reset();
+    ocdd::rel::CsvRead read;
+    bool read_ok = true;
+    const double ingest_s = MedianSeconds(kRuns, [&] {
+      auto r = ocdd::rel::ReadCsvFileWithReport(csv);
+      read_ok = read_ok && r.ok();
+      if (r.ok()) read = std::move(*r);
+    });
+    std::filesystem::remove(csv);
+    if (!read_ok) {
+      std::fprintf(stderr, "LINEITEM CSV did not read back\n");
+      return 1;
+    }
+    std::printf("  ingest-lineitem: %9.3f ms  (%llu rows)\n", ingest_s * 1e3,
+                static_cast<unsigned long long>(read.report.rows_ingested));
+    ocdd::bench::BenchEntry ingest;
+    ingest.dataset = "LINEITEM";
+    ingest.label = "ingest-lineitem";
+    ingest.rows = kRows;
+    ingest.cols = read.relation.num_columns();
+    ingest.threads = 1;
+    ingest.seconds = ingest_s;
+    ingest.checks = read.report.rows_ingested;
+    report.Add(std::move(ingest));
+
+    CodedRelation coded;
+    const double encode_s = MedianSeconds(
+        kRuns, [&] { coded = CodedRelation::Encode(read.relation); });
+    std::uint64_t distinct = 0;
+    for (const CodedColumn& c : coded.columns()) {
+      distinct += static_cast<std::uint64_t>(c.num_distinct);
+    }
+    std::printf("  encode-lineitem: %9.3f ms  (%llu distinct codes)\n",
+                encode_s * 1e3, static_cast<unsigned long long>(distinct));
+    ocdd::bench::BenchEntry encode;
+    encode.dataset = "LINEITEM";
+    encode.label = "encode-lineitem";
+    encode.rows = kRows;
+    encode.cols = coded.num_columns();
+    encode.threads = 1;
+    encode.seconds = encode_s;
+    encode.checks = distinct;
+    report.Add(std::move(encode));
   }
 
   return 0;

@@ -800,7 +800,7 @@ std::string SessionOps::EncodeState(const IncrementalSession& s) {
           rows.U64(DoubleBits(col.double_at(r)));
           break;
         case rel::DataType::kString:
-          rows.Str(col.string_at(r));
+          rows.Str(std::string(col.string_at(r)));
           break;
       }
     }

@@ -567,12 +567,27 @@ Result<std::string> IoReadFileAll(IoEnv& env, const char* site_prefix,
                                   const std::string& path) {
   const std::string prefix = site_prefix;
   const int fd = env.Open((prefix + ".open").c_str(), path, O_RDONLY, 0);
-  if (fd < 0) return IoErrorStatus("open", path);
+  if (fd < 0) {
+    if (errno == ENOENT) {
+      return Status::NotFound("io open failed for " + path + ": " +
+                              std::strerror(ENOENT));
+    }
+    return IoErrorStatus("open", path);
+  }
+  // One buffer sized by fstat, one byte over so the read that sees EOF
+  // needs no growth; a file that grows meanwhile still reads whole.
+  struct stat st;
+  std::size_t capacity = 1 << 16;
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size >= 0) {
+    capacity = static_cast<std::size_t>(st.st_size) + 1;
+  }
   const std::string read_site = prefix + ".read";
-  std::string out;
-  char buf[1 << 16];
+  std::string out(capacity, '\0');
+  std::size_t len = 0;
   for (;;) {
-    const ssize_t n = env.Read(read_site.c_str(), fd, buf, sizeof(buf));
+    if (len == out.size()) out.resize(out.size() * 2);
+    const ssize_t n =
+        env.Read(read_site.c_str(), fd, out.data() + len, out.size() - len);
     if (n < 0) {
       if (errno == EINTR) continue;
       Status s = IoErrorStatus("read", path);
@@ -580,9 +595,10 @@ Result<std::string> IoReadFileAll(IoEnv& env, const char* site_prefix,
       return s;
     }
     if (n == 0) break;
-    out.append(buf, static_cast<std::size_t>(n));
+    len += static_cast<std::size_t>(n);
   }
   env.Close((prefix + ".close").c_str(), fd);
+  out.resize(len);
   return out;
 }
 

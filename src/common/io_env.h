@@ -248,7 +248,9 @@ Status IoWriteFileSynced(IoEnv& env, const char* site_prefix,
                          const std::string& path, const char* bytes,
                          std::size_t len);
 
-/// Reads the whole file (sites `<site_prefix>.open/.read`).
+/// Reads the whole file into one buffer sized by `fstat` (sites
+/// `<site_prefix>.open/.read/.close`). A missing file is NotFound; any other
+/// failure, reading a directory included, is the typed IoErrorStatus.
 Result<std::string> IoReadFileAll(IoEnv& env, const char* site_prefix,
                                   const std::string& path);
 

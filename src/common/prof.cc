@@ -138,6 +138,7 @@ double CyclesPerSecond() {
 
 const char* PhaseName(Phase phase) {
   switch (phase) {
+    case Phase::kIngest: return "ingest";
     case Phase::kEncode: return "encode";
     case Phase::kPlan: return "partition.plan";
     case Phase::kRefine: return "partition.refine";
@@ -148,6 +149,7 @@ const char* PhaseName(Phase phase) {
     case Phase::kSortCheck: return "check.sort_walk";
     case Phase::kGenerate: return "generate";
     case Phase::kCheckpoint: return "checkpoint";
+    case Phase::kSerialize: return "serialize";
     case Phase::kNumPhases: break;
   }
   return "unknown";
@@ -229,6 +231,14 @@ Report Snapshot() {
   return out;
 }
 
+double PhaseSeconds(const Report& report, Phase phase) {
+  const char* name = PhaseName(phase);
+  for (const PhaseStats& p : report.phases) {
+    if (p.name == name) return p.seconds;
+  }
+  return 0.0;
+}
+
 std::string ToJson(const Report& report) {
   char buf[160];
   std::string out = "{";
@@ -252,6 +262,12 @@ std::string ToJson(const Report& report) {
                 static_cast<unsigned long long>(report.alloc_bytes),
                 static_cast<unsigned long long>(report.alloc_calls));
   out += buf;
+  if (report.wall_seconds > 0.0) {
+    std::snprintf(buf, sizeof(buf),
+                  ",\"wall_seconds\":%.6f,\"unattributed_seconds\":%.6f",
+                  report.wall_seconds, report.unattributed_seconds);
+    out += buf;
+  }
   out += "}";
   return out;
 }

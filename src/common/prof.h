@@ -31,7 +31,8 @@ namespace ocdd::prof {
 
 /// The instrumented phases. Keep in sync with `PhaseName`.
 enum class Phase : std::uint8_t {
-  kEncode = 0,     // dictionary encoding / narrow-mirror builds
+  kIngest = 0,     // CSV read, scan, type inference and column fill
+  kEncode,         // dictionary encoding / narrow-mirror builds
   kPlan,           // per-level partition planning (sequential)
   kRefine,         // partition refinement kernels
   kPublish,        // partition cache publish (shrink + budget + insert)
@@ -41,6 +42,7 @@ enum class Phase : std::uint8_t {
   kSortCheck,      // adjacent-pair walks of the sort-based checker
   kGenerate,       // candidate emission + next-level generation
   kCheckpoint,     // snapshot encode/write
+  kSerialize,      // result report rendering (JSON)
   kNumPhases,
 };
 
@@ -94,16 +96,24 @@ struct Report {
   std::vector<PhaseStats> phases;
   std::uint64_t alloc_bytes = 0;
   std::uint64_t alloc_calls = 0;
+  /// Wall time of the whole run and the part of it no phase accounts for;
+  /// set by a caller that knows both (0 wall: not measured).
+  double wall_seconds = 0.0;
+  double unattributed_seconds = 0.0;
 
   bool empty() const { return phases.empty() && alloc_calls == 0; }
 };
+
+/// Seconds charged to `phase` in `report` (0 when it never ran).
+double PhaseSeconds(const Report& report, Phase phase);
 
 /// Sums every thread's counters. Cheap enough to call repeatedly.
 Report Snapshot();
 
 /// `{"cycles_per_second":...,"phases":[{"name":...,"cycles":...,
 ///   "seconds":...,"bytes":...,"calls":...},...],
-///   "alloc":{"bytes":...,"calls":...}}`
+///   "alloc":{"bytes":...,"calls":...}}`, plus `"wall_seconds"` and
+/// `"unattributed_seconds"` when the wall time was measured.
 std::string ToJson(const Report& report);
 
 }  // namespace ocdd::prof

@@ -2,21 +2,28 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 namespace ocdd {
+
+namespace {
+
+bool IsSpace(char c) {
+  const auto u = static_cast<unsigned char>(c);
+  // Printable ASCII is never whitespace; only the rest asks the C library.
+  if (u > 0x20 && u < 0x7f) return false;
+  return std::isspace(u) != 0;
+}
+
+}  // namespace
 
 std::string_view StripAsciiWhitespace(std::string_view s) {
   std::size_t begin = 0;
   std::size_t end = s.size();
-  while (begin < end &&
-         std::isspace(static_cast<unsigned char>(s[begin])) != 0) {
-    ++begin;
-  }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(s[end - 1])) != 0) {
-    --end;
-  }
+  while (begin < end && IsSpace(s[begin])) ++begin;
+  while (end > begin && IsSpace(s[end - 1])) --end;
   return s.substr(begin, end - begin);
 }
 
@@ -55,7 +62,12 @@ std::optional<std::int64_t> ParseInt64(std::string_view s) {
   std::int64_t value = 0;
   const char* begin = s.data();
   const char* end = s.data() + s.size();
-  if (*begin == '+') ++begin;  // from_chars rejects a leading '+'
+  if (*begin == '+') {
+    // from_chars rejects a leading '+' but accepts '-': skip the '+' and
+    // refuse a second sign, or "+-5" would parse as -5.
+    ++begin;
+    if (begin != end && *begin == '-') return std::nullopt;
+  }
   auto [ptr, ec] = std::from_chars(begin, end, value, 10);
   if (ec != std::errc() || ptr != end) return std::nullopt;
   return value;
@@ -63,6 +75,20 @@ std::optional<std::int64_t> ParseInt64(std::string_view s) {
 
 std::optional<double> ParseDouble(std::string_view s) {
   if (s.empty()) return std::nullopt;
+  // from_chars rounds exactly as strtod does and needs no terminator. What
+  // it reads whole is digits, sign, '.' and exponent, or an inf/nan
+  // spelling: the only way it yields a non-finite value, as overflow is an
+  // error. Every input it rejects (a leading '+', overflow, underflow, a
+  // partial read) falls through to strtod, whose result stays the
+  // definition.
+  double value = 0.0;
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  if (ec == std::errc() && ptr == end) {
+    if (std::isfinite(value)) return value;
+    return std::nullopt;
+  }
+
   // Reject spellings strtod would accept but which are not plain decimal
   // numbers in data files (inf, nan, hex floats).
   for (char c : s) {
@@ -70,10 +96,20 @@ std::optional<double> ParseDouble(std::string_view s) {
                  c == '.' || c == 'e' || c == 'E';
     if (!plain) return std::nullopt;
   }
-  std::string buf(s);  // strtod needs NUL termination
+  // strtod needs NUL termination: short fields use a stack buffer.
+  char small[64];
+  std::string large;
+  const char* text = small;
+  if (s.size() < sizeof(small)) {
+    std::memcpy(small, s.data(), s.size());
+    small[s.size()] = '\0';
+  } else {
+    large.assign(s);
+    text = large.c_str();
+  }
   char* endptr = nullptr;
-  double value = std::strtod(buf.c_str(), &endptr);
-  if (endptr != buf.c_str() + buf.size()) return std::nullopt;
+  value = std::strtod(text, &endptr);
+  if (endptr != text + s.size()) return std::nullopt;
   return value;
 }
 

@@ -147,8 +147,7 @@ bool SplitCells(const std::string& payload, std::vector<Cell>* cells,
 bool TypedValue(const Cell& cell, DataType type,
                 const TypeInferenceOptions& ti, Value* out,
                 std::string* error) {
-  if (!cell.quoted &&
-      IsNullMarker(std::string(StripAsciiWhitespace(cell.text)), ti)) {
+  if (!cell.quoted && IsNullMarker(cell.text, ti)) {
     *out = Value::Null();
     return true;
   }
@@ -202,8 +201,7 @@ void AppendCell(std::string& out, const Value& v) {
   // A string that *looks* like a NULL marker or a number must be quoted or
   // the round-trip would re-type it.
   if (v.is_string() &&
-      (IsNullMarker(std::string(StripAsciiWhitespace(text)), ti) ||
-       text != std::string(StripAsciiWhitespace(text)))) {
+      (IsNullMarker(text, ti) || text != StripAsciiWhitespace(text))) {
     needs_quoting = true;
   }
   for (char c : text) {

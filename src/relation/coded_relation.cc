@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <numeric>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "common/prof.h"
 
@@ -12,61 +16,194 @@ namespace ocdd::rel {
 
 namespace {
 
+/// Maps each distinct key to a dense first-seen id (open addressing, linear
+/// probing, load factor at most 1/2).
+template <typename Key, typename Hash>
+class Interner {
+ public:
+  Interner() : slots_(64, -1) {}
+
+  std::int32_t Intern(const Key& key) {
+    const std::size_t hash = Hash{}(key);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t slot = hash & mask;; slot = (slot + 1) & mask) {
+      const std::int32_t id = slots_[slot];
+      if (id < 0) break;
+      if (keys_[static_cast<std::size_t>(id)] == key) return id;
+    }
+    const auto id = static_cast<std::int32_t>(keys_.size());
+    keys_.push_back(key);
+    hashes_.push_back(hash);
+    if (2 * keys_.size() > slots_.size()) {
+      Rehash(2 * slots_.size());
+    } else {
+      Place(id);
+    }
+    return id;
+  }
+
+  /// Distinct keys, indexed by id.
+  const std::vector<Key>& keys() const { return keys_; }
+
+ private:
+  void Place(std::int32_t id) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = hashes_[static_cast<std::size_t>(id)] & mask;
+    while (slots_[slot] >= 0) slot = (slot + 1) & mask;
+    slots_[slot] = id;
+  }
+
+  void Rehash(std::size_t capacity) {
+    slots_.assign(capacity, -1);
+    for (std::size_t id = 0; id < keys_.size(); ++id) {
+      Place(static_cast<std::int32_t>(id));
+    }
+  }
+
+  std::vector<std::int32_t> slots_;
+  std::vector<Key> keys_;
+  std::vector<std::size_t> hashes_;
+};
+
+/// splitmix64's finalizer: every input bit reaches the low (slot) bits.
+struct MixHash {
+  std::size_t operator()(std::uint64_t x) const {
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return static_cast<std::size_t>(x);
+  }
+};
+
+/// Dense rank of each of `keys` (indexed by id) under `less`; keys that
+/// neither precedes share a rank. Sorts (key, id) pairs, so the comparisons
+/// read no memory but the pairs. Sets `*num_ranks`.
+template <typename Key, typename Less>
+std::vector<std::int32_t> DenseRanks(const std::vector<Key>& keys, Less less,
+                                     std::int32_t* num_ranks) {
+  std::vector<std::pair<Key, std::int32_t>> sorted(keys.size());
+  for (std::size_t id = 0; id < keys.size(); ++id) {
+    sorted[id] = {keys[id], static_cast<std::int32_t>(id)};
+  }
+  std::sort(sorted.begin(), sorted.end(),
+            [&](const std::pair<Key, std::int32_t>& a,
+                const std::pair<Key, std::int32_t>& b) {
+              return less(a.first, b.first);
+            });
+  std::vector<std::int32_t> rank(keys.size());
+  std::int32_t next = -1;
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    if (i == 0 || less(sorted[i - 1].first, sorted[i].first)) ++next;
+    rank[static_cast<std::size_t>(sorted[i].second)] = next;
+  }
+  *num_ranks = next + 1;
+  return rank;
+}
+
+/// Encodes one column dictionary-first: interns every non-NULL cell's
+/// `key_at(row)` to a first-seen id, ranks only the distinct keys — by
+/// `less`, or by their `render`ing when `lexicographic` — and maps each
+/// cell to its key's rank. NULLs share code 0, below every value.
+template <typename Key, typename Hash, typename KeyAt, typename Less,
+          typename Render>
+void EncodeDistinct(const Column& column, std::size_t m, KeyAt key_at,
+                    Less less, Render render, bool lexicographic,
+                    CodedColumn* out) {
+  Interner<Key, Hash> interner;
+  for (std::size_t r = 0; r < m; ++r) {
+    if (column.is_null(r)) {
+      out->codes[r] = -1;
+      out->has_nulls = true;
+    } else {
+      out->codes[r] = interner.Intern(key_at(r));
+    }
+  }
+  const std::vector<Key>& keys = interner.keys();
+  std::int32_t num_ranks = 0;
+  std::vector<std::int32_t> rank;
+  if (lexicographic) {
+    std::vector<std::string> rendered(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) rendered[i] = render(keys[i]);
+    rank = DenseRanks(std::vector<std::string_view>(rendered.begin(),
+                                                    rendered.end()),
+                      std::less<std::string_view>(), &num_ranks);
+  } else {
+    rank = DenseRanks(keys, less, &num_ranks);
+  }
+  const std::int32_t base = out->has_nulls ? 1 : 0;
+  for (std::size_t r = 0; r < m; ++r) {
+    const std::int32_t id = out->codes[r];
+    out->codes[r] = id < 0 ? 0 : base + rank[static_cast<std::size_t>(id)];
+  }
+  out->num_distinct = base + num_ranks;
+}
+
+std::uint64_t DoubleBits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+double BitsDouble(std::uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
 CodedColumn EncodeColumn(const Relation& relation, ColumnId col,
                          const EncodeOptions& options) {
   const Column& column = relation.column(col);
-  std::size_t m = relation.num_rows();
+  const std::size_t m = relation.num_rows();
+  const bool lex = options.force_lexicographic;
 
   CodedColumn out;
   out.name = relation.schema().attribute(col).name;
   out.source_type = column.type();
   out.codes.resize(m);
 
-  // Sort row ids by value (NULLs first); equal runs share a code.
-  std::vector<std::uint32_t> order(m);
-  std::iota(order.begin(), order.end(), 0);
-
-  if (options.force_lexicographic) {
-    // Rank by rendered string; NULLs still first and mutually equal.
-    std::vector<std::string> rendered(m);
-    std::vector<bool> is_null(m);
-    for (std::size_t r = 0; r < m; ++r) {
-      is_null[r] = column.is_null(r);
-      if (!is_null[r]) rendered[r] = column.ValueAt(r).ToString();
-    }
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) -> bool {
-                if (is_null[a] != is_null[b]) return is_null[a];
-                if (is_null[a]) return false;
-                return rendered[a] < rendered[b];
-              });
-    std::int32_t next = -1;
-    for (std::size_t i = 0; i < m; ++i) {
-      std::uint32_t r = order[i];
-      bool new_run =
-          i == 0 ||
-          is_null[order[i - 1]] != is_null[r] ||
-          (!is_null[r] && rendered[order[i - 1]] != rendered[r]);
-      if (new_run) ++next;
-      out.codes[r] = next;
-      if (is_null[r]) out.has_nulls = true;
-    }
-    out.num_distinct = m == 0 ? 0 : next + 1;
-    return out;
+  switch (column.type()) {
+    case DataType::kInt:
+      EncodeDistinct<std::uint64_t, MixHash>(
+          column, m,
+          [&](std::size_t r) {
+            return static_cast<std::uint64_t>(column.int_at(r));
+          },
+          [](std::uint64_t a, std::uint64_t b) {
+            return static_cast<std::int64_t>(a) < static_cast<std::int64_t>(b);
+          },
+          [](std::uint64_t v) {
+            return Value::Int(static_cast<std::int64_t>(v)).ToString();
+          },
+          lex, &out);
+      break;
+    case DataType::kDouble:
+      // 0.0 and -0.0 intern apart but neither is less, so naturally they
+      // share a rank; lexicographically they render apart, as "0" and "-0".
+      EncodeDistinct<std::uint64_t, MixHash>(
+          column, m,
+          [&](std::size_t r) { return DoubleBits(column.double_at(r)); },
+          [](std::uint64_t a, std::uint64_t b) {
+            // NaN (never produced by CSV ingest) sorts last, all NaNs equal,
+            // so the order stays strict and weak.
+            const double x = BitsDouble(a);
+            const double y = BitsDouble(b);
+            return !std::isnan(x) && (std::isnan(y) || x < y);
+          },
+          [](std::uint64_t v) { return Value::Double(BitsDouble(v)).ToString(); },
+          lex, &out);
+      break;
+    case DataType::kString:
+      // A string renders as itself: both modes rank bytewise.
+      EncodeDistinct<std::string_view, std::hash<std::string_view>>(
+          column, m,
+          [&](std::size_t r) { return column.string_at(r); },
+          [](std::string_view a, std::string_view b) { return a < b; },
+          [](std::string_view v) { return std::string(v); },
+          /*lexicographic=*/false, &out);
+      break;
   }
-
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return column.CompareRows(a, b) < 0;
-            });
-  std::int32_t next = -1;
-  for (std::size_t i = 0; i < m; ++i) {
-    std::uint32_t r = order[i];
-    if (i == 0 || column.CompareRows(order[i - 1], r) != 0) ++next;
-    out.codes[r] = next;
-    if (column.is_null(r)) out.has_nulls = true;
-  }
-  out.num_distinct = m == 0 ? 0 : next + 1;
   return out;
 }
 

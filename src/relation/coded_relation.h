@@ -103,7 +103,9 @@ class CodedRelation {
  public:
   CodedRelation() = default;
 
-  /// Encodes every column of `relation`. O(m log m) per column.
+  /// Encodes every column of `relation` dictionary-first: each distinct
+  /// value is interned once, and only the d distinct values are sorted.
+  /// O(m + d log d) per column.
   static CodedRelation Encode(const Relation& relation,
                               const EncodeOptions& options = {});
 

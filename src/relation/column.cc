@@ -18,55 +18,63 @@ Value Column::ValueAt(std::size_t row) const {
     case DataType::kDouble:
       return Value::Double(doubles_[row]);
     case DataType::kString:
-      return Value::String(strings_[row]);
+      return Value::String(std::string(string_at(row)));
   }
   return Value::Null();
 }
 
 void Column::Append(const Value& v) {
-  nulls_.push_back(v.is_null());
+  if (v.is_null()) {
+    AppendNull();
+    return;
+  }
   switch (type_) {
     case DataType::kInt:
-      assert(v.is_null() || v.is_int());
-      ints_.push_back(v.is_int() ? v.int_value() : 0);
+      assert(v.is_int());
+      AppendInt(v.is_int() ? v.int_value() : 0);
       break;
     case DataType::kDouble:
-      assert(v.is_null() || v.is_int() || v.is_double());
-      doubles_.push_back(v.is_double() ? v.double_value()
-                         : v.is_int() ? static_cast<double>(v.int_value())
-                                      : 0.0);
+      assert(v.is_int() || v.is_double());
+      AppendDouble(v.is_double() ? v.double_value()
+                   : v.is_int()  ? static_cast<double>(v.int_value())
+                                 : 0.0);
       break;
     case DataType::kString:
-      assert(v.is_null() || v.is_string());
-      strings_.push_back(v.is_string() ? v.string_value() : std::string());
+      assert(v.is_string());
+      AppendString(v.is_string() ? std::string_view(v.string_value())
+                                 : std::string_view());
       break;
   }
 }
 
-int Column::CompareRows(std::size_t a, std::size_t b) const {
-  bool na = nulls_[a];
-  bool nb = nulls_[b];
-  if (na || nb) {
-    if (na && nb) return 0;  // NULL = NULL
-    return na ? -1 : 1;      // NULLS FIRST
-  }
+void Column::AppendNull() {
+  nulls_.push_back(true);
   switch (type_) {
-    case DataType::kInt: {
-      std::int64_t x = ints_[a];
-      std::int64_t y = ints_[b];
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case DataType::kDouble: {
-      double x = doubles_[a];
-      double y = doubles_[b];
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case DataType::kString: {
-      int c = strings_[a].compare(strings_[b]);
-      return c < 0 ? -1 : (c > 0 ? 1 : 0);
-    }
+    case DataType::kInt:
+      ints_.push_back(0);
+      break;
+    case DataType::kDouble:
+      doubles_.push_back(0.0);
+      break;
+    case DataType::kString:
+      string_begins_.push_back(chars_.size());
+      break;
   }
-  return 0;
+}
+
+void Column::Reserve(std::size_t rows) {
+  nulls_.reserve(rows);
+  switch (type_) {
+    case DataType::kInt:
+      ints_.reserve(rows);
+      break;
+    case DataType::kDouble:
+      doubles_.reserve(rows);
+      break;
+    case DataType::kString:
+      string_begins_.reserve(rows + 1);
+      break;
+  }
 }
 
 }  // namespace ocdd::rel

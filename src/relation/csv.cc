@@ -1,10 +1,12 @@
 #include "relation/csv.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
+#include <cstring>
+#include <deque>
+#include <string_view>
 
 #include "common/io_env.h"
+#include "common/prof.h"
 #include "common/run_context.h"
 
 namespace ocdd::rel {
@@ -27,7 +29,7 @@ namespace {
 /// tokenized cleanly, or a structured error plus the raw byte span
 /// `[begin, end)` (terminator excluded) for quarantining.
 struct RawRecord {
-  std::vector<std::string> fields;
+  std::vector<std::string_view> fields;
   std::size_t begin = 0;
   std::size_t end = 0;
   /// 1-based physical record number (header counts as row 1).
@@ -42,11 +44,23 @@ struct RawRecord {
 /// terminator, so one mangled row cannot take the rest of the file with it.
 /// The declared CsvLimits are enforced while scanning — before the parser
 /// buffers more than one limit's worth of bytes on the input's behalf.
+///
+/// Fields are views into the input. A field whose unescaped bytes are not
+/// contiguous there (it holds a doubled quote `""` followed by more bytes,
+/// or bytes after its closing quote) is copied into `arena`, which must
+/// outlive the views; no other field is copied.
 class RecordScanner {
  public:
-  RecordScanner(const std::string& text, const CsvOptions& options,
-                std::size_t start)
-      : text_(text), options_(options), pos_(start) {}
+  RecordScanner(std::string_view text, const CsvOptions& options,
+                std::size_t start, std::deque<std::string>* arena)
+      : text_(text), options_(options), pos_(start), arena_(arena) {
+    for (char c : {options.separator, '\n', '\r', '\0', '"'}) {
+      plain_stop_[static_cast<unsigned char>(c)] = true;
+    }
+    for (char c : {'"', '\0'}) {
+      quoted_stop_[static_cast<unsigned char>(c)] = true;
+    }
+  }
 
   /// Scans the next record into `*rec`; false at end of input. Blank lines
   /// are skipped without producing a record.
@@ -70,23 +84,28 @@ class RecordScanner {
     rec->error = IngestError{};
     rec->begin = pos_;
     rec->row = ++row_;
+    field_bytes_ = 0;
+    copied_ = false;
 
     const CsvLimits& lim = options_.limits;
-    std::string field;
     bool in_quotes = false;
     bool field_was_quoted = false;
     std::size_t quote_open_pos = 0;
 
     auto end_field = [&]() -> bool {
       if (rec->fields.size() >= lim.max_columns) return false;
-      rec->fields.push_back(std::move(field));
-      field.clear();
+      rec->fields.push_back(TakeField());
       field_was_quoted = false;
       return true;
     };
     auto too_many_columns = [&](std::size_t at) {
       Fail(rec, IngestErrorCode::kTooManyColumns, at, rec->fields.size() + 1,
            "record exceeds max_columns=" + std::to_string(lim.max_columns));
+    };
+    auto field_too_large = [&](std::size_t at) {
+      Fail(rec, IngestErrorCode::kFieldTooLarge, at, rec->fields.size() + 1,
+           "field exceeds max_field_bytes=" +
+               std::to_string(lim.max_field_bytes));
     };
 
     while (pos_ < n) {
@@ -108,7 +127,9 @@ class RecordScanner {
       if (in_quotes) {
         if (c == '"') {
           if (i + 1 < n && text_[i + 1] == '"') {
-            field.push_back('"');
+            // `""` is one literal quote, the first byte of the pair. It is
+            // not checked against the field limit.
+            Append(i, 1);
             pos_ += 2;
           } else {
             in_quotes = false;
@@ -116,17 +137,14 @@ class RecordScanner {
           }
           continue;
         }
-        if (field.size() >= lim.max_field_bytes) {
-          Fail(rec, IngestErrorCode::kFieldTooLarge, i, rec->fields.size() + 1,
-               "field exceeds max_field_bytes=" +
-                   std::to_string(lim.max_field_bytes));
+        if (field_bytes_ >= lim.max_field_bytes) {
+          field_too_large(i);
           return true;
         }
-        field.push_back(c);
-        ++pos_;
+        pos_ = AppendRun(i, rec->begin, quoted_stop_);
         continue;
       }
-      if (c == '"' && field.empty() && !field_was_quoted) {
+      if (c == '"' && field_bytes_ == 0 && !field_was_quoted) {
         in_quotes = true;
         field_was_quoted = true;
         quote_open_pos = i;
@@ -149,14 +167,11 @@ class RecordScanner {
         }
         return true;
       }
-      if (field.size() >= lim.max_field_bytes) {
-        Fail(rec, IngestErrorCode::kFieldTooLarge, i, rec->fields.size() + 1,
-             "field exceeds max_field_bytes=" +
-                 std::to_string(lim.max_field_bytes));
+      if (field_bytes_ >= lim.max_field_bytes) {
+        field_too_large(i);
         return true;
       }
-      field.push_back(c);
-      ++pos_;
+      pos_ = AppendRun(i, rec->begin, plain_stop_);
     }
     // End of input inside a record.
     if (in_quotes) {
@@ -173,6 +188,57 @@ class RecordScanner {
   }
 
  private:
+  /// Appends the byte at `i`, which passed every per-byte check, and the
+  /// run of bytes after it that would pass them too: none is in `stop`, and
+  /// neither the record limit nor the field limit is reached. Returns the
+  /// end of the run.
+  std::size_t AppendRun(std::size_t i, std::size_t record_begin,
+                        const bool* stop) {
+    const CsvLimits& lim = options_.limits;
+    std::size_t end = text_.size();
+    if (lim.max_record_bytes < end - record_begin) {
+      end = record_begin + lim.max_record_bytes;
+    }
+    if (lim.max_field_bytes - field_bytes_ < end - i) {
+      end = i + (lim.max_field_bytes - field_bytes_);
+    }
+    std::size_t j = i + 1;
+    while (j < end && !stop[static_cast<unsigned char>(text_[j])]) ++j;
+    Append(i, j - i);
+    return j;
+  }
+
+  /// Adds the input bytes `[i, i + len)` to the current field: as a longer
+  /// view while the field stays contiguous in the input, else by copy.
+  void Append(std::size_t i, std::size_t len) {
+    if (!copied_) {
+      if (field_bytes_ == 0) field_begin_ = i;
+      if (i == field_begin_ + field_bytes_) {
+        field_bytes_ += len;
+        return;
+      }
+      copied_ = true;
+      scratch_.assign(text_.data() + field_begin_, field_bytes_);
+    }
+    scratch_.append(text_.data() + i, len);
+    field_bytes_ += len;
+  }
+
+  /// The finished field; starts the next one.
+  std::string_view TakeField() {
+    std::string_view field;
+    if (copied_) {
+      arena_->push_back(std::move(scratch_));
+      scratch_.clear();
+      field = arena_->back();
+    } else if (field_bytes_ > 0) {
+      field = text_.substr(field_begin_, field_bytes_);
+    }
+    field_bytes_ = 0;
+    copied_ = false;
+    return field;
+  }
+
   /// Marks the record bad and resynchronizes at the next raw '\n' after
   /// `offset`. The scan is quote-blind: once a record is structurally
   /// broken its quote state cannot be trusted, and a plain line boundary is
@@ -186,7 +252,7 @@ class RecordScanner {
     rec->error.column = column;
     rec->error.detail = std::move(detail);
     const std::size_t term = text_.find('\n', offset);
-    if (term == std::string::npos) {
+    if (term == std::string_view::npos) {
       rec->end = text_.size();
       pos_ = text_.size();
     } else {
@@ -194,20 +260,29 @@ class RecordScanner {
                                                                 : term;
       pos_ = term + 1;
     }
-    rec->error.excerpt = SanitizeExcerpt(
-        text_.substr(rec->begin,
-                     std::min<std::size_t>(rec->end - rec->begin, 64)));
+    rec->error.excerpt = SanitizeExcerpt(std::string(text_.substr(
+        rec->begin, std::min<std::size_t>(rec->end - rec->begin, 64))));
   }
 
-  const std::string& text_;
+  const std::string_view text_;
   const CsvOptions& options_;
   std::size_t pos_;
   std::uint64_t row_ = 0;
+  std::deque<std::string>* arena_;
+  /// Bytes that end a run of plain field content outside / inside quotes.
+  bool plain_stop_[256] = {};
+  bool quoted_stop_[256] = {};
+  /// The field being scanned: `field_bytes_` unescaped bytes, either the
+  /// input view at `field_begin_` or, once `copied_`, `scratch_`.
+  std::size_t field_begin_ = 0;
+  std::size_t field_bytes_ = 0;
+  bool copied_ = false;
+  std::string scratch_;
 };
 
 constexpr std::size_t kMaxErrorSamples = 5;
 
-IngestError RaggedRowError(const std::string& text, const RawRecord& rec,
+IngestError RaggedRowError(std::string_view text, const RawRecord& rec,
                            std::size_t width) {
   IngestError err;
   err.code = IngestErrorCode::kRaggedRow;
@@ -216,27 +291,44 @@ IngestError RaggedRowError(const std::string& text, const RawRecord& rec,
   err.column = rec.fields.size();
   err.detail = "row has " + std::to_string(rec.fields.size()) +
                " fields, expected " + std::to_string(width);
-  err.excerpt = SanitizeExcerpt(
-      text.substr(rec.begin, std::min<std::size_t>(rec.end - rec.begin, 64)));
+  err.excerpt = SanitizeExcerpt(std::string(
+      text.substr(rec.begin, std::min<std::size_t>(rec.end - rec.begin, 64))));
   return err;
 }
 
-}  // namespace
+/// An upper bound on the cells of `text` in rows of `width`, when its lines
+/// end in '\n': a row ends a line, and a cell takes at least one byte.
+/// Reserving it saves growing the cell vector through ever larger copies;
+/// what a quoted newline or a blank line makes it overshoot is address
+/// space, never touched.
+std::size_t CellBound(std::string_view text, std::size_t width) {
+  std::size_t lines = 1;
+  for (const char* p = text.data(), *end = p + text.size();
+       (p = static_cast<const char*>(std::memchr(p, '\n', end - p))) !=
+       nullptr;
+       ++p) {
+    ++lines;
+  }
+  return std::min(lines * width, text.size() + width);
+}
 
-Result<CsvRead> ReadCsvWithReport(const std::string& text,
-                                  const CsvOptions& options) {
+/// The reader behind both entry points: scans `text` to views, applies the
+/// bad-row policy, then types and fills each column in one pass.
+Result<CsvRead> ParseCsv(std::string_view text, const CsvOptions& options) {
   CsvRead out;
   CsvIngestReport& report = out.report;
 
   // A leading UTF-8 BOM is presentation, not data.
   std::size_t start = 0;
-  if (text.size() >= 3 && text.compare(0, 3, "\xEF\xBB\xBF") == 0) start = 3;
+  if (text.substr(0, 3) == "\xEF\xBB\xBF") start = 3;
 
-  RecordScanner scanner(text, options, start);
+  std::deque<std::string> arena;
+  RecordScanner scanner(text, options, start, &arena);
   RawRecord rec;
 
   std::vector<std::string> names;
-  std::vector<std::vector<std::string>> rows;
+  /// Ingested rows, row-major.
+  std::vector<std::string_view> cells;
   bool have_width = false;
   std::size_t width = 0;
 
@@ -248,7 +340,7 @@ Result<CsvRead> ReadCsvWithReport(const std::string& text,
     report.rejected_by_code.Add(err.code);
     if (report.samples.size() < kMaxErrorSamples) report.samples.push_back(err);
     if (options.on_bad_row == BadRowPolicy::kQuarantine) {
-      report.quarantined_rows.push_back(
+      report.quarantined_rows.emplace_back(
           text.substr(bad.begin, bad.end - bad.begin));
     }
     if (options.run_context != nullptr && options.run_context->CountCheck(1)) {
@@ -269,8 +361,9 @@ Result<CsvRead> ReadCsvWithReport(const std::string& text,
       if (!rec.ok) return rec.error.ToStatus();
       width = rec.fields.size();
       have_width = true;
+      cells.reserve(CellBound(text.substr(rec.begin), width));
       if (options.has_header) {
-        names = std::move(rec.fields);
+        names.assign(rec.fields.begin(), rec.fields.end());
         continue;
       }
       for (std::size_t i = 0; i < width; ++i) {
@@ -297,7 +390,7 @@ Result<CsvRead> ReadCsvWithReport(const std::string& text,
       OCDD_RETURN_IF_ERROR(reject(rec, RaggedRowError(text, rec, width)));
       continue;
     }
-    rows.push_back(std::move(rec.fields));
+    cells.insert(cells.end(), rec.fields.begin(), rec.fields.end());
     ++report.rows_ingested;
   }
 
@@ -325,43 +418,33 @@ Result<CsvRead> ReadCsvWithReport(const std::string& text,
     report.quarantined_rows.clear();
   }
 
-  // Per-column type inference over the ingested rows.
+  std::vector<Column> columns =
+      InferColumns(cells, width, options.type_inference);
   std::vector<Attribute> attrs(width);
-  std::vector<std::string> fields;
-  fields.reserve(rows.size());
   for (std::size_t c = 0; c < width; ++c) {
-    fields.clear();
-    for (const auto& row : rows) {
-      fields.push_back(row[c]);
-    }
-    attrs[c].name = names[c];
-    attrs[c].type = InferColumnType(fields, options.type_inference);
+    attrs[c].name = std::move(names[c]);
+    attrs[c].type = columns[c].type();
   }
-
-  std::vector<DataType> types(width);
-  for (std::size_t c = 0; c < width; ++c) types[c] = attrs[c].type;
-
-  Relation::Builder builder{Schema(std::move(attrs))};
-  std::vector<Value> row_values(width);
-  for (const auto& row : rows) {
-    for (std::size_t c = 0; c < width; ++c) {
-      row_values[c] = ParseField(row[c], types[c], options.type_inference);
-    }
-    OCDD_RETURN_IF_ERROR(builder.AddRow(row_values));
-  }
-  out.relation = std::move(builder).Build();
+  OCDD_ASSIGN_OR_RETURN(
+      out.relation,
+      Relation::FromColumns(Schema(std::move(attrs)), std::move(columns)));
   return out;
+}
+
+}  // namespace
+
+Result<CsvRead> ReadCsvWithReport(const std::string& text,
+                                  const CsvOptions& options) {
+  prof::ScopedTimer timer(prof::Phase::kIngest);
+  return ParseCsv(text, options);
 }
 
 Result<CsvRead> ReadCsvFileWithReport(const std::string& path,
                                       const CsvOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open file: " + path);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ReadCsvWithReport(buf.str(), options);
+  prof::ScopedTimer timer(prof::Phase::kIngest);
+  OCDD_ASSIGN_OR_RETURN(std::string text,
+                        IoReadFileAll(IoEnv::Get(), "csv_read", path));
+  return ParseCsv(text, options);
 }
 
 Result<Relation> ReadCsvString(const std::string& text,

@@ -101,7 +101,11 @@ struct CsvRead {
 Result<CsvRead> ReadCsvWithReport(const std::string& text,
                                   const CsvOptions& options = {});
 
-/// Reads and parses a CSV file from disk, with ingest accounting.
+/// Reads and parses a CSV file from disk, with ingest accounting. The file
+/// is read into one buffer through io_env (sites `csv_read.*`): a missing
+/// file is NotFound, any other read failure (a directory, say) the typed
+/// I/O error naming the path. Both readers charge the `ingest` profiler
+/// phase.
 Result<CsvRead> ReadCsvFileWithReport(const std::string& path,
                                       const CsvOptions& options = {});
 

@@ -1,58 +1,109 @@
 #include "relation/type_inference.h"
 
-#include <string>
+#include <algorithm>
 
 #include "common/string_util.h"
 
 namespace ocdd::rel {
 
-bool IsNullMarker(const std::string& field, const TypeInferenceOptions& opts) {
-  std::string_view stripped = StripAsciiWhitespace(field);
+namespace {
+
+bool IsStrippedNullMarker(std::string_view stripped,
+                          const TypeInferenceOptions& opts) {
   for (const std::string& marker : opts.null_markers) {
     if (stripped == marker) return true;
   }
   return false;
 }
 
-DataType InferColumnType(const std::vector<std::string>& fields,
-                         const TypeInferenceOptions& opts) {
-  if (opts.force_lexicographic) return DataType::kString;
-  bool all_int = true;
-  bool all_double = true;
-  bool any_value = false;
-  for (const std::string& f : fields) {
-    if (IsNullMarker(f, opts)) continue;
-    any_value = true;
-    std::string_view stripped = StripAsciiWhitespace(f);
-    if (all_int && !ParseInt64(stripped).has_value()) all_int = false;
-    if (!all_int && all_double && !ParseDouble(stripped).has_value()) {
-      all_double = false;
-    }
-    if (!all_int && !all_double) return DataType::kString;
+/// Appends `field` to `column` under the column's type; false (nothing
+/// appended) when a non-NULL field does not parse as that type.
+/// `max_marker` is the length of the longest NULL marker.
+bool AppendField(std::string_view field, const TypeInferenceOptions& opts,
+                 std::size_t max_marker, Column* column) {
+  const std::string_view stripped = StripAsciiWhitespace(field);
+  if (stripped.size() <= max_marker && IsStrippedNullMarker(stripped, opts)) {
+    column->AppendNull();
+    return true;
   }
-  if (!any_value) return DataType::kString;
-  if (all_int) return DataType::kInt;
-  if (all_double) return DataType::kDouble;
-  return DataType::kString;
-}
-
-Value ParseField(const std::string& field, DataType type,
-                 const TypeInferenceOptions& opts) {
-  if (IsNullMarker(field, opts)) return Value::Null();
-  std::string_view stripped = StripAsciiWhitespace(field);
-  switch (type) {
+  switch (column->type()) {
     case DataType::kInt: {
       auto v = ParseInt64(stripped);
-      return v ? Value::Int(*v) : Value::Null();
+      if (!v.has_value()) return false;
+      column->AppendInt(*v);
+      return true;
     }
     case DataType::kDouble: {
       auto v = ParseDouble(stripped);
-      return v ? Value::Double(*v) : Value::Null();
+      if (!v.has_value()) return false;
+      column->AppendDouble(*v);
+      return true;
     }
     case DataType::kString:
-      return Value::String(std::string(field));
+      column->AppendString(field);
+      return true;
   }
-  return Value::Null();
+  return false;
+}
+
+DataType Wider(DataType type) {
+  return type == DataType::kInt ? DataType::kDouble : DataType::kString;
+}
+
+}  // namespace
+
+bool IsNullMarker(std::string_view field, const TypeInferenceOptions& opts) {
+  return IsStrippedNullMarker(StripAsciiWhitespace(field), opts);
+}
+
+std::vector<Column> InferColumns(const std::vector<std::string_view>& cells,
+                                 std::size_t width,
+                                 const TypeInferenceOptions& opts) {
+  const std::size_t rows = width == 0 ? 0 : cells.size() / width;
+  const DataType first =
+      opts.force_lexicographic ? DataType::kString : DataType::kInt;
+  std::size_t max_marker = 0;
+  for (const std::string& marker : opts.null_markers) {
+    max_marker = std::max(max_marker, marker.size());
+  }
+  std::vector<Column> columns(width, Column(first));
+  for (Column& column : columns) column.Reserve(rows);
+
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::string_view* row = cells.data() + r * width;
+    for (std::size_t c = 0; c < width; ++c) {
+      if (AppendField(row[c], opts, max_marker, &columns[c])) continue;
+      // Rows 0..r of column c do not all fit its type: refill them at the
+      // next wider one. A kString refill cannot fail.
+      DataType type = columns[c].type();
+      bool filled = false;
+      while (!filled) {
+        type = Wider(type);
+        Column wider(type);
+        wider.Reserve(rows);
+        filled = true;
+        for (std::size_t rr = 0; rr <= r && filled; ++rr) {
+          filled = AppendField(cells[rr * width + c], opts, max_marker,
+                               &wider);
+        }
+        if (filled) columns[c] = std::move(wider);
+      }
+    }
+  }
+
+  // A numeric column that never saw a value is all NULL: kString.
+  for (std::size_t c = 0; c < width; ++c) {
+    if (columns[c].type() == DataType::kString) continue;
+    bool null_only = true;
+    for (std::size_t r = 0; r < rows && null_only; ++r) {
+      null_only = columns[c].is_null(r);
+    }
+    if (!null_only) continue;
+    Column nulls(DataType::kString);
+    for (std::size_t r = 0; r < rows; ++r) nulls.AppendNull();
+    columns[c] = std::move(nulls);
+  }
+  return columns;
 }
 
 }  // namespace ocdd::rel

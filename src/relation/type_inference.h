@@ -1,10 +1,12 @@
 #ifndef OCDD_RELATION_TYPE_INFERENCE_H_
 #define OCDD_RELATION_TYPE_INFERENCE_H_
 
+#include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "relation/value.h"
+#include "relation/column.h"
 
 namespace ocdd::rel {
 
@@ -22,21 +24,21 @@ struct TypeInferenceOptions {
 };
 
 /// Returns true if `field` denotes NULL under `opts`.
-bool IsNullMarker(const std::string& field, const TypeInferenceOptions& opts);
+bool IsNullMarker(std::string_view field, const TypeInferenceOptions& opts);
 
-/// Infers the most specific type for a column of raw text fields:
-/// kInt if every non-null field parses as int64, else kDouble if every
-/// non-null field parses as double, else kString. An all-NULL column is
-/// kString.
-DataType InferColumnType(const std::vector<std::string>& fields,
-                         const TypeInferenceOptions& opts);
-
-/// Converts one raw field to a typed value; `type` should come from
-/// `InferColumnType` over the column (a non-conforming field falls back to
-/// NULL for kInt/kDouble, which cannot happen when `type` was inferred from
-/// this column).
-Value ParseField(const std::string& field, DataType type,
-                 const TypeInferenceOptions& opts);
+/// Infers the most specific type of each column of a row-major matrix of
+/// raw text fields (`cells.size() / width` rows) and returns the typed
+/// columns. A column is kInt if every non-NULL field parses as int64, else
+/// kDouble if every non-NULL field parses as double, else kString (numbers
+/// are parsed after whitespace stripping; strings keep their raw bytes).
+/// An all-NULL or empty column is kString.
+///
+/// One pass, row by row: each column is filled while it is typed, and a
+/// field that does not parse refills that column's earlier rows at the next
+/// type, so a column restarts at most twice.
+std::vector<Column> InferColumns(const std::vector<std::string_view>& cells,
+                                 std::size_t width,
+                                 const TypeInferenceOptions& opts);
 
 }  // namespace ocdd::rel
 

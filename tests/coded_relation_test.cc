@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
+#include "datagen/random_relation.h"
 #include "relation/csv.h"
 #include "test_util.h"
 
@@ -159,6 +165,145 @@ TEST(CodedRelationTest, MixedDoubleIntColumnOrdering) {
   ASSERT_TRUE(b.AddRow({Value::Double(2.0)}).ok());
   CodedRelation r = CodedRelation::Encode(std::move(b).Build());
   EXPECT_EQ(r.column(0).codes, (std::vector<std::int32_t>{1, 0, 2}));
+}
+
+// The encoding as the row-id sort defined it: sort the rows by value (NULL
+// = NULL, NULLS FIRST; by rendering under `lexicographic`) and give each run
+// of equal values the next code. Encode must agree with it on every input.
+CodedColumn ReferenceEncode(const Column& column, bool lexicographic) {
+  const std::size_t m = column.size();
+  auto compare = [&](std::size_t a, std::size_t b) -> int {
+    const bool na = column.is_null(a);
+    const bool nb = column.is_null(b);
+    if (na || nb) return na == nb ? 0 : (na ? -1 : 1);
+    if (lexicographic) {
+      return column.ValueAt(a).ToString().compare(column.ValueAt(b).ToString());
+    }
+    switch (column.type()) {
+      case DataType::kInt:
+        return (column.int_at(a) > column.int_at(b)) -
+               (column.int_at(a) < column.int_at(b));
+      case DataType::kDouble:
+        return (column.double_at(a) > column.double_at(b)) -
+               (column.double_at(a) < column.double_at(b));
+      case DataType::kString:
+        return column.string_at(a).compare(column.string_at(b));
+    }
+    return 0;
+  };
+  std::vector<std::size_t> order(m);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return compare(a, b) < 0;
+  });
+  CodedColumn out;
+  out.codes.resize(m);
+  std::int32_t next = -1;
+  for (std::size_t i = 0; i < m; ++i) {
+    if (i == 0 || compare(order[i - 1], order[i]) != 0) ++next;
+    out.codes[order[i]] = next;
+    out.has_nulls = out.has_nulls || column.is_null(order[i]);
+  }
+  out.num_distinct = next + 1;
+  return out;
+}
+
+/// The random QA relation plus typed variants of its columns: negative
+/// ints, doubles with -0.0 next to 0.0, and strings whose lexicographic
+/// order differs from the numeric one.
+Relation TypedVariants(const Relation& base) {
+  std::vector<Attribute> attrs;
+  std::vector<Column> columns;
+  for (ColumnId c = 0; c < base.num_columns(); ++c) {
+    const Column& ints = base.column(c);
+    Column negative(DataType::kInt);
+    Column doubles(DataType::kDouble);
+    Column strings(DataType::kString);
+    for (std::size_t r = 0; r < base.num_rows(); ++r) {
+      if (ints.is_null(r)) {
+        negative.AppendNull();
+        doubles.AppendNull();
+        strings.AppendNull();
+        continue;
+      }
+      const std::int64_t v = ints.int_at(r);
+      negative.AppendInt(v - 5);
+      doubles.AppendDouble(v == 0 ? (r % 2 == 0 ? -0.0 : 0.0) : v * 0.5 - 3);
+      strings.AppendString(std::to_string(v * 7 % 13));
+    }
+    for (Column* col : {&negative, &doubles, &strings}) {
+      attrs.push_back(Attribute{std::string(1, 'c').append(
+                                    std::to_string(attrs.size())),
+                                col->type()});
+      columns.push_back(std::move(*col));
+    }
+  }
+  return std::move(
+             Relation::FromColumns(Schema(std::move(attrs)), std::move(columns)))
+      .value();
+}
+
+void ExpectMatchesReference(const Relation& relation) {
+  for (bool lex : {false, true}) {
+    EncodeOptions opts;
+    opts.force_lexicographic = lex;
+    CodedRelation coded = CodedRelation::Encode(relation, opts);
+    ASSERT_EQ(coded.num_columns(), relation.num_columns());
+    for (ColumnId c = 0; c < relation.num_columns(); ++c) {
+      SCOPED_TRACE("column " + std::to_string(c) + " lex " +
+                   std::to_string(lex));
+      CodedColumn expected = ReferenceEncode(relation.column(c), lex);
+      EXPECT_EQ(coded.column(c).codes, expected.codes);
+      EXPECT_EQ(coded.column(c).num_distinct, expected.num_distinct);
+      EXPECT_EQ(coded.column(c).has_nulls, expected.has_nulls);
+    }
+  }
+}
+
+TEST(CodedRelationTest, EncodeMatchesRowSortReferenceOnRandomRelations) {
+  Rng rng(20240611);
+  datagen::RandomRelationSpec spec;
+  spec.max_rows = 60;
+  spec.null_column_prob = 0.5;
+  for (int iter = 0; iter < 200; ++iter) {
+    SCOPED_TRACE("iter " + std::to_string(iter));
+    Relation base = datagen::MakeRandomRelation(rng, spec);
+    ExpectMatchesReference(base);
+    ExpectMatchesReference(TypedVariants(base));
+  }
+}
+
+TEST(CodedRelationTest, EncodeMatchesReferenceOnEdgeColumns) {
+  // Empty relation, and columns that are all NULL.
+  Relation::Builder empty(Schema({Attribute{"i", DataType::kInt},
+                                  Attribute{"s", DataType::kString}}));
+  ExpectMatchesReference(std::move(empty).Build());
+  Relation::Builder nulls(Schema({Attribute{"i", DataType::kInt},
+                                  Attribute{"d", DataType::kDouble},
+                                  Attribute{"s", DataType::kString}}));
+  for (int r = 0; r < 4; ++r) {
+    ASSERT_TRUE(
+        nulls.AddRow({Value::Null(), Value::Null(), Value::Null()}).ok());
+  }
+  Relation all_null = std::move(nulls).Build();
+  ExpectMatchesReference(all_null);
+  EXPECT_EQ(CodedRelation::Encode(all_null).column(0).num_distinct, 1);
+}
+
+TEST(CodedRelationTest, SignedZerosShareACodeUnlessLexicographic) {
+  Relation::Builder b(Schema({Attribute{"d", DataType::kDouble}}));
+  for (double v : {0.0, -0.0, -1.0, 0.0}) {
+    ASSERT_TRUE(b.AddRow({Value::Double(v)}).ok());
+  }
+  Relation table = std::move(b).Build();
+  EXPECT_EQ(CodedRelation::Encode(table).column(0).codes,
+            (std::vector<std::int32_t>{1, 1, 0, 1}));
+  EncodeOptions lex;
+  lex.force_lexicographic = true;
+  // "-0" < "-1" < "0".
+  EXPECT_EQ(CodedRelation::Encode(table, lex).column(0).codes,
+            (std::vector<std::int32_t>{2, 0, 1, 2}));
+  ExpectMatchesReference(table);
 }
 
 }  // namespace

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "common/io_env.h"
 #include "common/run_context.h"
+#include "relation/coded_relation.h"
 
 namespace ocdd::rel {
 namespace {
@@ -112,6 +115,85 @@ TEST(CsvReadTest, ForceLexicographicTreatsEverythingAsString) {
   auto r = ReadCsvString("a\n10\n9\n", opts);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->schema().attribute(0).type, DataType::kString);
+}
+
+TEST(CsvReadTest, PlusMinusIsNotAnInteger) {
+  auto r = ReadCsvString("a\n+-5\n3\n");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->schema().attribute(0).type, DataType::kString);
+  EXPECT_EQ(r->ValueAt(0, 0), Value::String("+-5"));
+}
+
+TEST(CsvReadTest, ColumnsRestartAtTheNextType) {
+  // "x" arrives last, after the column was filled as int and then double.
+  auto r = ReadCsvString("a,b,c\n1,1,?\n2,2.5,\n3,x, NULL \n");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->schema().attribute(0).type, DataType::kInt);
+  EXPECT_EQ(r->schema().attribute(1).type, DataType::kString);
+  EXPECT_EQ(r->ValueAt(1, 1), Value::String("2.5"));
+  EXPECT_EQ(r->schema().attribute(2).type, DataType::kString);  // all NULL
+  EXPECT_TRUE(r->ValueAt(2, 2).is_null());
+  auto d = ReadCsvString("d\n 7 \n?\n-0.0\n");
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(d->schema().attribute(0).type, DataType::kDouble);
+  EXPECT_EQ(d->ValueAt(0, 0), Value::Double(7.0));
+  EXPECT_TRUE(d->ValueAt(1, 0).is_null());
+}
+
+// Quoting cases: the exact unescaped values, and the exact byte offsets at
+// which a field limit fails.
+TEST(CsvReadTest, QuotedFieldsUnescapeExactly) {
+  struct Case {
+    const char* text;
+    const char* value;
+  };
+  for (const Case& c : {Case{"a\n\"a\"\"b\"\n", "a\"b"},
+                        Case{"a\n\"ab\"cd\n", "abcd"},
+                        Case{"a\n\"ab\"c\"d\n", "abc\"d"},
+                        Case{"a\n\"a\"\"\"\n", "a\""},
+                        Case{"a,b\n\"x\ny\",1\n", "x\ny"}}) {
+    auto r = ReadCsvString(c.text);
+    ASSERT_TRUE(r.ok()) << c.text;
+    EXPECT_EQ(r->ValueAt(0, 0), Value::String(c.value)) << c.text;
+  }
+  auto empty = ReadCsvString("a,b\n\"\",1\n");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->ValueAt(0, 0).is_null());
+}
+
+TEST(CsvReadTest, FieldLimitCountsUnescapedBytes) {
+  struct Case {
+    const char* text;
+    std::size_t max_field_bytes;
+    const char* error;  // nullptr: the read succeeds
+  };
+  for (const Case& c : {
+           Case{"a\n1234\n", 4, nullptr},
+           Case{"a\n12345\n", 4, "at byte 6 "},
+           Case{"a\n\"1234\"\n", 4, nullptr},
+           Case{"a\n\"12345\"\n", 4, "at byte 7 "},
+           // `""` counts one byte and is never itself rejected.
+           Case{"a\n\"a\"\"b\"\n", 3, nullptr},
+           Case{"a\n\"a\"\"b\"\n", 2, "at byte 6 "},
+           Case{"a\n\"a\"\"\"\n", 2, nullptr},
+           // Bytes after the closing quote count too.
+           Case{"a\n\"ab\"cd\n", 4, nullptr},
+           Case{"a\n\"ab\"cd\n", 3, "at byte 7 "},
+           Case{"a,b\n\"x\ny\",1\n", 3, nullptr},
+           Case{"a,b\n\"x\ny\",1\n", 2, "at byte 7 "},
+       }) {
+    CsvOptions opts;
+    opts.limits.max_field_bytes = c.max_field_bytes;
+    auto r = ReadCsvString(c.text, opts);
+    if (c.error == nullptr) {
+      EXPECT_TRUE(r.ok()) << c.text << ": " << r.status().ToString();
+      continue;
+    }
+    ASSERT_FALSE(r.ok()) << c.text;
+    EXPECT_NE(r.status().message().find("field_too_large"), std::string::npos);
+    EXPECT_NE(r.status().message().find(c.error), std::string::npos)
+        << c.text << ": " << r.status().message();
+  }
 }
 
 TEST(CsvWriteTest, RoundTrip) {
@@ -343,10 +425,71 @@ TEST(CsvWriteTest, SingleColumnEmptyValueSurvivesRoundTrip) {
   EXPECT_EQ(again->num_rows(), 2u);
 }
 
+TEST(CsvWriteTest, RoundTripKeepsTypesAndCodes) {
+  Relation::Builder b(Schema({Attribute{"i", DataType::kInt},
+                              Attribute{"d", DataType::kDouble},
+                              Attribute{"s", DataType::kString}}));
+  const std::vector<std::vector<Value>> rows = {
+      {Value::Int(-3), Value::Double(-0.0), Value::String("b,c")},
+      {Value::Null(), Value::Double(0.1), Value::String("a\"q")},
+      {Value::Int(10), Value::Null(), Value::String(" x ")},
+      {Value::Int(9), Value::Double(1e300), Value::Null()},
+      {Value::Int(-3), Value::Double(0.0), Value::String("line\nbreak")},
+  };
+  for (const auto& row : rows) ASSERT_TRUE(b.AddRow(row).ok());
+  Relation original = std::move(b).Build();
+  auto again = ReadCsvString(WriteCsvString(original));
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ASSERT_EQ(again->num_rows(), original.num_rows());
+  for (std::size_t c = 0; c < original.num_columns(); ++c) {
+    EXPECT_EQ(again->schema().attribute(c).type,
+              original.schema().attribute(c).type);
+  }
+  for (bool lex : {false, true}) {
+    EncodeOptions opts;
+    opts.force_lexicographic = lex;
+    CodedRelation a = CodedRelation::Encode(original, opts);
+    CodedRelation b2 = CodedRelation::Encode(*again, opts);
+    for (std::size_t c = 0; c < a.num_columns(); ++c) {
+      EXPECT_EQ(a.column(c).codes, b2.column(c).codes) << c << " lex " << lex;
+    }
+  }
+}
+
 TEST(CsvFileTest, MissingFileIsNotFound) {
   auto r = ReadCsvFile("/nonexistent/path/file.csv");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+}
+
+TEST(CsvFileTest, DirectoryIsATypedIoErrorNamingThePath) {
+  const std::string dir = ::testing::TempDir() + "/ocdd_csv_dir.csv";
+  std::filesystem::create_directories(dir);
+  auto r = ReadCsvFile(dir);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("io read failed for " + dir),
+            std::string::npos)
+      << r.status().message();
+  std::filesystem::remove(dir);
+}
+
+TEST(CsvFileTest, ReadFaultIsATypedIoError) {
+  auto written = ReadCsvString("a,b\n1,x\n");
+  ASSERT_TRUE(written.ok());
+  const std::string path = ::testing::TempDir() + "/ocdd_csv_read_fault.csv";
+  ASSERT_TRUE(WriteCsvFile(*written, path).ok());
+  IoEnv& env = IoEnv::Get();
+  env.ClearFaults();
+  ASSERT_TRUE(env.ArmFaultString("csv_read.read=eio").ok());
+  auto r = ReadCsvFile(path);
+  env.ClearFaults();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("io read failed for " + path),
+            std::string::npos)
+      << r.status().message();
+  EXPECT_TRUE(ReadCsvFile(path).ok());  // the fault was the only problem
 }
 
 TEST(CsvFileTest, WriteAndReadBack) {

@@ -276,5 +276,49 @@ TEST(IngestCliTest, DiscoverChecksWithPartitionsByDefault) {
   EXPECT_EQ(sort_calls, 0.0) << run.output;
 }
 
+TEST(IngestCliTest, ProfileAttributesTheWallTime) {
+  ScratchDir scratch;
+  std::string csv = WriteFile(scratch, "clean.csv",
+                              "a,b,c\n1,x,0.5\n2,y,0.25\n3,x,0.5\n4,z,1\n");
+  RunResult run = RunCli("discover " + csv + " --json --profile");
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  auto doc = report::ParseJson(run.output);
+  ASSERT_TRUE(doc.ok()) << run.output;
+  const report::JsonValue& profile = (*doc)["profile"];
+  double ingest_calls = 0;
+  double parts = (*doc)["elapsed_seconds"].number_value();
+  for (const report::JsonValue& phase : profile["phases"].array()) {
+    const std::string name = phase["name"].string_value();
+    if (name == "ingest") ingest_calls = phase["calls"].number_value();
+    if (name == "ingest" || name == "encode" || name == "serialize") {
+      EXPECT_EQ(phase["calls"].number_value(), 1.0) << name;
+      parts += phase["seconds"].number_value();
+    }
+  }
+  EXPECT_EQ(ingest_calls, 1.0) << run.output;
+  const double wall = profile["wall_seconds"].number_value();
+  EXPECT_GT(wall, 0.0) << run.output;
+  // Each member is printed to 1 us; the identity holds up to that rounding.
+  EXPECT_NEAR(parts + profile["unattributed_seconds"].number_value(), wall,
+              1e-5)
+      << run.output;
+
+  RunResult text = RunCli("discover " + csv + " --profile");
+  ASSERT_EQ(text.exit_code, 0) << text.output;
+  EXPECT_NE(text.output.find("# profile: unattributed"), std::string::npos)
+      << text.output;
+}
+
+TEST(IngestCliTest, DirectorySourceIsATypedIoError) {
+  ScratchDir scratch;
+  const std::string dir = scratch.path + "/not_a_file.csv";
+  fs::create_directories(dir);
+  RunResult run = RunCli("discover " + dir + " --json");
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find("io read failed for " + dir), std::string::npos)
+      << run.output;
+  EXPECT_EQ(run.output.find("empty_input"), std::string::npos) << run.output;
+}
+
 }  // namespace
 }  // namespace ocdd

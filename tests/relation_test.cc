@@ -106,12 +106,20 @@ TEST(RelationTest, SelectRowsReorders) {
   EXPECT_EQ(sel.ValueAt(1, 0), Value::Int(10));
 }
 
-TEST(ColumnTest, CompareRowsNullSemantics) {
-  Column c = Column::FromValues(
-      DataType::kInt, {Value::Null(), Value::Null(), Value::Int(0)});
-  EXPECT_EQ(c.CompareRows(0, 1), 0);   // NULL = NULL
-  EXPECT_LT(c.CompareRows(0, 2), 0);   // NULLS FIRST
-  EXPECT_GT(c.CompareRows(2, 1), 0);
+TEST(ColumnTest, TypedAppendersMatchValueAppend) {
+  Column typed(DataType::kDouble);
+  typed.AppendNull();
+  typed.AppendDouble(-0.5);
+  Column from_values = Column::FromValues(
+      DataType::kDouble, {Value::Null(), Value::Double(-0.5)});
+  ASSERT_EQ(typed.size(), 2u);
+  for (std::size_t r = 0; r < typed.size(); ++r) {
+    EXPECT_EQ(typed.is_null(r), from_values.is_null(r));
+    EXPECT_EQ(typed.ValueAt(r), from_values.ValueAt(r));
+  }
+  Column strings(DataType::kString);
+  strings.AppendString(std::string_view("abc").substr(1));
+  EXPECT_EQ(strings.string_at(0), "bc");
 }
 
 }  // namespace

@@ -33,6 +33,7 @@
 #include <atomic>
 #include <cctype>
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -264,7 +265,7 @@ void PrintIngestNote(const ocdd::rel::CsvIngestReport& report) {
 }
 
 /// Non-JSON rendering of a `--profile` run (one `# profile:` line per
-/// phase, plus the allocation hook's totals).
+/// phase, the allocation hook's totals, and the unattributed wall time).
 void PrintProfileNote(const ocdd::prof::Report& report) {
   for (const auto& p : report.phases) {
     std::printf("# profile: %-20s %10.6fs %14llu bytes %10llu calls\n",
@@ -274,6 +275,8 @@ void PrintProfileNote(const ocdd::prof::Report& report) {
   std::printf("# profile: %-20s %21llu bytes %10llu allocs\n", "alloc",
               static_cast<unsigned long long>(report.alloc_bytes),
               static_cast<unsigned long long>(report.alloc_calls));
+  std::printf("# profile: %-20s %10.6fs of %.6fs wall\n", "unattributed",
+              report.unattributed_seconds, report.wall_seconds);
 }
 
 int CmdDiscover(const Args& args, const char* /*argv0*/) {
@@ -283,6 +286,7 @@ int CmdDiscover(const Args& args, const char* /*argv0*/) {
     ocdd::prof::SetEnabled(true);
     ocdd::prof::Reset();
   }
+  const auto wall_start = std::chrono::steady_clock::now();
   auto source = LoadSource(args);
   if (!source.ok()) {
     std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
@@ -302,12 +306,34 @@ int CmdDiscover(const Args& args, const char* /*argv0*/) {
   auto result = ocdd::core::DiscoverOcds(coded, opts);
   result.stop_state.ingest_rejected = source->report.rows_rejected;
 
+  std::string json;
+  if (args.Has("json")) {
+    ocdd::prof::ScopedTimer timer(ocdd::prof::Phase::kSerialize);
+    json = ocdd::report::ToJson(result, coded);
+    if (IsCsvSource(args)) {
+      json = ocdd::report::WithIngest(std::move(json), source->report);
+    }
+  }
+
   ocdd::prof::Report prof_report;
-  if (profile) prof_report = ocdd::prof::Snapshot();
+  if (profile) {
+    // Whatever the phases and the discovery walk do not cover is reported,
+    // not hidden: wall = ingest + encode + discovery + serialize + rest.
+    using ocdd::prof::Phase;
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - wall_start)
+                            .count();
+    prof_report = ocdd::prof::Snapshot();
+    prof_report.wall_seconds = wall;
+    prof_report.unattributed_seconds =
+        prof_report.wall_seconds -
+        ocdd::prof::PhaseSeconds(prof_report, Phase::kIngest) -
+        ocdd::prof::PhaseSeconds(prof_report, Phase::kEncode) -
+        result.elapsed_seconds -
+        ocdd::prof::PhaseSeconds(prof_report, Phase::kSerialize);
+  }
 
   if (args.Has("json")) {
-    std::string json = ocdd::report::ToJson(result, coded);
-    if (IsCsvSource(args)) json = ocdd::report::WithIngest(std::move(json), source->report);
     if (profile) json = ocdd::report::WithProfile(std::move(json), prof_report);
     std::printf("%s\n", json.c_str());
     return 0;
