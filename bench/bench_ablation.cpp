@@ -35,7 +35,7 @@ void RunAblation(const char* name, std::size_t rows, std::size_t max_level) {
     opts.apply_od_pruning = cfg.pruning;
     opts.apply_column_reduction = cfg.reduction;
     opts.max_level = max_level;
-    opts.time_limit_seconds = ocdd::bench::RunBudgetSeconds();
+    ocdd::bench::BudgetContext budget(opts);
     auto result = ocdd::core::DiscoverOcds(r, opts);
     std::printf("%-28s %12llu %12llu %10.4f %8zu%s\n", cfg.label,
                 static_cast<unsigned long long>(result.candidates_generated),

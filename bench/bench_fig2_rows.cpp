@@ -13,7 +13,6 @@
 namespace {
 
 using ocdd::bench::LoadCoded;
-using ocdd::bench::RunBudgetSeconds;
 
 void RowSweep(const char* name, const ocdd::rel::CodedRelation& full,
               int repetitions) {
@@ -32,7 +31,7 @@ void RowSweep(const char* name, const ocdd::rel::CodedRelation& full,
     for (int rep = 0; rep < repetitions; ++rep) {
       // First series: the paper's fresh sort per check (§4.3).
       ocdd::core::OcdDiscoverOptions opts;
-      opts.time_limit_seconds = RunBudgetSeconds();
+      ocdd::bench::BudgetContext budget(opts);
       opts.use_sorted_partitions = false;
       auto result = ocdd::core::DiscoverOcds(sample, opts);
       total += result.elapsed_seconds;
@@ -43,7 +42,7 @@ void RowSweep(const char* name, const ocdd::rel::CodedRelation& full,
       // Second series: the sorted-partition backend the paper's section
       // 5.3.1 discusses — per-check cost drops from O(m log m) to O(m).
       ocdd::core::OcdDiscoverOptions part_opts;
-      part_opts.time_limit_seconds = RunBudgetSeconds();
+      ocdd::bench::BudgetContext part_budget(part_opts);
       auto part = ocdd::core::DiscoverOcds(sample, part_opts);
       total_part += part.elapsed_seconds;
     }

@@ -29,7 +29,7 @@ void ColumnSweep(const char* name, const ocdd::rel::CodedRelation& full,
           rng.SampleWithoutReplacement(full.num_columns(), c);
       ocdd::rel::CodedRelation sample = full.ProjectColumns(cols);
       ocdd::core::OcdDiscoverOptions opts;
-      opts.time_limit_seconds = ocdd::bench::RunBudgetSeconds();
+      ocdd::bench::BudgetContext budget(opts);
       auto result = ocdd::core::DiscoverOcds(sample, opts);
       total += result.elapsed_seconds;
       checks += result.num_checks;

@@ -27,7 +27,7 @@ int main() {
           rng.SampleWithoutReplacement(horse.num_columns(), c);
       ocdd::rel::CodedRelation sample = horse.ProjectColumns(cols);
       ocdd::core::OcdDiscoverOptions opts;
-      opts.time_limit_seconds = ocdd::bench::RunBudgetSeconds();
+      ocdd::bench::BudgetContext budget(opts);
       auto result = ocdd::core::DiscoverOcds(sample, opts);
       total += result.elapsed_seconds;
       checks += result.num_checks;

@@ -33,7 +33,7 @@ int main() {
     if (cols.size() < 2) continue;
     ocdd::rel::CodedRelation sample = horse.ProjectColumns(cols);
     ocdd::core::OcdDiscoverOptions opts;
-    opts.time_limit_seconds = ocdd::bench::RunBudgetSeconds();
+    ocdd::bench::BudgetContext budget(opts);
     auto result = ocdd::core::DiscoverOcds(sample, opts);
     ocdd::core::ExpansionOptions exp;
     exp.max_materialized = 1;  // only need the count

@@ -68,7 +68,7 @@ int main() {
         ocdd::core::OcdDiscoverOptions opts;
         opts.num_threads = t;
         opts.use_sorted_partitions = partitions;
-        opts.time_limit_seconds = ocdd::bench::RunBudgetSeconds();
+        ocdd::bench::BudgetContext budget(opts);
         auto result = ocdd::core::DiscoverOcds(r, opts);
         times.push_back(result.elapsed_seconds);
         std::printf(" %10.3f", result.elapsed_seconds);
@@ -76,7 +76,7 @@ int main() {
         report.Add({name, r.num_rows(), r.num_columns(), t, partitions,
                     result.elapsed_seconds, result.num_checks,
                     result.ocds.size(), result.ods.size(), result.completed,
-                    {}, {}});
+                    {}, {}, 0});
       }
       std::printf("\n");
       all_times.push_back(times);

@@ -30,7 +30,7 @@ int main() {
     if (cols.size() < 2 || !report) continue;
     ocdd::rel::CodedRelation sample = flight.ProjectColumns(cols);
     ocdd::core::OcdDiscoverOptions opts;
-    opts.time_limit_seconds = ocdd::bench::RunBudgetSeconds();
+    ocdd::bench::BudgetContext budget(opts);
     auto result = ocdd::core::DiscoverOcds(sample, opts);
     std::printf("%6zu %12d %10.3f %10.4f %12llu %10zu%s\n", cols.size(),
                 ranked[k].num_distinct, ranked[k].entropy,

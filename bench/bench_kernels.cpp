@@ -33,8 +33,11 @@
 //     front end read or ranked the data differently.
 //
 // Sections 2 and 3 report seconds *per iteration* (the loop runs until a
-// fixed wall budget) with `checks` = iterations; every entry carries the
-// profiler's per-phase counters via BenchReport. Overridable without
+// fixed wall budget) and the loop count in `iterations`. Their `checks` is
+// fixed per op, so `tools/run_bench.sh` can compare it: 1 for the check
+// kernels (one check per op), the groups of the refined partition for
+// refine. Every entry carries the profiler's per-phase counters via
+// BenchReport. Overridable without
 // rebuilding:
 //   OCDD_BENCH_ROWS=100000          rows for the full LATTICE run
 //   OCDD_BENCH_MICRO_ROWS=1048576   rows for the synthetic kernels
@@ -194,8 +197,8 @@ int main() {
       ocdd::core::OcdDiscoverOptions opts;
       opts.num_threads = 1;
       opts.max_partition_cache_bytes = std::size_t{2} << 30;
-      opts.time_limit_seconds =
-          std::max(ocdd::bench::RunBudgetSeconds(), 120.0);
+      ocdd::bench::BudgetContext budget(
+          opts, std::max(ocdd::bench::RunBudgetSeconds(), 120.0));
       auto result = ocdd::core::DiscoverOcds(relation, opts);
       std::printf("full LATTICE %zu rows, %-6s: %8.3fs  (%llu checks, "
                   "%zu ocds, %zu ods)%s\n",
@@ -251,7 +254,8 @@ int main() {
       e.threads = 1;
       e.use_sorted_partitions = true;
       e.seconds = secs;
-      e.checks = iters;
+      e.checks = 1;
+      e.iterations = iters;
       report.Add(std::move(e));
     }
   }
@@ -294,7 +298,8 @@ int main() {
         e.cols = relation.num_columns();
         e.threads = 1;
         e.seconds = secs;
-        e.checks = iters;
+        e.checks = 1;
+        e.iterations = iters;
         report.Add(std::move(e));
       }
     }
@@ -327,10 +332,10 @@ int main() {
       }
       RefineScratch scratch;
       ocdd::prof::Reset();
-      volatile std::int32_t sink = 0;
+      std::int32_t groups = 0;
       auto [secs, iters] = TimeLoop([&] {
         ListPartition refined = parent.Refine(relation, 1, &scratch, p.path);
-        sink = sink + refined.num_groups();
+        groups = refined.num_groups();
       });
       std::printf("  refine-%-10s %-4s: %9.3f ms/refine  (%llu iters)\n",
                   p.name, width, secs * 1e3,
@@ -343,7 +348,8 @@ int main() {
       e.threads = 1;
       e.use_sorted_partitions = true;
       e.seconds = secs;
-      e.checks = iters;
+      e.checks = static_cast<std::uint64_t>(groups);
+      e.iterations = iters;
       report.Add(std::move(e));
     }
   }

@@ -43,7 +43,7 @@ int main() {
 
   // Mine dependencies once (profiling cost, amortized over the workload).
   ocdd::core::OcdDiscoverOptions mine_opts;
-  mine_opts.time_limit_seconds = ocdd::bench::RunBudgetSeconds();
+  ocdd::bench::BudgetContext mine_budget(mine_opts);
   auto mined = ocdd::core::DiscoverOcds(db, mine_opts);
   ocdd::opt::OdKnowledgeBase kb;
   for (const auto& od : mined.ods) kb.AddOd(od);

@@ -26,36 +26,35 @@ using ocdd::bench::RunBudgetSeconds;
 void RunDataset(const ocdd::datagen::DatasetSpec& spec,
                 ocdd::bench::BenchReport& report) {
   ocdd::rel::CodedRelation r = LoadCoded(spec.name);
-  double budget = RunBudgetSeconds();
 
   // fastFDs stand-in: TANE minimal FDs.
   ocdd::algo::TaneOptions tane_opts;
-  tane_opts.time_limit_seconds = budget;
+  ocdd::bench::BudgetContext tane_budget(tane_opts);
   auto tane = ocdd::algo::DiscoverFds(r, tane_opts);
 
   // ORDER baseline; its entry's profile covers this call only.
   ocdd::algo::OrderDiscoverOptions order_opts;
-  order_opts.time_limit_seconds = budget;
+  ocdd::bench::BudgetContext order_budget(order_opts);
   ocdd::prof::Reset();
   auto order = ocdd::algo::DiscoverOrderDependencies(r, order_opts);
   report.Add({spec.name, r.num_rows(), r.num_columns(), 1, true,
               order.elapsed_seconds, order.num_checks, 0, order.ods.size(),
-              order.completed, "order", {}});
+              order.completed, "order", {}, 0});
 
   // FASTOD baseline.
   ocdd::algo::FastodOptions fastod_opts;
-  fastod_opts.time_limit_seconds = budget;
+  ocdd::bench::BudgetContext fastod_budget(fastod_opts);
   auto fastod = ocdd::algo::DiscoverFastod(r, fastod_opts);
 
   // OCDDISCOVER; its entry's profile covers this call only.
   ocdd::core::OcdDiscoverOptions ocd_opts;
-  ocd_opts.time_limit_seconds = budget;
+  ocdd::bench::BudgetContext ocd_budget(ocd_opts);
   ocdd::prof::Reset();
   auto mine = ocdd::core::DiscoverOcds(r, ocd_opts);
   report.Add({spec.name, r.num_rows(), r.num_columns(), ocd_opts.num_threads,
               ocd_opts.use_sorted_partitions, mine.elapsed_seconds,
               mine.num_checks, mine.ocds.size(), mine.ods.size(),
-              mine.completed, {}, {}});
+              mine.completed, {}, {}, 0});
   ocdd::core::ExpansionOptions exp_opts;
   exp_opts.max_materialized = 200000;
   auto expanded = ocdd::core::ExpandResults(mine, r, exp_opts);

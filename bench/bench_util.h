@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/prof.h"
+#include "common/run_context.h"
 #include "datagen/registry.h"
 #include "relation/coded_relation.h"
 
@@ -23,6 +24,18 @@ inline double RunBudgetSeconds() {
   }
   return datagen::FullScaleRequested() ? 18000.0 : 10.0;
 }
+
+/// The run context of `options`, with a deadline `seconds` (default: the
+/// bench budget) from its construction: declare one right before the run.
+class BudgetContext : public RunContext {
+ public:
+  template <typename Options>
+  explicit BudgetContext(Options& options,
+                         double seconds = RunBudgetSeconds()) {
+    set_time_limit_seconds(seconds);
+    options.run_context = this;
+  }
+};
 
 /// Loads a registry dataset at bench scale (paper rows under
 /// `OCDD_SCALE=full`, scaled-down default otherwise) and encodes it.
@@ -77,12 +90,13 @@ struct BenchEntry {
   /// Free-form variant tag ("scalar" / "avx2" / "refine-histogram-u8" …)
   /// distinguishing configurations of the same dataset, e.g. the kernel
   /// micro-bench's backend × code-width matrix. Empty for plain sweeps.
-  /// Kept after the measurement fields so older aggregate initializers
-  /// that stop at `completed` keep compiling unchanged.
   std::string label;
   /// Per-entry profiler counters as a JSON object (prof::ToJson), filled
   /// automatically by BenchReport::Add; empty when profiling is disabled.
   std::string profile_json;
+  /// How often a time-budgeted micro entry ran its op (`seconds` is per
+  /// op); 0 for entries that time whole runs.
+  std::uint64_t iterations = 0;
 };
 
 /// Collects `BenchEntry` records and writes them as
@@ -132,12 +146,13 @@ class BenchReport {
           "%s\n    {\"dataset\": \"%s\", \"label\": \"%s\", \"rows\": %zu, "
           "\"cols\": %zu, \"threads\": %zu, \"use_sorted_partitions\": %s, "
           "\"seconds\": %.6f, \"checks\": %llu, \"ocds\": %zu, "
-          "\"ods\": %zu, \"completed\": %s",
+          "\"ods\": %zu, \"completed\": %s, \"iterations\": %llu",
           i == 0 ? "" : ",", Escaped(e.dataset).c_str(),
           Escaped(e.label).c_str(), e.rows, e.cols, e.threads,
           e.use_sorted_partitions ? "true" : "false", e.seconds,
           static_cast<unsigned long long>(e.checks), e.ocds, e.ods,
-          e.completed ? "true" : "false");
+          e.completed ? "true" : "false",
+          static_cast<unsigned long long>(e.iterations));
       if (!e.profile_json.empty()) {
         std::fprintf(f, ", \"profile\": %s", e.profile_json.c_str());
       }

@@ -41,7 +41,9 @@ int main(int argc, char** argv) {
       ocdd::core::TopEntropyColumns(flight, keep);
   ocdd::rel::CodedRelation subset = flight.ProjectColumns(interesting);
   ocdd::core::OcdDiscoverOptions opts;
-  opts.time_limit_seconds = 60;
+  ocdd::RunContext budget;
+  budget.set_time_limit_seconds(60);
+  opts.run_context = &budget;
   opts.num_threads = 4;
   auto result = ocdd::core::DiscoverOcds(subset, opts);
   std::printf("  %zu OCDs, %zu ODs in %.3fs with %llu checks%s\n",
@@ -55,7 +57,9 @@ int main(int argc, char** argv) {
   std::printf("\nfor contrast, the same budget on the full 109-column "
               "table:\n");
   ocdd::core::OcdDiscoverOptions full_opts = opts;
-  full_opts.time_limit_seconds = 10;
+  ocdd::RunContext full_budget;
+  full_budget.set_time_limit_seconds(10);
+  full_opts.run_context = &full_budget;
   auto full = ocdd::core::DiscoverOcds(flight, full_opts);
   std::printf("  %s after %.1fs and %llu checks (%zu OCDs so far)\n",
               full.completed ? "completed" : "still far from done",

@@ -25,7 +25,9 @@ int main(int argc, char** argv) {
   for (std::size_t threads : {1, 2, 4, 8}) {
     ocdd::core::OcdDiscoverOptions opts;
     opts.num_threads = threads;
-    opts.time_limit_seconds = 300;
+    ocdd::RunContext budget;
+    budget.set_time_limit_seconds(300);
+    opts.run_context = &budget;
     auto result = ocdd::core::DiscoverOcds(coded, opts);
     if (threads == 1) {
       baseline_ocds = result.ocds.size();

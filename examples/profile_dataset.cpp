@@ -55,7 +55,9 @@ int main(int argc, char** argv) {
 
   std::printf("\n-- minimal functional dependencies (TANE) --\n");
   ocdd::algo::TaneOptions tane_opts;
-  tane_opts.time_limit_seconds = kBudget;
+  ocdd::RunContext tane_budget;
+  tane_budget.set_time_limit_seconds(kBudget);
+  tane_opts.run_context = &tane_budget;
   auto tane = ocdd::algo::DiscoverFds(coded, tane_opts);
   std::printf("  %zu minimal FDs%s in %.3fs; first few:\n", tane.fds.size(),
               tane.completed ? "" : " (partial)", tane.elapsed_seconds);
@@ -65,7 +67,9 @@ int main(int argc, char** argv) {
 
   std::printf("\n-- order dependencies (OCDDISCOVER) --\n");
   ocdd::core::OcdDiscoverOptions ocd_opts;
-  ocd_opts.time_limit_seconds = kBudget;
+  ocdd::RunContext ocd_budget;
+  ocd_budget.set_time_limit_seconds(kBudget);
+  ocd_opts.run_context = &ocd_budget;
   ocd_opts.num_threads = 4;
   auto mine = ocdd::core::DiscoverOcds(coded, ocd_opts);
   std::printf("  reduction: %s\n", mine.reduction.ToString(coded).c_str());
@@ -82,14 +86,18 @@ int main(int argc, char** argv) {
 
   std::printf("\n-- baselines --\n");
   ocdd::algo::OrderDiscoverOptions order_opts;
-  order_opts.time_limit_seconds = kBudget;
+  ocdd::RunContext order_budget;
+  order_budget.set_time_limit_seconds(kBudget);
+  order_opts.run_context = &order_budget;
   auto order = ocdd::algo::DiscoverOrderDependencies(coded, order_opts);
   std::printf("  ORDER:  %zu disjoint-side ODs%s in %.3fs\n",
               order.ods.size(), order.completed ? "" : " (partial)",
               order.elapsed_seconds);
 
   ocdd::algo::FastodOptions fastod_opts;
-  fastod_opts.time_limit_seconds = kBudget;
+  ocdd::RunContext fastod_budget;
+  fastod_budget.set_time_limit_seconds(kBudget);
+  fastod_opts.run_context = &fastod_budget;
   auto fastod = ocdd::algo::DiscoverFastod(coded, fastod_opts);
   std::printf("  FASTOD: %zu constancy + %zu compatibility canonical ODs%s "
               "in %.3fs\n",

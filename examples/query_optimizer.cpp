@@ -76,7 +76,9 @@ int main() {
   ocdd::core::OcdDiscoverOptions opts;
   opts.max_level = 3;
   opts.num_threads = 4;
-  opts.time_limit_seconds = 30;
+  ocdd::RunContext budget;
+  budget.set_time_limit_seconds(30);
+  opts.run_context = &budget;
   auto li_mined = ocdd::core::DiscoverOcds(lineitem, opts);
   std::printf("  (discovered %zu OCDs, %zu ODs on a 5000-row sample)\n",
               li_mined.ocds.size(), li_mined.ods.size());

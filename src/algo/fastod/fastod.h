@@ -14,11 +14,9 @@ namespace ocdd::algo {
 
 struct FastodOptions {
   /// Injectable run control (deadline, budgets, cancellation, fault
-  /// injection); nullptr = private context from the knobs below.
+  /// injection); nullptr = a private, unbudgeted context.
   RunContext* run_context = nullptr;
 
-  std::uint64_t max_checks = 0;     ///< 0 = unlimited
-  double time_limit_seconds = 0.0;  ///< 0 = unlimited
   std::size_t max_level = 0;        ///< cap on |X| (0 = unlimited)
 
   /// Crash-safe checkpointing at lattice-level boundaries (the natural

@@ -40,10 +40,6 @@ TaneResult DiscoverFds(const rel::CodedRelation& relation,
   RunContext local_ctx;
   RunContext* ctx =
       options.run_context != nullptr ? options.run_context : &local_ctx;
-  if (options.max_checks != 0) ctx->set_check_budget(options.max_checks);
-  if (options.time_limit_seconds > 0.0) {
-    ctx->set_time_limit_seconds(options.time_limit_seconds);
-  }
 
   const AttrSet universe = AttrSet::FullUniverse(n);
   const std::size_t empty_error = m >= 2 ? m - 1 : 0;  // e(π(∅))

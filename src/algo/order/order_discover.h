@@ -12,14 +12,12 @@
 
 namespace ocdd::algo {
 
-/// Budgets for an ORDER run (mirroring OcdDiscoverOptions).
+/// Options for an ORDER run (mirroring OcdDiscoverOptions).
 struct OrderDiscoverOptions {
   /// Injectable run control (deadline, budgets, cancellation, fault
-  /// injection); nullptr = private context from the knobs below.
+  /// injection); nullptr = a private, unbudgeted context.
   RunContext* run_context = nullptr;
 
-  std::uint64_t max_checks = 0;        ///< 0 = unlimited
-  double time_limit_seconds = 0.0;     ///< 0 = unlimited
   std::size_t max_level = 0;           ///< cap on |X|+|Y| (0 = unlimited)
 
   /// Byte budget of the sorted-partition cache candidates are checked

@@ -46,10 +46,6 @@ UccResult DiscoverUccs(const rel::CodedRelation& relation,
   RunContext local_ctx;
   RunContext* ctx =
       options.run_context != nullptr ? options.run_context : &local_ctx;
-  if (options.max_checks != 0) ctx->set_check_budget(options.max_checks);
-  if (options.time_limit_seconds > 0.0) {
-    ctx->set_time_limit_seconds(options.time_limit_seconds);
-  }
 
   std::vector<Node> level;
   std::size_t level_bytes = 0;

@@ -12,6 +12,7 @@
 #include "common/io_env.h"
 #include "common/snapshot.h"
 #include "common/status.h"
+#include "common/string_util.h"
 
 namespace ocdd {
 
@@ -154,40 +155,6 @@ void ScanDir(const std::string& dir, const FsckOptions& options,
   for (const std::string& sub : subdirs) ScanDir(sub, options, report);
 }
 
-std::string JsonEscapeLocal(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 const char* FsckFileStatusName(FsckFileStatus status) {
@@ -262,7 +229,7 @@ std::string FsckReportText(const FsckReport& report) {
 
 std::string FsckReportJson(const FsckReport& report) {
   std::string out = "{\"command\":\"fsck\"";
-  out += ",\"root\":\"" + JsonEscapeLocal(report.root) + "\"";
+  out += ",\"root\":\"" + JsonEscape(report.root) + "\"";
   out += ",\"dirs_scanned\":" + std::to_string(report.dirs_scanned);
   out += ",\"valid_files\":" + std::to_string(report.valid_files);
   out += ",\"corrupt_files\":" + std::to_string(report.corrupt_files);
@@ -273,8 +240,8 @@ std::string FsckReportJson(const FsckReport& report) {
   for (std::size_t i = 0; i < report.stores.size(); ++i) {
     const FsckStore& store = report.stores[i];
     if (i > 0) out += ",";
-    out += "{\"dir\":\"" + JsonEscapeLocal(store.dir) + "\"";
-    out += ",\"name\":\"" + JsonEscapeLocal(store.name) + "\"";
+    out += "{\"dir\":\"" + JsonEscape(store.dir) + "\"";
+    out += ",\"name\":\"" + JsonEscape(store.name) + "\"";
     out += ",\"valid\":" + std::to_string(store.valid);
     out += ",\"corrupt\":" + std::to_string(store.corrupt);
     out += ",\"newest_valid_generation\":" +
@@ -286,24 +253,24 @@ std::string FsckReportJson(const FsckReport& report) {
     if (file.status == FsckFileStatus::kValid) continue;
     if (!first) out += ",";
     first = false;
-    out += "{\"path\":\"" + JsonEscapeLocal(file.path) + "\"";
+    out += "{\"path\":\"" + JsonEscape(file.path) + "\"";
     out += ",\"status\":\"" + std::string(FsckFileStatusName(file.status)) +
            "\"";
     if (file.generation != 0) {
       out += ",\"generation\":" + std::to_string(file.generation);
     }
     if (!file.detail.empty()) {
-      out += ",\"detail\":\"" + JsonEscapeLocal(file.detail) + "\"";
+      out += ",\"detail\":\"" + JsonEscape(file.detail) + "\"";
     }
     if (!file.repair.empty()) {
-      out += ",\"repair\":\"" + JsonEscapeLocal(file.repair) + "\"";
+      out += ",\"repair\":\"" + JsonEscape(file.repair) + "\"";
     }
     out += "}";
   }
   out += "],\"warnings\":[";
   for (std::size_t i = 0; i < report.warnings.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + JsonEscapeLocal(report.warnings[i]) + "\"";
+    out += "\"" + JsonEscape(report.warnings[i]) + "\"";
   }
   out += "]}";
   return out;

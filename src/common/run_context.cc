@@ -27,14 +27,6 @@ const char* StopReasonName(StopReason reason) {
   return "unknown";
 }
 
-void RunBudgets::ApplyTo(RunContext& context) const {
-  if (time_limit_seconds > 0.0) {
-    context.set_time_limit_seconds(time_limit_seconds);
-  }
-  if (max_checks != 0) context.set_check_budget(max_checks);
-  if (memory_bytes != 0) context.set_memory_budget(memory_bytes);
-}
-
 std::vector<std::string> RunBudgets::ToCliFlags() const {
   std::vector<std::string> flags;
   if (time_limit_seconds > 0.0) {

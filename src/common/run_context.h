@@ -11,8 +11,6 @@
 
 namespace ocdd {
 
-class RunContext;
-
 /// The exception a `throw` fault raises at an injection point. Algorithms
 /// treat it like any other exception escaping their check machinery: the
 /// run stops, the partial result is returned with
@@ -24,11 +22,10 @@ class FaultInjectedError : public std::runtime_error {
 };
 
 /// A portable bundle of the three RunContext budgets — the unit in which
-/// callers hand out quotas. One value serves both deployment shapes: applied
-/// directly to a RunContext for an in-process run (`ApplyTo`), or rendered as
-/// the equivalent `ocdd` CLI flags for a worker child process (`ToCliFlags`),
-/// so a tenant quota in the serve daemon and a `--max-checks` flag on the
-/// command line are the same object (docs/serving.md).
+/// the serve daemon hands out tenant quotas. A worker child process gets it
+/// as the equivalent `ocdd` CLI flags (`ToCliFlags`), so a tenant quota and
+/// a `--max-checks` flag on the command line are the same object
+/// (docs/serving.md).
 struct RunBudgets {
   /// Wall-clock limit in seconds; 0 = unlimited.
   double time_limit_seconds = 0.0;
@@ -36,13 +33,6 @@ struct RunBudgets {
   std::uint64_t max_checks = 0;
   /// Byte-accounted memory budget; 0 = unlimited.
   std::size_t memory_bytes = 0;
-
-  bool unlimited() const {
-    return time_limit_seconds <= 0.0 && max_checks == 0 && memory_bytes == 0;
-  }
-
-  /// Arms every non-zero budget on `context` (zero dimensions untouched).
-  void ApplyTo(RunContext& context) const;
 
   /// The equivalent CLI flags (`--time-limit S --max-checks N
   /// --memory-limit MIB`), omitting unlimited dimensions. Memory rounds up
@@ -128,9 +118,6 @@ class RunContext {
 
   /// Total candidate checks allowed; 0 = unlimited.
   void set_check_budget(std::uint64_t checks);
-  std::uint64_t check_budget() const {
-    return check_budget_.load(std::memory_order_relaxed);
-  }
 
   /// Byte budget for `ChargeMemory`; 0 = unlimited.
   void set_memory_budget(std::size_t bytes);

@@ -19,6 +19,10 @@ std::vector<std::string> SplitString(std::string_view s, char sep);
 std::string JoinStrings(const std::vector<std::string>& parts,
                         std::string_view sep);
 
+/// `s` with the JSON string escapes applied (quote, backslash, control
+/// characters as `\n`/`\r`/`\t`/`\u00XX`), without surrounding quotes.
+std::string JsonEscape(const std::string& s);
+
 /// Lower-cases ASCII letters.
 std::string AsciiToLower(std::string_view s);
 

@@ -33,12 +33,7 @@ class Driver {
         ctx_(options.run_context != nullptr ? options.run_context
                                             : &local_ctx_),
         checker_(relation, *ctx_, options.max_partition_cache_bytes,
-                 options.use_sorted_partitions) {
-    if (options.max_checks != 0) ctx_->set_check_budget(options.max_checks);
-    if (options.time_limit_seconds > 0.0) {
-      ctx_->set_time_limit_seconds(options.time_limit_seconds);
-    }
-  }
+                 options.use_sorted_partitions) {}
 
   OcdDiscoverResult Run() {
     WallTimer timer;

@@ -40,23 +40,14 @@ class CandidateCheckHook {
 /// Tuning knobs for a discovery run.
 struct OcdDiscoverOptions {
   /// Injectable run control: deadline, check/memory budgets, cooperative
-  /// cancellation, fault injection (see common/run_context.h). Not owned;
-  /// may be nullptr, in which case the run uses a private context built from
-  /// the legacy knobs below. When both are given, `max_checks` and
-  /// `time_limit_seconds` are merged into the provided context.
+  /// cancellation, fault injection (see common/run_context.h). A stopped
+  /// run — the paper's 5-hour cut-off — returns the results found so far
+  /// with `completed == false`. Not owned; nullptr = a private, unbudgeted
+  /// context.
   RunContext* run_context = nullptr;
 
   /// Worker threads for candidate checking (paper §4.2.2); 1 = sequential.
   std::size_t num_threads = 1;
-
-  /// Abort once this many candidate checks have been performed
-  /// (0 = unlimited). Mirrors the paper's 5-hour wall-clock cut-off; partial
-  /// results discovered so far are returned with `completed == false`.
-  std::uint64_t max_checks = 0;
-
-  /// Wall-clock budget in seconds (0 = unlimited); same partial-result
-  /// semantics as `max_checks`.
-  double time_limit_seconds = 0.0;
 
   /// Cap on the tree level ℓ = |X| + |Y| (0 = unlimited).
   std::size_t max_level = 0;

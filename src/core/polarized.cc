@@ -115,9 +115,9 @@ PolarizedDiscoverResult DiscoverPolarizedOcds(
   PolarizedDiscoverResult result;
   std::size_t n = relation.num_columns();
 
-  RunContext ctx;
-  ctx.set_check_budget(options.max_checks);
-  ctx.set_time_limit_seconds(options.time_limit_seconds);
+  RunContext local_ctx;
+  RunContext& ctx =
+      options.run_context != nullptr ? *options.run_context : local_ctx;
   rel::CodedRelation augmented = AugmentWithReversedColumns(relation);
   PartitionChecker checker(augmented, ctx, kDefaultPartitionCacheBytes);
 

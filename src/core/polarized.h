@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/run_context.h"
 #include "relation/coded_relation.h"
 
 namespace ocdd::core {
@@ -92,8 +93,9 @@ bool BruteForceHoldsPolarizedOd(const rel::CodedRelation& relation,
                                 const PolarizedList& rhs);
 
 struct PolarizedDiscoverOptions {
-  std::uint64_t max_checks = 0;     ///< 0 = unlimited
-  double time_limit_seconds = 0.0;  ///< 0 = unlimited
+  /// Injectable run control (deadline, budgets, cancellation, fault
+  /// injection); nullptr = a private, unbudgeted context.
+  RunContext* run_context = nullptr;
   /// Polarized trees grow 2× faster per level than unidirectional ones;
   /// the default caps candidate sides at |X| + |Y| = 4.
   std::size_t max_level = 4;

@@ -20,6 +20,7 @@
 #include "core/ocd_discover.h"
 #include "common/run_context.h"
 #include "common/snapshot.h"
+#include "common/string_util.h"
 #include "engine/supervisor.h"
 #include "od/brute_force.h"
 #include "qa/canonical.h"
@@ -764,36 +765,7 @@ std::vector<Discrepancy> CheckIncremental(
 }
 
 void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char ch : s) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
+  out += '"' + JsonEscape(s) + '"';
 }
 
 /// Canonicalizes a worker report for equivalence comparison: drops the keys

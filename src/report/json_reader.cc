@@ -307,7 +307,7 @@ void SerializeInto(const JsonValue& v, std::string& out) {
       break;
     case JsonValue::Kind::kNumber: {
       char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.10g", v.number_value());
+      std::snprintf(buf, sizeof(buf), "%.17g", v.number_value());
       out += buf;
       break;
     }

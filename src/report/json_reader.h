@@ -81,7 +81,8 @@ Result<std::vector<ReportDiffEntry>> DiffReports(const JsonValue& before,
                                                  const JsonValue& after);
 
 /// Canonical re-serialization (sorted keys, minimal whitespace) used for
-/// diff renderings and round-trip tests.
+/// diff renderings and round-trip tests. Numbers print with 17 significant
+/// digits, so every double parses back bit for bit.
 std::string SerializeJson(const JsonValue& value);
 
 }  // namespace ocdd::report

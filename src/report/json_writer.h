@@ -6,6 +6,7 @@
 #include "algo/fastod/fastod.h"
 #include "algo/fastod/fastod_bid.h"
 #include "common/prof.h"
+#include "common/string_util.h"
 #include "algo/fd/tane.h"
 #include "algo/order/order_discover.h"
 #include "core/approximate.h"
@@ -23,8 +24,8 @@ namespace ocdd::report {
 /// Escaping covers the JSON string escape set (quotes, backslash, control
 /// characters); all numbers are emitted as plain decimal literals.
 
-/// `{"lists": {"lhs": [...], "rhs": [...]}}`-style rendering helpers.
-std::string JsonEscape(const std::string& s);
+/// The JSON string escaper every writer in the tree shares.
+using ocdd::JsonEscape;
 
 /// An OCDDISCOVER run:
 /// `{"algorithm":"ocddiscover","num_rows":..,"num_columns":..,

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/snapshot.h"
+#include "report/tasks.h"
 
 namespace ocdd::serve {
 
@@ -153,11 +154,13 @@ Result<ServeRequest> ParseRequest(const std::string& payload,
   }
   if (req.kind != "run" && req.kind != "apply_batch") return req;
 
+  const report::Task* task = nullptr;
   if (req.kind == "run") {
     if (!doc["algo"].is_null()) req.algo = doc["algo"].string_value();
-    if (req.algo != "discover" && req.algo != "fds" && req.algo != "fastod") {
-      return Status::InvalidArgument("unknown algo '" + req.algo +
-                                     "' (discover, fds, fastod)");
+    task = report::FindRunnableTask(req.algo);
+    if (task == nullptr) {
+      return Status::InvalidArgument("unknown algo '" + req.algo + "' (" +
+                                     report::RunnableTaskNames(", ") + ")");
     }
   }
   req.source = doc["source"].string_value();
@@ -182,10 +185,16 @@ Result<ServeRequest> ParseRequest(const std::string& payload,
     return Status::OK();
   };
   OCDD_RETURN_IF_ERROR(size_field("rows", 0, limits.max_rows, &req.rows));
-  OCDD_RETURN_IF_ERROR(size_field("seed", 42, ~std::size_t{0} >> 1,
+  // Numbers travel as doubles: a seed from 2^53 on could arrive rounded.
+  OCDD_RETURN_IF_ERROR(size_field("seed", 42, (std::size_t{1} << 53) - 1,
                                   &req.seed));
   OCDD_RETURN_IF_ERROR(
       size_field("max_level", 0, limits.max_level, &req.max_level));
+  // A parameter the task ignores would only split its cache line.
+  if (task != nullptr && req.max_level != 0 && !task->Reads("max-level")) {
+    return Status::InvalidArgument("algo '" + req.algo +
+                                   "' does not read max_level");
+  }
   if (!doc["use_cache"].is_null()) {
     req.use_cache = doc["use_cache"].bool_value();
   }

@@ -117,7 +117,7 @@ struct ServeRequest {
   /// Correlation id, echoed verbatim in the response.
   std::string id;
   std::string tenant = "default";
-  /// "discover", "fds", or "fastod" — the `ocdd run --algo` vocabulary.
+  /// A task `ocdd run --algo` accepts (report::FindRunnableTask).
   /// Ignored by "apply_batch" (always OCDDISCOVER maintenance).
   std::string algo = "discover";
   /// Dataset name or CSV path, as for `ocdd run`. For "apply_batch" this is
@@ -142,7 +142,9 @@ struct ServeRequest {
 
 /// Parses and validates an untrusted request payload. Unknown members are
 /// ignored (forward compatibility); violations of `limits`, a bad `kind`,
-/// a bad `algo`, or control characters in string fields are InvalidArgument.
+/// a bad `algo`, a `max_level` the algo does not read, a seed a double
+/// cannot hold exactly, or control characters in string fields are
+/// InvalidArgument.
 Result<ServeRequest> ParseRequest(const std::string& payload,
                                   const RequestLimits& limits = {});
 

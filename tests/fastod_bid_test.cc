@@ -111,7 +111,9 @@ TEST(FastodBidTest, NcvoterAgeBirthYearAntiConcordant) {
 TEST(FastodBidTest, BudgetStopsEarly) {
   CodedRelation r = testutil::RandomCodedTable(3, 30, 8, 2);
   FastodBidOptions opts;
-  opts.max_checks = 2;
+  RunContext budget;
+  budget.set_check_budget(2);
+  opts.run_context = &budget;
   FastodBidResult result = DiscoverFastodBid(r, opts);
   EXPECT_FALSE(result.completed);
 }

@@ -150,7 +150,9 @@ TEST(FastodTest, ContextedCompatibilityDiscovered) {
 TEST(FastodTest, BudgetStopsEarly) {
   CodedRelation r = testutil::RandomCodedTable(31, 30, 8, 2);
   FastodOptions opts;
-  opts.max_checks = 2;
+  RunContext budget;
+  budget.set_check_budget(2);
+  opts.run_context = &budget;
   FastodResult result = DiscoverFastod(r, opts);
   EXPECT_FALSE(result.completed);
 }

@@ -219,8 +219,10 @@ TEST(IngestCliTest, UnknownFlagsAreRejectedBeforeAnyWork) {
            {"discover NUMBERS --sorted-partitions", "sorted-partitions"},
            {"discover NUMBERS --checkpoint " + ck + " --chekpoint-every 1",
             "chekpoint-every"},
-           {"run NUMBERS --algo fds --max-level=2 --no-such-flag",
+           {"run NUMBERS --algo discover --max-level=2 --no-such-flag",
             "no-such-flag"},
+           // `run` reads only the flags of the task --algo names.
+           {"run NUMBERS --algo fds --max-level=2", "max-level"},
            {"fds NUMBERS --threads 2", "threads"},
            {"qa --iters 100000 --no-simd --no-serv", "no-serv"},
            {"serve --listen 127.0.0.1:0 --executor 2", "executor"},

@@ -88,7 +88,9 @@ TEST(OcdDiscoverTest, EmittedOdsAreValidOcdPairs) {
 TEST(OcdDiscoverTest, MaxChecksBudgetStopsEarly) {
   CodedRelation r = testutil::RandomCodedTable(5, 20, 6, 2);
   OcdDiscoverOptions opts;
-  opts.max_checks = 3;
+  RunContext budget;
+  budget.set_check_budget(3);
+  opts.run_context = &budget;
   OcdDiscoverResult result = DiscoverOcds(r, opts);
   EXPECT_FALSE(result.completed);
   EXPECT_LE(result.num_checks, 6u);  // a few in-flight checks may finish

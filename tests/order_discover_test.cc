@@ -66,7 +66,9 @@ TEST(OrderDiscoverTest, AllEmittedOdsAreValidDisjointAndDupFree) {
 TEST(OrderDiscoverTest, BudgetStopsEarly) {
   CodedRelation r = testutil::RandomCodedTable(13, 20, 6, 2);
   OrderDiscoverOptions opts;
-  opts.max_checks = 2;
+  RunContext budget;
+  budget.set_check_budget(2);
+  opts.run_context = &budget;
   OrderDiscoverResult result = DiscoverOrderDependencies(r, opts);
   EXPECT_FALSE(result.completed);
 }

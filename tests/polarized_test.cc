@@ -84,7 +84,9 @@ TEST(PolarizedTest, ConstantColumnsAreSkipped) {
 TEST(PolarizedTest, BudgetStopsEarly) {
   CodedRelation r = testutil::RandomCodedTable(7, 20, 6, 2);
   PolarizedDiscoverOptions opts;
-  opts.max_checks = 2;
+  RunContext budget;
+  budget.set_check_budget(2);
+  opts.run_context = &budget;
   PolarizedDiscoverResult result = DiscoverPolarizedOcds(r, opts);
   EXPECT_FALSE(result.completed);
 }

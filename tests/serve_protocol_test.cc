@@ -124,7 +124,7 @@ TEST(RequestParseTest, RoundTripsRunRequest) {
   req.kind = "run";
   req.id = "req-7";
   req.tenant = "alice";
-  req.algo = "fastod";
+  req.algo = "discover";
   req.source = "LINEITEM";
   req.rows = 500;
   req.seed = 7;
@@ -135,7 +135,7 @@ TEST(RequestParseTest, RoundTripsRunRequest) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->id, "req-7");
   EXPECT_EQ(parsed->tenant, "alice");
-  EXPECT_EQ(parsed->algo, "fastod");
+  EXPECT_EQ(parsed->algo, "discover");
   EXPECT_EQ(parsed->source, "LINEITEM");
   EXPECT_EQ(parsed->rows, 500u);
   EXPECT_EQ(parsed->seed, 7u);
@@ -143,6 +143,34 @@ TEST(RequestParseTest, RoundTripsRunRequest) {
   EXPECT_FALSE(parsed->use_cache);
   EXPECT_EQ(SerializeRequest(*parsed), payload);
   EXPECT_EQ(RequestDigest(*parsed), RequestDigest(req));
+}
+
+TEST(RequestParseTest, SeedsRoundTripUpToTwoToThe53) {
+  ServeRequest req;
+  req.source = "NUMBERS";
+  req.seed = 9007199254740991u;  // 2^53 - 1, the largest exact double
+  auto parsed = ParseRequest(SerializeRequest(req));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->seed, req.seed);
+  req.seed = 12345678901u;  // more digits than %.10g kept
+  parsed = ParseRequest(SerializeRequest(req));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->seed, req.seed);
+  // 2^53 + 1 arrives as 2^53 and is refused rather than run as another seed.
+  req.seed = 9007199254740993u;
+  parsed = ParseRequest(SerializeRequest(req));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(RequestParseTest, MaxLevelOnlyForTasksThatReadIt) {
+  auto parsed = ParseRequest(
+      R"({"kind":"run","source":"NUMBERS","algo":"fastod","max_level":2})");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(ParseRequest(R"({"kind":"run","source":"NUMBERS",)"
+                           R"("algo":"discover","max_level":2})")
+                  .ok());
 }
 
 TEST(RequestParseTest, DefaultsApply) {

@@ -104,7 +104,9 @@ TEST(TaneTest, NoFixtureRegression) {
 TEST(TaneTest, BudgetStopsEarly) {
   CodedRelation r = testutil::RandomCodedTable(21, 30, 8, 2);
   TaneOptions opts;
-  opts.max_checks = 2;
+  RunContext budget;
+  budget.set_check_budget(2);
+  opts.run_context = &budget;
   TaneResult result = DiscoverFds(r, opts);
   EXPECT_FALSE(result.completed);
 }

@@ -102,7 +102,9 @@ TEST(UccTest, TaxInfoKeys) {
 TEST(UccTest, BudgetStopsEarly) {
   CodedRelation r = testutil::RandomCodedTable(5, 40, 8, 2);
   UccOptions opts;
-  opts.max_checks = 2;
+  RunContext budget;
+  budget.set_check_budget(2);
+  opts.run_context = &budget;
   UccResult result = DiscoverUccs(r, opts);
   EXPECT_FALSE(result.completed);
 }

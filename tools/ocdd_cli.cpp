@@ -1,12 +1,8 @@
 // ocdd — command-line data profiler around the library.
 //
-//   ocdd discover <source> [--threads N] [--time-limit S] [--expand]
-//                          [--max-level L] [--lex]
-//   ocdd fds      <source> [--time-limit S]
-//   ocdd fastod   <source> [--time-limit S]
-//   ocdd order    <source> [--time-limit S]
-//   ocdd approx   <source> [--max-ratio R]
-//   ocdd polarized <source> [--max-level L]
+//   ocdd <task>   <source> [flags]   one verb per row of the task table
+//                                    (report/tasks.h): discover, fds, ...
+//   ocdd run      <source> --algo <task> [--checkpoint DIR] [flags]
 //   ocdd profile  <source>
 //   ocdd rewrite  <source> --order-by col1,col2,...
 //   ocdd generate <dataset> [--rows N] [--seed S] [--out file.csv]
@@ -22,8 +18,8 @@
 // per-error-code rejection counts are emitted under `"ingest"` in `--json`
 // reports (see docs/robustness.md).
 //
-// Every discovery command honors `--time-limit SEC`, `--memory-limit MIB`,
-// and `--max-checks N` (see docs/robustness.md), and Ctrl-C (SIGINT): the
+// Every task that reads them honors `--time-limit SEC`, `--memory-limit
+// MIB` and `--max-checks N` (see docs/robustness.md), and Ctrl-C (SIGINT): the
 // first signal requests cooperative cancellation, the run drains, and the
 // partial results are printed with `"completed":false` and a stop reason —
 // exit status stays 0 because a truncated answer is still an answer.
@@ -43,21 +39,13 @@
 #include <string>
 #include <vector>
 
-#include "algo/fastod/fastod.h"
 #include "algo/incremental/incremental.h"
-#include "algo/fastod/fastod_bid.h"
-#include "algo/fd/tane.h"
-#include "algo/ucc/ucc.h"
-#include "algo/order/order_discover.h"
 #include "common/fsck.h"
 #include "common/prof.h"
 #include "common/run_context.h"
 #include "common/string_util.h"
-#include "core/approximate.h"
 #include "core/entropy.h"
-#include "core/expansion.h"
 #include "core/ocd_discover.h"
-#include "core/polarized.h"
 #include "common/snapshot.h"
 #include "datagen/registry.h"
 #include "engine/executor.h"
@@ -68,6 +56,7 @@
 #include "relation/csv.h"
 #include "report/json_reader.h"
 #include "report/json_writer.h"
+#include "report/tasks.h"
 #include "serve/client.h"
 #include "serve/server.h"
 
@@ -142,6 +131,12 @@ struct Args {
   }
 };
 
+// Flag groups several verbs share; the task table holds the rest.
+constexpr const char* kSourceFlags = "rows seed lex on-bad-row quarantine";
+using ocdd::report::kBudgetFlags;
+constexpr const char* kSuperviseFlags =
+    "max-attempts backoff backoff-multiplier max-backoff no-progress-limit";
+
 Result<Args> ParseArgs(int argc, char** argv) {
   if (argc < 2) return Status::InvalidArgument("missing command");
   Args args;
@@ -172,8 +167,9 @@ Result<Args> ParseArgs(int argc, char** argv) {
   return args;
 }
 
-/// Budgets shared by all discovery commands; `--time-limit` stays on the
-/// per-algorithm options (merged into the context by the algorithm itself).
+/// Budgets shared by all discovery commands. `--time-limit` is armed
+/// separately, right before the algorithm starts, so loading stays outside
+/// the deadline.
 void ApplyRunFlags(const Args& args) {
   std::size_t memory_mib = args.GetSize("memory-limit", 0);
   if (memory_mib != 0) {
@@ -201,12 +197,6 @@ ocdd::CheckpointConfig CheckpointFromArgs(const Args& args) {
         args.GetDouble("checkpoint-every-seconds", 0.0));
   }
   return cfg;
-}
-
-std::string PartialNote(bool completed, ocdd::StopReason reason) {
-  if (completed) return "";
-  return std::string(" (stopped: ") + ocdd::StopReasonName(reason) +
-         " — partial results)";
 }
 
 bool IsCsvSource(const Args& args) {
@@ -279,8 +269,13 @@ void PrintProfileNote(const ocdd::prof::Report& report) {
               report.unattributed_seconds, report.wall_seconds);
 }
 
-int CmdDiscover(const Args& args, const char* /*argv0*/) {
-  ApplyRunFlags(args);
+/// `ocdd <task>` and `ocdd run --algo <task>`, for every row of the task
+/// table: applies the run flags, loads and encodes the source, runs the row
+/// under the shared context and prints its report.
+int RunTask(const ocdd::report::Task& task, const Args& args) {
+  // A row that takes no budget never polls the context, so it keeps
+  // SIGINT's default action: Ctrl-C still stops it.
+  if (task.Reads("time-limit")) ApplyRunFlags(args);
   const bool profile = args.Has("profile");
   if (profile) {
     ocdd::prof::SetEnabled(true);
@@ -294,31 +289,26 @@ int CmdDiscover(const Args& args, const char* /*argv0*/) {
   }
   ocdd::rel::EncodeOptions enc;
   enc.force_lexicographic = args.Has("lex");
-  ocdd::rel::CodedRelation coded =
+  const ocdd::rel::CodedRelation coded =
       ocdd::rel::CodedRelation::Encode(source->relation, enc);
 
-  ocdd::core::OcdDiscoverOptions opts;
-  opts.run_context = &g_run_context;
-  opts.num_threads = args.GetSize("threads", 1);
-  opts.time_limit_seconds = args.GetDouble("time-limit", 0.0);
-  opts.max_level = args.GetSize("max-level", 0);
-  opts.checkpoint = CheckpointFromArgs(args);
-  auto result = ocdd::core::DiscoverOcds(coded, opts);
-  result.stop_state.ingest_rejected = source->report.rows_rejected;
-
-  std::string json;
-  if (args.Has("json")) {
-    ocdd::prof::ScopedTimer timer(ocdd::prof::Phase::kSerialize);
-    json = ocdd::report::ToJson(result, coded);
-    if (IsCsvSource(args)) {
-      json = ocdd::report::WithIngest(std::move(json), source->report);
-    }
-  }
+  ocdd::report::TaskParams params;
+  params.threads = args.GetSize("threads", 1);
+  if (args.Has("max-level")) params.max_level = args.GetSize("max-level", 0);
+  params.max_ratio = args.GetDouble("max-ratio", params.max_ratio);
+  params.checkpoint = CheckpointFromArgs(args);
+  params.expand = args.Has("expand");
+  params.max_expanded = args.GetSize("max-expanded", params.max_expanded);
+  params.json = args.Has("json");
+  params.ingest_rejected = source->report.rows_rejected;
+  // Armed only now, so ingest and encode stay outside the deadline.
+  g_run_context.set_time_limit_seconds(args.GetDouble("time-limit", 0.0));
+  ocdd::report::TaskOutput out = task.run(coded, params, &g_run_context);
 
   ocdd::prof::Report prof_report;
   if (profile) {
-    // Whatever the phases and the discovery walk do not cover is reported,
-    // not hidden: wall = ingest + encode + discovery + serialize + rest.
+    // Whatever the phases and the algorithm's own time do not cover is
+    // reported, not hidden: wall = ingest + encode + run + serialize + rest.
     using ocdd::prof::Phase;
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - wall_start)
@@ -329,40 +319,22 @@ int CmdDiscover(const Args& args, const char* /*argv0*/) {
         prof_report.wall_seconds -
         ocdd::prof::PhaseSeconds(prof_report, Phase::kIngest) -
         ocdd::prof::PhaseSeconds(prof_report, Phase::kEncode) -
-        result.elapsed_seconds -
+        out.elapsed_seconds -
         ocdd::prof::PhaseSeconds(prof_report, Phase::kSerialize);
   }
 
-  if (args.Has("json")) {
+  if (params.json) {
+    std::string& json = out.report;
+    if (IsCsvSource(args)) {
+      json = ocdd::report::WithIngest(std::move(json), source->report);
+    }
     if (profile) json = ocdd::report::WithProfile(std::move(json), prof_report);
     std::printf("%s\n", json.c_str());
     return 0;
   }
   PrintIngestNote(source->report);
   if (profile) PrintProfileNote(prof_report);
-  std::printf("# %zu rows x %zu columns; %llu checks in %.3fs%s\n",
-              coded.num_rows(), coded.num_columns(),
-              static_cast<unsigned long long>(result.num_checks),
-              result.elapsed_seconds,
-              PartialNote(result.completed, result.stop_reason).c_str());
-  std::printf("# reduction: %s\n", result.reduction.ToString(coded).c_str());
-  for (const auto& ocd : result.ocds) {
-    std::printf("OCD %s\n", ocd.ToString(coded).c_str());
-  }
-  for (const auto& od : result.ods) {
-    std::printf("OD  %s\n", od.ToString(coded).c_str());
-  }
-  if (args.Has("expand")) {
-    ocdd::core::ExpansionOptions exp;
-    exp.max_materialized = args.GetSize("max-expanded", 100000);
-    auto expanded = ocdd::core::ExpandResults(result, coded, exp);
-    std::printf("# expanded: %llu ODs%s\n",
-                static_cast<unsigned long long>(expanded.total_count),
-                expanded.truncated ? " (listing truncated)" : "");
-    for (const auto& od : expanded.ods) {
-      std::printf("ODx %s\n", od.ToString(coded).c_str());
-    }
-  }
+  std::fputs(out.report.c_str(), stdout);
   return 0;
 }
 
@@ -495,206 +467,13 @@ int CmdApplyBatch(const Args& args, const char* /*argv0*/) {
       static_cast<unsigned long long>(stats.result.hook_served),
       static_cast<unsigned long long>(stats.result.hook_recomputed),
       static_cast<unsigned long long>(stats.result.num_checks), stats.seconds,
-      PartialNote(stats.result.completed, stats.result.stop_reason).c_str());
+      ocdd::report::PartialNote(stats.result.completed,
+                                 stats.result.stop_reason).c_str());
   for (const auto& ocd : stats.result.ocds) {
     std::printf("OCD %s\n", ocd.ToString(session->coded()).c_str());
   }
   for (const auto& od : stats.result.ods) {
     std::printf("OD  %s\n", od.ToString(session->coded()).c_str());
-  }
-  return 0;
-}
-
-int CmdFds(const Args& args, const char* /*argv0*/) {
-  ApplyRunFlags(args);
-  auto source = LoadSource(args);
-  if (!source.ok()) {
-    std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
-    return 1;
-  }
-  auto coded = ocdd::rel::CodedRelation::Encode(source->relation);
-  ocdd::algo::TaneOptions opts;
-  opts.run_context = &g_run_context;
-  opts.time_limit_seconds = args.GetDouble("time-limit", 0.0);
-  opts.checkpoint = CheckpointFromArgs(args);
-  auto result = ocdd::algo::DiscoverFds(coded, opts);
-  result.stop_state.ingest_rejected = source->report.rows_rejected;
-  if (args.Has("json")) {
-    std::string json = ocdd::report::ToJson(result, coded);
-    if (IsCsvSource(args)) json = ocdd::report::WithIngest(std::move(json), source->report);
-    std::printf("%s\n", json.c_str());
-    return 0;
-  }
-  PrintIngestNote(source->report);
-  std::printf("# %zu minimal FDs in %.3fs%s\n", result.fds.size(),
-              result.elapsed_seconds,
-              PartialNote(result.completed, result.stop_reason).c_str());
-  for (const auto& fd : result.fds) {
-    std::printf("FD  %s\n", fd.ToString(coded).c_str());
-  }
-  return 0;
-}
-
-int CmdFastod(const Args& args, const char* /*argv0*/) {
-  ApplyRunFlags(args);
-  auto source = LoadSource(args);
-  if (!source.ok()) {
-    std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
-    return 1;
-  }
-  auto coded = ocdd::rel::CodedRelation::Encode(source->relation);
-  ocdd::algo::FastodOptions opts;
-  opts.run_context = &g_run_context;
-  opts.time_limit_seconds = args.GetDouble("time-limit", 0.0);
-  opts.checkpoint = CheckpointFromArgs(args);
-  auto result = ocdd::algo::DiscoverFastod(coded, opts);
-  result.stop_state.ingest_rejected = source->report.rows_rejected;
-  if (args.Has("json")) {
-    std::string json = ocdd::report::ToJson(result, coded);
-    if (IsCsvSource(args)) json = ocdd::report::WithIngest(std::move(json), source->report);
-    std::printf("%s\n", json.c_str());
-    return 0;
-  }
-  PrintIngestNote(source->report);
-  std::printf("# %zu constancy + %zu compatibility canonical ODs in %.3fs%s\n",
-              result.num_constancy, result.num_compatible,
-              result.elapsed_seconds,
-              PartialNote(result.completed, result.stop_reason).c_str());
-  for (const auto& od : result.ods) {
-    std::printf("COD %s\n", od.ToString(coded).c_str());
-  }
-  return 0;
-}
-
-int CmdFastodBid(const Args& args, const char* /*argv0*/) {
-  ApplyRunFlags(args);
-  auto source = LoadSource(args);
-  if (!source.ok()) {
-    std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
-    return 1;
-  }
-  auto coded = ocdd::rel::CodedRelation::Encode(source->relation);
-  ocdd::algo::FastodBidOptions opts;
-  opts.run_context = &g_run_context;
-  opts.time_limit_seconds = args.GetDouble("time-limit", 0.0);
-  auto result = ocdd::algo::DiscoverFastodBid(coded, opts);
-  if (args.Has("json")) {
-    std::string json = ocdd::report::ToJson(result, coded);
-    if (IsCsvSource(args)) json = ocdd::report::WithIngest(std::move(json), source->report);
-    std::printf("%s\n", json.c_str());
-    return 0;
-  }
-  PrintIngestNote(source->report);
-  std::printf("# %zu constancy + %zu concordant + %zu anti-concordant "
-              "canonical ODs in %.3fs%s\n",
-              result.num_constancy, result.num_concordant, result.num_anti,
-              result.elapsed_seconds,
-              PartialNote(result.completed, result.stop_reason).c_str());
-  for (const auto& od : result.ods) {
-    std::printf("BOD %s\n", od.ToString(coded).c_str());
-  }
-  return 0;
-}
-
-int CmdOrder(const Args& args, const char* /*argv0*/) {
-  ApplyRunFlags(args);
-  auto source = LoadSource(args);
-  if (!source.ok()) {
-    std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
-    return 1;
-  }
-  auto coded = ocdd::rel::CodedRelation::Encode(source->relation);
-  ocdd::algo::OrderDiscoverOptions opts;
-  opts.run_context = &g_run_context;
-  opts.time_limit_seconds = args.GetDouble("time-limit", 0.0);
-  auto result = ocdd::algo::DiscoverOrderDependencies(coded, opts);
-  result.stop_state.ingest_rejected = source->report.rows_rejected;
-  if (args.Has("json")) {
-    std::string json = ocdd::report::ToJson(result, coded);
-    if (IsCsvSource(args)) json = ocdd::report::WithIngest(std::move(json), source->report);
-    std::printf("%s\n", json.c_str());
-    return 0;
-  }
-  PrintIngestNote(source->report);
-  std::printf("# %zu disjoint-side ODs in %.3fs%s\n", result.ods.size(),
-              result.elapsed_seconds,
-              PartialNote(result.completed, result.stop_reason).c_str());
-  for (const auto& od : result.ods) {
-    std::printf("OD  %s\n", od.ToString(coded).c_str());
-  }
-  return 0;
-}
-
-int CmdUccs(const Args& args, const char* /*argv0*/) {
-  ApplyRunFlags(args);
-  auto source = LoadSource(args);
-  if (!source.ok()) {
-    std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
-    return 1;
-  }
-  auto coded = ocdd::rel::CodedRelation::Encode(source->relation);
-  ocdd::algo::UccOptions opts;
-  opts.run_context = &g_run_context;
-  opts.time_limit_seconds = args.GetDouble("time-limit", 0.0);
-  auto result = ocdd::algo::DiscoverUccs(coded, opts);
-  PrintIngestNote(source->report);
-  std::printf("# %zu minimal unique column combinations in %.3fs%s\n",
-              result.uccs.size(), result.elapsed_seconds,
-              PartialNote(result.completed, result.stop_reason).c_str());
-  std::printf("# primary-key candidates, most order-relevant first "
-              "(section 5.4):\n");
-  for (const auto& ucc : ocdd::algo::RankKeyCandidates(coded, result)) {
-    std::printf("UCC %s\n", ucc.ToString(coded).c_str());
-  }
-  return 0;
-}
-
-int CmdApprox(const Args& args, const char* /*argv0*/) {
-  auto source = LoadSource(args);
-  if (!source.ok()) {
-    std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
-    return 1;
-  }
-  auto coded = ocdd::rel::CodedRelation::Encode(source->relation);
-  double max_ratio = args.GetDouble("max-ratio", 0.05);
-  auto found = ocdd::core::DiscoverApproximatePairOcds(coded, max_ratio);
-  if (args.Has("json")) {
-    std::string json = ocdd::report::ToJson(found, coded);
-    if (IsCsvSource(args)) json = ocdd::report::WithIngest(std::move(json), source->report);
-    std::printf("%s\n", json.c_str());
-    return 0;
-  }
-  PrintIngestNote(source->report);
-  std::printf("# %zu column pairs with g3 ratio <= %.3f\n", found.size(),
-              max_ratio);
-  for (const auto& a : found) {
-    std::printf("AOCD %s  (remove %zu rows, %.2f%%)\n",
-                a.ocd.ToString(coded).c_str(), a.error.removals,
-                100.0 * a.error.ratio);
-  }
-  return 0;
-}
-
-int CmdPolarized(const Args& args, const char* /*argv0*/) {
-  auto source = LoadSource(args);
-  if (!source.ok()) {
-    std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
-    return 1;
-  }
-  auto coded = ocdd::rel::CodedRelation::Encode(source->relation);
-  PrintIngestNote(source->report);
-  ocdd::core::PolarizedDiscoverOptions opts;
-  opts.max_level = args.GetSize("max-level", 4);
-  opts.time_limit_seconds = args.GetDouble("time-limit", 0.0);
-  auto result = ocdd::core::DiscoverPolarizedOcds(coded, opts);
-  std::printf("# %zu polarized OCDs, %zu polarized ODs in %.3fs%s\n",
-              result.ocds.size(), result.ods.size(), result.elapsed_seconds,
-              result.completed ? "" : " (partial)");
-  for (const auto& ocd : result.ocds) {
-    std::printf("POCD %s\n", ocd.ToString(coded).c_str());
-  }
-  for (const auto& od : result.ods) {
-    std::printf("POD  %s\n", od.ToString(coded).c_str());
   }
   return 0;
 }
@@ -722,6 +501,42 @@ int CmdProfile(const Args& args, const char* /*argv0*/) {
   return 0;
 }
 
+/// The ids of the comma-separated column names in `text`; false after
+/// printing the first name `coded` does not have.
+bool ParseColumns(const ocdd::rel::CodedRelation& coded,
+                  const std::string& text,
+                  std::vector<ocdd::rel::ColumnId>* out) {
+  for (const std::string& name : ocdd::SplitString(text, ',')) {
+    const std::string stripped(ocdd::StripAsciiWhitespace(name));
+    ocdd::rel::ColumnId c = 0;
+    while (c < coded.num_columns() && coded.column_name(c) != stripped) ++c;
+    if (c == coded.num_columns()) {
+      std::fprintf(stderr, "unknown column: %s\n", stripped.c_str());
+      return false;
+    }
+    out->push_back(c);
+  }
+  return true;
+}
+
+/// What OCDDISCOVER finds within `--time-limit` (default 30 s), as the
+/// optimizer's knowledge base.
+ocdd::opt::OdKnowledgeBase MineKnowledgeBase(
+    const ocdd::rel::CodedRelation& coded, const Args& args) {
+  ocdd::core::OcdDiscoverOptions opts;
+  opts.run_context = &g_run_context;
+  g_run_context.set_time_limit_seconds(args.GetDouble("time-limit", 30.0));
+  const auto mined = ocdd::core::DiscoverOcds(coded, opts);
+  ocdd::opt::OdKnowledgeBase kb;
+  for (const auto& od : mined.ods) kb.AddOd(od);
+  for (const auto& ocd : mined.ocds) kb.AddOcd(ocd);
+  for (const auto& cls : mined.reduction.equivalence_classes) {
+    kb.AddEquivalenceClass(cls);
+  }
+  for (auto c : mined.reduction.constant_columns) kb.AddConstant(c);
+  return kb;
+}
+
 int CmdRewrite(const Args& args, const char* /*argv0*/) {
   ApplyRunFlags(args);
   auto source = LoadSource(args);
@@ -736,35 +551,9 @@ int CmdRewrite(const Args& args, const char* /*argv0*/) {
     return 1;
   }
   std::vector<ocdd::rel::ColumnId> clause;
-  for (const std::string& name : ocdd::SplitString(clause_text, ',')) {
-    bool found = false;
-    for (ocdd::rel::ColumnId c = 0; c < coded.num_columns(); ++c) {
-      if (coded.column_name(c) == std::string(
-              ocdd::StripAsciiWhitespace(name))) {
-        clause.push_back(c);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "unknown column: %s\n", name.c_str());
-      return 1;
-    }
-  }
+  if (!ParseColumns(coded, clause_text, &clause)) return 1;
 
-  ocdd::core::OcdDiscoverOptions opts;
-  opts.run_context = &g_run_context;
-  opts.time_limit_seconds = args.GetDouble("time-limit", 30.0);
-  auto mined = ocdd::core::DiscoverOcds(coded, opts);
-  ocdd::opt::OdKnowledgeBase kb;
-  for (const auto& od : mined.ods) kb.AddOd(od);
-  for (const auto& ocd : mined.ocds) kb.AddOcd(ocd);
-  for (const auto& cls : mined.reduction.equivalence_classes) {
-    kb.AddEquivalenceClass(cls);
-  }
-  for (auto c : mined.reduction.constant_columns) kb.AddConstant(c);
-
-  auto rewrite = kb.SimplifyOrderBy(clause);
+  auto rewrite = MineKnowledgeBase(coded, args).SimplifyOrderBy(clause);
   std::printf("ORDER BY ");
   for (std::size_t i = 0; i < rewrite.columns.size(); ++i) {
     std::printf("%s%s", i > 0 ? ", " : "",
@@ -788,51 +577,20 @@ int CmdExplain(const Args& args, const char* /*argv0*/) {
     return 1;
   }
   auto coded = ocdd::rel::CodedRelation::Encode(source->relation);
-  auto parse_cols = [&](const std::string& text,
-                        std::vector<ocdd::rel::ColumnId>& out) {
-    for (const std::string& name : ocdd::SplitString(text, ',')) {
-      std::string stripped(ocdd::StripAsciiWhitespace(name));
-      bool found = false;
-      for (ocdd::rel::ColumnId c = 0; c < coded.num_columns(); ++c) {
-        if (coded.column_name(c) == stripped) {
-          out.push_back(c);
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        std::fprintf(stderr, "unknown column: %s\n", stripped.c_str());
-        return false;
-      }
-    }
-    return true;
-  };
-
   ocdd::engine::Query query;
   std::string order_by = args.Get("order-by", "");
   if (order_by.empty()) {
     std::fprintf(stderr, "explain requires --order-by col1,col2,...\n");
     return 1;
   }
-  if (!parse_cols(order_by, query.order_by)) return 1;
+  if (!ParseColumns(coded, order_by, &query.order_by)) return 1;
 
-  ocdd::core::OcdDiscoverOptions mine_opts;
-  mine_opts.run_context = &g_run_context;
-  mine_opts.time_limit_seconds = args.GetDouble("time-limit", 30.0);
-  auto mined = ocdd::core::DiscoverOcds(coded, mine_opts);
-  ocdd::opt::OdKnowledgeBase kb;
-  for (const auto& od : mined.ods) kb.AddOd(od);
-  for (const auto& ocd : mined.ocds) kb.AddOcd(ocd);
-  for (const auto& cls : mined.reduction.equivalence_classes) {
-    kb.AddEquivalenceClass(cls);
-  }
-  for (auto c : mined.reduction.constant_columns) kb.AddConstant(c);
-
+  const ocdd::opt::OdKnowledgeBase kb = MineKnowledgeBase(coded, args);
   ocdd::engine::Executor ex(coded, &kb);
   std::string physical = args.Get("physical", "");
   if (!physical.empty()) {
     ocdd::engine::SortSpec spec;
-    if (!parse_cols(physical, spec)) return 1;
+    if (!ParseColumns(coded, physical, &spec)) return 1;
     ex.DeclarePhysicalOrder(spec);
     if (!ex.VerifyPhysicalOrder()) {
       std::fprintf(stderr,
@@ -924,7 +682,17 @@ int CmdGenerate(const Args& args, const char* /*argv0*/) {
   return 0;
 }
 
-std::string SelfExePath(const char* argv0);
+/// Resolves this binary's own path so the supervised child is the same
+/// build, not whatever `ocdd` is first on PATH.
+std::string SelfExePath(const char* argv0) {
+  char buf[4096];
+  ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+  if (n > 0) {
+    buf[n] = '\0';
+    return std::string(buf);
+  }
+  return std::string(argv0);
+}
 
 int CmdQa(const Args& args, const char* argv0) {
   ocdd::qa::QaOptions opts;
@@ -1028,32 +796,6 @@ int CmdQa(const Args& args, const char* argv0) {
   return summary.clean() ? 0 : 3;
 }
 
-/// `ocdd run <source> [--algo X] ...` — the checkpointable entry point used
-/// by `ocdd supervise` and the kill-and-resume nightly sweep. Dispatches to
-/// the same code paths as the per-algorithm commands; exists so the child
-/// argv stays stable no matter which algorithm is supervised.
-int CmdRun(const Args& args, const char* argv0) {
-  std::string algo = args.Get("algo", "discover");
-  if (algo == "discover") return CmdDiscover(args, argv0);
-  if (algo == "fds" || algo == "tane") return CmdFds(args, argv0);
-  if (algo == "fastod") return CmdFastod(args, argv0);
-  std::fprintf(stderr,
-               "unknown --algo '%s' (discover, fds, fastod)\n", algo.c_str());
-  return 2;
-}
-
-/// Resolves this binary's own path so the supervised child is the same
-/// build, not whatever `ocdd` is first on PATH.
-std::string SelfExePath(const char* argv0) {
-  char buf[4096];
-  ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return std::string(buf);
-  }
-  return std::string(argv0);
-}
-
 int CmdSupervise(const Args& args, const char* argv0) {
   if (args.Get("checkpoint", "").empty()) {
     std::fprintf(stderr,
@@ -1074,17 +816,14 @@ int CmdSupervise(const Args& args, const char* argv0) {
   // supervisor-local. `--resume` is stripped (the supervisor appends it
   // itself from the second attempt on) and `--json` is forced (the
   // supervisor parses the child's stdout).
-  static const char* kSupervisorFlags[] = {
-      "max-attempts", "backoff", "backoff-multiplier", "max-backoff",
-      "no-progress-limit", "resume", "json"};
   std::vector<std::string> child;
   child.push_back(SelfExePath(argv0));
   child.push_back("run");
   if (!args.source.empty()) child.push_back(args.source);
   for (const auto& [flag, value] : args.flags) {
-    bool skip = false;
-    for (const char* s : kSupervisorFlags) skip = skip || flag == s;
-    if (skip) continue;
+    if (ocdd::report::ListsFlag({kSuperviseFlags, "resume json"}, flag)) {
+      continue;
+    }
     child.push_back("--" + flag);
     if (value != "true") child.push_back(value);
   }
@@ -1237,7 +976,7 @@ int CmdRequest(const Args& args, const char* /*argv0*/) {
   req.kind = args.Get("kind", "run");
   req.id = args.Get("id", "");
   req.tenant = args.Get("tenant", "default");
-  req.algo = args.Get("algo", "discover");
+  req.algo = args.Get("algo", req.algo);
   req.source = args.Get("source", "");
   req.rows = args.GetSize("rows", 0);
   req.seed = args.GetSize("seed", 42);
@@ -1292,10 +1031,12 @@ int CmdRequest(const Args& args, const char* /*argv0*/) {
 }
 
 void Usage() {
+  std::fprintf(stderr,
+               "usage: ocdd <command> <source> [flags]\n"
+               "commands:\n"
+               "  run        checkpointable run: --algo %s plus\n",
+               ocdd::report::RunnableTaskNames("|").c_str());
   std::fputs(
-      "usage: ocdd <command> <source> [flags]\n"
-      "commands:\n"
-      "  run        checkpointable run: --algo discover|fds|fastod plus\n"
       "             --checkpoint DIR [--resume]\n"
       "             [--checkpoint-every-checks N]\n"
       "             [--checkpoint-every-seconds S] [--keep-generations K]\n"
@@ -1324,7 +1065,6 @@ void Usage() {
       "             [--retries N] [--deadline S] [--retry-backoff S]\n"
       "             [--breaker-threshold N]; exit 0 ok, 5 rejected,\n"
       "             6 timeout, 7 worker error, 8 retries/deadline exhausted\n"
-      "  discover   OCDDISCOVER: order compatibility + order dependencies\n"
       "  apply-batch  incremental maintenance step: ocdd apply-batch\n"
       "             [batch-file] --state DIR [--base SOURCE] [--rows N]\n"
       "             [--seed S] [--threads N] [--max-level L] [--json]\n"
@@ -1337,14 +1077,12 @@ void Usage() {
       "             validates every generation's CRCs, flags orphan tmp\n"
       "             files; --repair quarantines corrupt generations into\n"
       "             DIR/fsck-quarantine/ and reaps orphans; exit 0 clean,\n"
-      "             9 problems remain, 1 cannot scan (docs/robustness.md)\n"
-      "  fds        TANE: minimal functional dependencies\n"
-      "  fastod     FASTOD: set-based canonical order dependencies\n"
-      "  fastod-bid bidirectional canonical order dependencies\n"
-      "  order      ORDER: disjoint-side order dependencies\n"
-      "  approx     approximate pairwise OCDs (g3 error)\n"
-      "  uccs       minimal unique column combinations (key candidates)\n"
-      "  polarized  bidirectional OCDs/ODs (per-attribute ASC/DESC)\n"
+      "             9 problems remain, 1 cannot scan (docs/robustness.md)\n",
+      stderr);
+  for (const ocdd::report::Task& task : ocdd::report::Tasks()) {
+    std::fprintf(stderr, "  %-10s %s\n", task.name, task.summary);
+  }
+  std::fputs(
       "  profile    per-column entropy/cardinality profile\n"
       "  rewrite    simplify --order-by col1,col2,... using mined ODs\n"
       "  explain    show the executor plan for --order-by [--physical cols]\n"
@@ -1387,96 +1125,86 @@ void Usage() {
       stderr);
 }
 
-// Flag groups several verbs share.
-constexpr const char* kSourceFlags = "rows seed lex on-bad-row quarantine";
-constexpr const char* kBudgetFlags = "time-limit memory-limit max-checks";
-constexpr const char* kCheckpointFlags =
-    "checkpoint resume checkpoint-every-checks checkpoint-every-seconds "
-    "keep-generations";
-// Everything `run` hands to discover, fds or fastod.
-constexpr const char* kRunFlags =
-    "algo json threads max-level profile expand max-expanded";
-constexpr const char* kSuperviseFlags =
-    "max-attempts backoff backoff-multiplier max-backoff no-progress-limit";
-
 /// One verb: its handler and the flags it reads, as space-separated names
-/// and groups. A flag outside the list is rejected before any work starts.
+/// and groups. A task verb, and a verb that picks a task with `--algo`, also
+/// reads the source flags and the flags of its row, and runs it when it has
+/// no handler of its own. A flag outside the list is rejected before any
+/// work starts.
 struct Verb {
   const char* name;
   int (*run)(const Args& args, const char* argv0);
   std::vector<const char*> flags;
+  const ocdd::report::Task* task = nullptr;
+  bool picks_task = false;
 };
 
 const std::vector<Verb>& Verbs() {
-  static const std::vector<Verb> verbs = {
-      {"run", CmdRun,
-       {kSourceFlags, kBudgetFlags, kCheckpointFlags, kRunFlags}},
-      {"supervise", CmdSupervise,
-       {kSourceFlags, kBudgetFlags, kCheckpointFlags, kRunFlags,
-        kSuperviseFlags}},
-      {"serve", CmdServe,
-       {"listen executors queue-capacity request-timeout max-attempts "
-        "backoff max-backoff drain-grace memory-watermark-mib cache-mib "
-        "cache-dir checkpoint-root io-timeout frame-deadline "
-        "max-connections persist-interval disk-failure-threshold "
-        "disk-probe-interval tenants"}},
-      {"request", CmdRequest,
-       {"kind id tenant algo source rows seed max-level no-cache batch "
-        "state io-timeout retries deadline retry-backoff breaker-threshold "
-        "report-only"}},
-      {"fsck", CmdFsck, {"repair no-recursive json"}},
-      {"discover", CmdDiscover,
-       {kSourceFlags, kBudgetFlags, kCheckpointFlags,
-        "json threads max-level profile expand max-expanded"}},
-      {"apply-batch", CmdApplyBatch,
-       {kSourceFlags, kBudgetFlags,
-        "state base threads max-level keep-generations perm-cache-mib json"}},
-      {"fds", CmdFds, {kSourceFlags, kBudgetFlags, kCheckpointFlags, "json"}},
-      {"fastod", CmdFastod,
-       {kSourceFlags, kBudgetFlags, kCheckpointFlags, "json"}},
-      {"fastod-bid", CmdFastodBid, {kSourceFlags, kBudgetFlags, "json"}},
-      {"order", CmdOrder, {kSourceFlags, kBudgetFlags, "json"}},
-      {"approx", CmdApprox, {kSourceFlags, "max-ratio json"}},
-      {"uccs", CmdUccs, {kSourceFlags, kBudgetFlags}},
-      {"polarized", CmdPolarized, {kSourceFlags, "max-level time-limit"}},
-      {"profile", CmdProfile, {kSourceFlags}},
-      {"rewrite", CmdRewrite, {kSourceFlags, kBudgetFlags, "order-by"}},
-      {"explain", CmdExplain,
-       {kSourceFlags, kBudgetFlags, "order-by physical"}},
-      {"diff", CmdDiff, {"before after"}},
-      {"generate", CmdGenerate, {kSourceFlags, "out"}},
-      {"qa", CmdQa,
-       {"seed iters max-side no-metamorphic no-stopped-runs no-resume-runs "
-        "no-ingest no-incremental no-simd no-serve chaos max-failures "
-        "repro-dir max-rows max-cols inject json"}},
-  };
-  return verbs;
-}
-
-/// The first flag `verb` does not read, or "" when all are known.
-std::string UnknownFlag(const Verb& verb, const Args& args) {
-  for (const auto& [flag, value] : args.flags) {
-    bool known = false;
-    for (const char* names : verb.flags) {
-      for (const std::string& name : ocdd::SplitString(names, ' ')) {
-        known = known || name == flag;
-      }
+  static const std::vector<Verb> verbs = [] {
+    std::vector<Verb> v = {
+        {"run", nullptr, {"algo"}, nullptr, true},
+        {"supervise", CmdSupervise, {"algo", kSuperviseFlags}, nullptr, true},
+        {"serve", CmdServe,
+         {"listen executors queue-capacity request-timeout max-attempts "
+          "backoff max-backoff drain-grace memory-watermark-mib cache-mib "
+          "cache-dir checkpoint-root io-timeout frame-deadline "
+          "max-connections persist-interval disk-failure-threshold "
+          "disk-probe-interval tenants"}},
+        {"request", CmdRequest,
+         {"kind id tenant algo source rows seed max-level no-cache batch "
+          "state io-timeout retries deadline retry-backoff breaker-threshold "
+          "report-only"}},
+        {"fsck", CmdFsck, {"repair no-recursive json"}},
+        {"apply-batch", CmdApplyBatch,
+         {kSourceFlags, kBudgetFlags,
+          "state base threads max-level keep-generations perm-cache-mib "
+          "json"}},
+        {"profile", CmdProfile, {kSourceFlags}},
+        {"rewrite", CmdRewrite, {kSourceFlags, kBudgetFlags, "order-by"}},
+        {"explain", CmdExplain,
+         {kSourceFlags, kBudgetFlags, "order-by physical"}},
+        {"diff", CmdDiff, {"before after"}},
+        {"generate", CmdGenerate, {kSourceFlags, "out"}},
+        {"qa", CmdQa,
+         {"seed iters max-side no-metamorphic no-stopped-runs "
+          "no-resume-runs no-ingest no-incremental no-simd no-serve chaos "
+          "max-failures repro-dir max-rows max-cols inject json"}},
+    };
+    for (const ocdd::report::Task& task : ocdd::report::Tasks()) {
+      v.push_back({task.name, nullptr, {}, &task});
     }
-    if (!known) return flag;
-  }
-  return "";
+    return v;
+  }();
+  return verbs;
 }
 
 int Dispatch(const Args& args, char** argv) {
   for (const Verb& verb : Verbs()) {
     if (args.command != verb.name) continue;
-    const std::string unknown = UnknownFlag(verb, args);
-    if (!unknown.empty()) {
-      std::fprintf(stderr, "ocdd %s: unknown flag --%s\n", verb.name,
-                   unknown.c_str());
-      return 2;
+    const ocdd::report::Task* task = verb.task;
+    if (verb.picks_task) {
+      const std::string algo = args.Get("algo", "discover");
+      task = ocdd::report::FindRunnableTask(algo);
+      if (task == nullptr) {
+        std::fprintf(stderr, "ocdd %s: unknown --algo '%s' (%s)\n",
+                     verb.name, algo.c_str(),
+                     ocdd::report::RunnableTaskNames(", ").c_str());
+        return 2;
+      }
     }
-    return verb.run(args, argv[0]);
+    std::vector<const char*> flags = verb.flags;
+    if (task != nullptr) {
+      flags.push_back(kSourceFlags);
+      flags.insert(flags.end(), task->flags.begin(), task->flags.end());
+    }
+    for (const auto& [flag, value] : args.flags) {
+      if (!ocdd::report::ListsFlag(flags, flag)) {
+        std::fprintf(stderr, "ocdd %s: unknown flag --%s\n", verb.name,
+                     flag.c_str());
+        return 2;
+      }
+    }
+    return verb.run != nullptr ? verb.run(args, argv[0])
+                               : RunTask(*task, args);
   }
   Usage();
   return 2;
