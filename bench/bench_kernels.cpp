@@ -333,8 +333,11 @@ int main() {
       RefineScratch scratch;
       ocdd::prof::Reset();
       std::int32_t groups = 0;
+      // The parent is named (id 0) so the loop reuses its rank histogram,
+      // as the partition cache's sibling refinements do.
       auto [secs, iters] = TimeLoop([&] {
-        ListPartition refined = parent.Refine(relation, 1, &scratch, p.path);
+        ListPartition refined =
+            parent.Refine(relation, 1, &scratch, p.path, /*self=*/0);
         groups = refined.num_groups();
       });
       std::printf("  refine-%-10s %-4s: %9.3f ms/refine  (%llu iters)\n",

@@ -59,7 +59,8 @@ OrderDiscoverResult DiscoverOrderDependencies(
         cap_reason = StopReason::kLevelCap;
         break;
       }
-      checker.Prepare(level, nullptr);
+      // ORDER checks through CheckOd, which reads no check-memo slot.
+      checker.Prepare(level, nullptr, nullptr, /*memoize_checks=*/false);
 
       std::vector<Candidate> next;
       std::size_t next_bytes = 0;

@@ -1,6 +1,7 @@
 #include "core/list_partition.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <type_traits>
 
@@ -56,16 +57,52 @@ void ListPartition::Allocate(std::size_t m, std::int32_t groups) {
   }
 }
 
-const void* ListPartition::StorageTag() const {
-  switch (width()) {
-    case rel::CodeWidth::k8:
-      return c8_.data();
-    case rel::CodeWidth::k16:
-      return c16_.data();
-    case rel::CodeWidth::k32:
-      break;
+std::uint64_t ListPartition::ContentHash() const {
+  // Multiply-xorshift mix over the stored ranks in four independent lanes
+  // (no serial dependency between consecutive words); the group count
+  // seeds it and also fixes the width, so equal bytes mean equal ranks.
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+  auto mix = [](std::uint64_t h, std::uint64_t w) {
+    h = (h ^ w) * kMul;
+    return h ^ (h >> 29);
+  };
+  const std::uint64_t seed = (static_cast<std::uint64_t>(num_rows_) << 32) ^
+                             static_cast<std::uint32_t>(num_groups_);
+  std::uint64_t lane[4] = {seed, seed + 1, seed + 2, seed + 3};
+  std::uint64_t h = seed;
+  WithCodes(*this, [&](const auto* codes) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(codes);
+    const std::size_t n = num_rows_ * sizeof(codes[0]);
+    std::size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+      for (int l = 0; l < 4; ++l) {
+        std::uint64_t w;
+        std::memcpy(&w, bytes + i + 8 * l, 8);
+        lane[l] = mix(lane[l], w);
+      }
+    }
+    for (std::uint64_t v : lane) h = mix(h, v);
+    for (; i + 8 <= n; i += 8) {
+      std::uint64_t w;
+      std::memcpy(&w, bytes + i, 8);
+      h = mix(h, w);
+    }
+    std::uint64_t tail = 0;
+    if (n > i) std::memcpy(&tail, bytes + i, n - i);
+    h = mix(h, tail ^ n);
+  });
+  return h ^ (h >> 32);
+}
+
+bool ListPartition::SameContent(const ListPartition& other) const {
+  if (num_rows_ != other.num_rows_ || num_groups_ != other.num_groups_) {
+    return false;
   }
-  return c32_.data();
+  if (num_rows_ == 0) return true;
+  return WithCodes(*this, [&](const auto* codes) {
+    const void* theirs = other.view().data;
+    return std::memcmp(codes, theirs, num_rows_ * sizeof(codes[0])) == 0;
+  });
 }
 
 rel::CodeView ListPartition::view() const {
@@ -143,12 +180,12 @@ ListPartition ListPartition::Refine(const rel::CodedRelation& relation,
 ListPartition ListPartition::Refine(const rel::CodedRelation& relation,
                                     rel::ColumnId column,
                                     RefineScratch* scratch,
-                                    RefinePath path) const {
+                                    RefinePath path, PartId self) const {
   const rel::CodedColumn& coded = relation.column(column);
   const std::size_t domain = static_cast<std::size_t>(coded.num_distinct);
   return WithCodes(*this, [&](const auto* parent) {
     return WithColumnCodes(coded, [&](const auto* col) {
-      return RefineTyped(parent, col, domain, scratch, path);
+      return RefineTyped(parent, col, domain, scratch, path, self);
     });
   });
 }
@@ -157,7 +194,8 @@ template <typename P, typename C>
 ListPartition ListPartition::RefineTyped(const P* parent, const C* col,
                                          std::size_t domain,
                                          RefineScratch* scratch,
-                                         RefinePath path) const {
+                                         RefinePath path,
+                                         PartId self) const {
   const std::size_t m = num_rows_;
   const std::size_t groups = static_cast<std::size_t>(num_groups_);
   const std::uint64_t buckets = static_cast<std::uint64_t>(groups) * domain;
@@ -221,9 +259,9 @@ ListPartition ListPartition::RefineTyped(const P* parent, const C* col,
   }
 
   // Parent-rank histogram: reused across consecutive refinements of the
-  // same parent (the pipeline groups sibling lists by parent).
+  // same cached parent (the cache refines siblings back to back).
   std::vector<std::uint32_t>& offsets = scratch->rank_offsets;
-  if (scratch->parent_tag != StorageTag()) {
+  if (self == kNoPartId || scratch->histogram_of != self) {
     offsets.assign(groups + 1, 0);
     for (std::size_t row = 0; row < m; ++row) {
       ++offsets[static_cast<std::size_t>(parent[row]) + 1];
@@ -231,7 +269,7 @@ ListPartition ListPartition::RefineTyped(const P* parent, const C* col,
     for (std::size_t g = 1; g < offsets.size(); ++g) {
       offsets[g] += offsets[g - 1];
     }
-    scratch->parent_tag = StorageTag();
+    scratch->histogram_of = self;
   }
 
   std::vector<std::uint32_t>& rows = scratch->rows;

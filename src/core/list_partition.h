@@ -30,22 +30,24 @@ enum class RefinePath {
   kComparison,
 };
 
+/// Dense id of one stored rank vector in a `PartitionChecker` cache
+/// (partition_checker.h); `kNoPartId` names none.
+using PartId = std::uint32_t;
+inline constexpr PartId kNoPartId = 0xFFFFFFFFu;
+
 /// Reusable buffers for `Refine`, so a pipeline of refinements performs no
 /// per-call allocations (beyond the result's own rank vector). One scratch
 /// per thread; a scratch must not be shared between concurrent refinements.
 ///
 /// Consecutive refinements of the *same* parent partition additionally
-/// reuse the parent's rank histogram (`rank_offsets`): the parallel
-/// partition pipeline groups each level's missing lists by parent to
-/// exploit exactly this.
+/// reuse the parent's rank histogram (`rank_offsets`) when the caller names
+/// the parent by its `PartId`: the partition cache refines each parent's
+/// children back to back on one thread to exploit exactly this.
 struct RefineScratch {
-  /// Identity of the partition `rank_offsets` was computed for (its rank
-  /// storage's buffer address); an opaque tag, only ever compared. Call
-  /// `Invalidate()` after destroying a partition this scratch refined, in
-  /// the unlikely case a new partition's buffer could land at the same
-  /// address (long-lived cached parents, as in the discovery driver, are
-  /// never at risk).
-  const void* parent_tag = nullptr;
+  /// Id of the partition `rank_offsets` was computed for; `kNoPartId` =
+  /// none. Ids are only unique within one cache, so a caller that reuses a
+  /// scratch across caches resets this first.
+  PartId histogram_of = kNoPartId;
   std::vector<std::uint32_t> rank_offsets;
   std::vector<std::uint32_t> code_offsets;
   std::vector<std::uint32_t> cursor;
@@ -54,8 +56,6 @@ struct RefineScratch {
   /// Per-position refined ranks of the counting/comparison paths, staged
   /// here until the group count (and so the output width) is known.
   std::vector<std::uint32_t> ranks;
-
-  void Invalidate() { parent_tag = nullptr; }
 };
 
 /// A *sorted partition* of the rows under an attribute list X: the dense,
@@ -105,11 +105,13 @@ class ListPartition {
                        rel::ColumnId column) const;
 
   /// `Refine` with caller-owned scratch (no internal allocations) and an
-  /// explicit path choice. `kCounting` and `kComparison` produce identical
-  /// partitions; `kAuto` picks by the column's domain size.
+  /// explicit path choice. All paths produce identical partitions; `kAuto`
+  /// picks by the column's domain size. `self` is this partition's id in
+  /// the caller's cache (`kNoPartId`: no histogram reuse).
   ListPartition Refine(const rel::CodedRelation& relation,
                        rel::ColumnId column, RefineScratch* scratch,
-                       RefinePath path = RefinePath::kAuto) const;
+                       RefinePath path = RefinePath::kAuto,
+                       PartId self = kNoPartId) const;
 
   std::size_t num_rows() const { return num_rows_; }
   std::int32_t num_groups() const { return num_groups_; }
@@ -138,6 +140,13 @@ class ListPartition {
            c16_.capacity() * sizeof(std::uint16_t) +
            c32_.capacity() * sizeof(std::int32_t) + sizeof(*this);
   }
+
+  /// 64-bit hash of the content (group count and ranks). Equal partitions
+  /// hash equal; `SameContent` confirms a match exactly.
+  std::uint64_t ContentHash() const;
+
+  /// True iff both partitions hold the same rank vector.
+  bool SameContent(const ListPartition& other) const;
 
   /// Releases rank-vector slack (capacity beyond size) so `MemoryBytes`
   /// reflects real heap use before the partition enters a budgeted cache.
@@ -173,12 +182,10 @@ class ListPartition {
   /// the shape fields; exactly one vector is non-empty afterwards (m > 0).
   void Allocate(std::size_t m, std::int32_t groups);
 
-  /// Address of the active storage buffer — the scratch `parent_tag`.
-  const void* StorageTag() const;
-
   template <typename P, typename C>
   ListPartition RefineTyped(const P* parent, const C* col, std::size_t domain,
-                            RefineScratch* scratch, RefinePath path) const;
+                            RefineScratch* scratch, RefinePath path,
+                            PartId self) const;
 
   /// Exactly one of these is non-empty (for num_rows_ > 0): the one
   /// matching `width()`.

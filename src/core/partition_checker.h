@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/run_context.h"
@@ -56,19 +58,36 @@ struct CandidateOutcome {
 /// The one check path of every lattice walk: OCDDISCOVER, ORDER and
 /// polarized discovery validate candidates only through this class.
 ///
-/// It caches sorted partitions (list_partition.h) by attribute list;
-/// before a level's checks, `Prepare` refines each missing list from its
-/// one-shorter prefix (§5.3.1's re-implementation of ORDER's scheme), so a
-/// check reads two rank vectors in O(m). A side without a cached partition
-/// is checked by the sort-based `OrderChecker` (§4.3) instead, with the
-/// same results and the same check counts.
+/// It caches sorted partitions (list_partition.h). Before a level's checks,
+/// `Prepare` refines each missing list from its one-shorter prefix (§5.3.1's
+/// re-implementation of ORDER's scheme), so a check reads two rank vectors
+/// in O(m). A side without a cached partition is checked by the sort-based
+/// `OrderChecker` (§4.3) instead, with the same results and the same check
+/// counts.
 ///
-/// A partition is published only when it fits `max_cache_bytes` and the
-/// RunContext memory budget, of which the cache takes at most half so the
-/// candidate frontier keeps the rest. The fit is tested before charging,
-/// so a full cache falls back to sorting and never latches
-/// `kMemoryBudget`; the destructor returns the charge. Every check counts
-/// on `num_checks()` and on the RunContext check budget.
+/// The cache is content-addressed: every OCD `X ~ Y` the walk validates
+/// makes `XY` and `YX` the same partition, and a non-splitting refinement
+/// repeats its parent, so many lists share one rank vector. Each distinct
+/// vector is stored once under a dense `PartId` (identity = a 64-bit
+/// content hash confirmed by exact comparison), lists map to ids, and two
+/// memos key work by ids instead of lists:
+///
+///  * refine memo: (parent id, column) → id, so a vector is refined once;
+///  * check memo: {x id, y id} → outcome, so `CheckOcdAndOds` runs the
+///    check kernel once per distinct pair of vectors in a level (one pass
+///    answers both directions). `Prepare` opens a slot per pair of the
+///    level, and each slot is filled once by whichever check reaches it
+///    first. Slots live for one level: the next `Prepare` releases those
+///    its level does not check again, so dead slots never hold cache room
+///    that later vectors need. `CheckOd`, ORDER's check, is not memoised.
+///
+/// A new vector or memo slot is stored only when it fits `max_cache_bytes`
+/// and the RunContext memory budget, of which the cache takes at most half
+/// so the candidate frontier keeps the rest. The fit is tested before
+/// charging, so a full cache falls back to sorting (a vector) or to an
+/// unmemoised kernel run (a slot) and never latches `kMemoryBudget`; the
+/// destructor returns the charge. Every check counts on `num_checks()` and
+/// on the RunContext check budget, memoised or not.
 ///
 /// `Prepare` must not overlap the checks; the `Check*` methods are const
 /// and may run concurrently from pool workers between `Prepare` calls.
@@ -85,11 +104,16 @@ class PartitionChecker {
 
   /// Caches the partitions of both sides of every candidate of `level`
   /// not flagged in `skip`, and of their prefixes, within the budgets.
+  /// With `memoize_checks` it also opens a check-memo slot for each pair of
+  /// cached sides, for `CheckOcdAndOds`; either way it releases the
+  /// previous level's slots that `level` does not check again. `CheckOd`
+  /// reads no slot, so a walk that checks only through it passes false.
   /// Refinement runs one list length at a time, on `pool` when given; the
   /// cache content never depends on the thread count. A stopped run skips
   /// the remaining lengths.
   void Prepare(const std::vector<Candidate>& level, ThreadPool* pool,
-               const std::vector<char>* skip = nullptr);
+               const std::vector<char>* skip = nullptr,
+               bool memoize_checks = true);
 
   /// OCD single check `x ~ y` (Theorem 4.1) and, when it holds, both
   /// embedded ODs `x → y` and `y → x`: 1 check, plus 2 at valid nodes.
@@ -105,12 +129,39 @@ class PartitionChecker {
     return checks_.load(std::memory_order_relaxed);
   }
 
-  /// Bytes the cache holds and has charged; it only grows, so also its peak.
+  /// Bytes the cache holds and has charged: the distinct vectors, which
+  /// are kept for the whole walk, and the current level's memo slots.
   std::size_t cache_bytes() const { return cache_bytes_; }
 
+  /// Id of the vector cached for `list`, or `kNoPartId`.
+  PartId IdOf(const od::AttributeList& list) const;
+
+  /// Number of distinct vectors stored.
+  std::size_t num_partitions() const { return parts_.size(); }
+
  private:
-  const ListPartition* Find(const od::AttributeList& list) const;
-  bool Fits(std::size_t bytes) const;
+  /// The check memo of one unordered pair {lo, hi} of ids (lo <= hi):
+  /// `both[0]` is the direction lo → hi, `both[1]` is hi → lo, computed in
+  /// one pass by the first caller.
+  struct CheckSlot {
+    std::once_flag once;
+    OdCheckOutcome both[2];
+  };
+  /// Heap footprint of one slot in `slots_`: the node and its bucket.
+  static constexpr std::size_t kSlotBytes =
+      sizeof(std::pair<const std::uint64_t, CheckSlot>) + 2 * sizeof(void*);
+
+  /// Refines one length's missing lists; false when a refinement threw.
+  bool RefineLayer(std::vector<od::AttributeList>& lists, ThreadPool* pool);
+  /// Id of `result`'s content: an equal stored vector's, else a new one's
+  /// if it fits the budgets, else `kNoPartId`.
+  PartId Publish(ListPartition&& result, std::uint64_t hash);
+  /// Releases the memo slots `level` does not check again.
+  void ReleaseSlots(const std::vector<Candidate>& level,
+                    const std::vector<char>* skip);
+  /// The memo slot of {x, y}, or null.
+  CheckSlot* SlotOf(PartId x, PartId y) const;
+  bool Charge(std::size_t bytes);
   void Count(std::uint64_t n) const;
 
   const rel::CodedRelation& relation_;
@@ -119,8 +170,12 @@ class PartitionChecker {
   const bool use_partitions_;
   OrderChecker sorter_;
   mutable std::atomic<std::uint64_t> checks_{0};
-  std::unordered_map<od::AttributeList, ListPartition, od::AttributeListHash>
-      cache_;
+  std::vector<ListPartition> parts_;
+  std::unordered_multimap<std::uint64_t, PartId> by_content_;
+  std::unordered_map<od::AttributeList, PartId, od::AttributeListHash> ids_;
+  std::unordered_map<std::uint64_t, PartId> refined_;
+  // Mutable: the const checks fill the slots, each once.
+  mutable std::unordered_map<std::uint64_t, CheckSlot> slots_;
   std::size_t cache_bytes_ = 0;
 };
 

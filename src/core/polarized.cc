@@ -130,20 +130,30 @@ PolarizedDiscoverResult DiscoverPolarizedOcds(
 
   // Level 2, mirror-canonical: the lhs head is ascending. Per unordered
   // base pair {a, b} with a < b this yields (a+, b+) and (a+, b-); the
-  // mirror images (a-, b-) and (a-, b+) are equivalent.
+  // mirror images (a-, b-) and (a-, b+) are equivalent. Every frontier
+  // candidate is charged to the memory budget; a refused charge latches
+  // `kMemoryBudget` and ends the walk.
   std::vector<Candidate> level;
-  for (std::size_t i = 0; i < active.size(); ++i) {
+  std::size_t level_bytes = 0;
+  bool aborted = false;
+  for (std::size_t i = 0; i < active.size() && !aborted; ++i) {
     for (std::size_t j = i + 1; j < active.size(); ++j) {
-      level.push_back(Candidate{AttributeList{active[i]},
-                                AttributeList{active[j]}});
-      level.push_back(Candidate{AttributeList{active[i]},
-                                AttributeList{active[j] + n}});
+      for (rel::ColumnId v : {active[j], active[j] + n}) {
+        Candidate c{AttributeList{active[i]}, AttributeList{v}};
+        const std::size_t bytes = CandidateBytes(c);
+        if (!ctx.ChargeMemory(bytes)) {
+          aborted = true;
+          break;
+        }
+        level_bytes += bytes;
+        level.push_back(std::move(c));
+      }
+      if (aborted) break;
     }
   }
   result.candidates_generated += level.size();
 
   std::size_t current_level = 2;
-  bool aborted = false;
   while (!level.empty() && !aborted) {
     if (options.max_level != 0 && current_level > options.max_level) {
       aborted = true;
@@ -152,6 +162,7 @@ PolarizedDiscoverResult DiscoverPolarizedOcds(
     checker.Prepare(level, nullptr);
 
     std::vector<Candidate> next;
+    std::size_t next_bytes = 0;
     std::unordered_set<Candidate, CandidateHash> seen;
     for (const Candidate& c : level) {
       if (ctx.ShouldStop()) {
@@ -170,24 +181,34 @@ PolarizedDiscoverResult DiscoverPolarizedOcds(
         result.ods.push_back(
             PolarizedOd{DecodeList(c.y, n), DecodeList(c.x, n)});
       }
+      std::vector<Candidate> children;
       for (rel::ColumnId base : active) {
         if (UsesBase(c.x, base, n) || UsesBase(c.y, base, n)) continue;
         for (rel::ColumnId v : {base, base + n}) {
-          if (!out.od_xy) {
-            Candidate child{c.x.WithAppended(v), c.y};
-            if (seen.insert(child).second) next.push_back(std::move(child));
-          }
-          if (!out.od_yx) {
-            Candidate child{c.x, c.y.WithAppended(v)};
-            if (seen.insert(child).second) next.push_back(std::move(child));
-          }
+          if (!out.od_xy) children.push_back({c.x.WithAppended(v), c.y});
+          if (!out.od_yx) children.push_back({c.x, c.y.WithAppended(v)});
         }
       }
+      for (Candidate& child : children) {
+        if (seen.count(child) != 0) continue;
+        const std::size_t bytes = CandidateBytes(child);
+        if (!ctx.ChargeMemory(bytes)) {
+          aborted = true;
+          break;
+        }
+        next_bytes += bytes;
+        seen.insert(child);
+        next.push_back(std::move(child));
+      }
+      if (aborted) break;
     }
     result.candidates_generated += next.size();
+    ctx.ReleaseMemory(level_bytes);
     level = std::move(next);
+    level_bytes = next_bytes;
     ++current_level;
   }
+  ctx.ReleaseMemory(level_bytes);
 
   std::sort(result.ocds.begin(), result.ocds.end());
   std::sort(result.ods.begin(), result.ods.end());

@@ -236,7 +236,7 @@ const std::vector<Task>& Tasks() {
       {"uccs", "minimal unique column combinations (key candidates)",
        {kBudgetFlags}, RunUccs},
       {"polarized", "bidirectional OCDs/ODs (per-attribute ASC/DESC)",
-       {"max-level time-limit"}, RunPolarized},
+       {kBudgetFlags, "max-level"}, RunPolarized},
   };
   return tasks;
 }

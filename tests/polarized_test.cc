@@ -91,6 +91,31 @@ TEST(PolarizedTest, BudgetStopsEarly) {
   EXPECT_FALSE(result.completed);
 }
 
+TEST(PolarizedTest, MemoryBudgetCapsTheFrontier) {
+  // The frontier is charged to the budget: a walk that outgrows it stops
+  // with a partial result and returns every byte it charged.
+  // LATTICE's co-monotone columns keep every level's frontier wide.
+  CodedRelation r = CodedRelation::Encode(datagen::MakeLattice(100, 42));
+  RunContext unbudgeted;
+  PolarizedDiscoverOptions opts;
+  opts.run_context = &unbudgeted;
+  const PolarizedDiscoverResult full = DiscoverPolarizedOcds(r, opts);
+  ASSERT_EQ(unbudgeted.stop_reason(), StopReason::kNone);
+  EXPECT_EQ(unbudgeted.memory_used(), 0u);
+
+  const std::size_t limit = unbudgeted.peak_memory() / 2;
+  RunContext budget;
+  budget.set_memory_budget(limit);
+  opts.run_context = &budget;
+  const PolarizedDiscoverResult capped = DiscoverPolarizedOcds(r, opts);
+  EXPECT_FALSE(capped.completed);
+  EXPECT_EQ(budget.stop_reason(), StopReason::kMemoryBudget);
+  EXPECT_GT(capped.num_checks, 0u);
+  EXPECT_LT(capped.num_checks, full.num_checks);
+  EXPECT_LE(budget.peak_memory(), limit);
+  EXPECT_EQ(budget.memory_used(), 0u);
+}
+
 TEST(PolarizedTest, NcvoterAgeBirthYearInverse) {
   CodedRelation voters =
       CodedRelation::Encode(datagen::MakeNcvoter(200, 11));

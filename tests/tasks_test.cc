@@ -6,6 +6,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <regex>
@@ -138,6 +139,24 @@ TEST(TasksTest, LexOnADatasetSourceMatchesItsGeneratedCsv) {
     EXPECT_EQ(MaskTimes(dataset.output), MaskTimes(file.output));
   }
   std::filesystem::remove(csv);
+}
+
+TEST(TasksTest, BudgetsCapPolarized) {
+  // FLIGHT_1K's 109 columns give polarized discovery millions of level-4
+  // candidates; either budget ends the run early with a partial result.
+  for (const char* budget : {"--max-checks 2000", "--memory-limit 16"}) {
+    SCOPED_TRACE(budget);
+    const auto start = std::chrono::steady_clock::now();
+    const RunResult run =
+        RunCli(std::string("polarized FLIGHT_1K --rows 60 --max-level 3 ") +
+               budget);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_EQ(run.exit_code, 0) << run.output;
+    EXPECT_NE(run.output.find("(partial)"), std::string::npos) << run.output;
+    EXPECT_LT(seconds, 30.0);
+  }
 }
 
 }  // namespace
