@@ -1,6 +1,5 @@
 #include "algo/order/order_discover.h"
 
-#include <unordered_set>
 #include <utility>
 
 #include "common/run_context.h"
@@ -11,8 +10,8 @@
 namespace ocdd::algo {
 
 using core::Candidate;
-using core::CandidateBytes;
-using core::CandidateHash;
+using core::Frontier;
+using core::kNoListId;
 using core::OdCheckOutcome;
 using od::AttributeList;
 
@@ -27,25 +26,21 @@ OrderDiscoverResult DiscoverOrderDependencies(
 
   core::PartitionChecker checker(relation, *ctx,
                                 options.max_partition_cache_bytes);
+  core::ListTable& lists = checker.lists();
 
   std::size_t n = relation.num_columns();
 
   // Level 2: every ordered pair (A, B), A ≠ B — direction matters for ODs.
-  std::vector<Candidate> level;
-  std::size_t level_bytes = 0;
+  Frontier level(lists, *ctx);
   bool aborted = false;
   StopReason cap_reason = StopReason::kNone;
   for (rel::ColumnId a = 0; a < n && !aborted; ++a) {
     for (rel::ColumnId b = 0; b < n; ++b) {
       if (a == b) continue;
-      Candidate c{AttributeList{a}, AttributeList{b}};
-      std::size_t bytes = CandidateBytes(c);
-      if (!ctx->ChargeMemory(bytes)) {
+      if (!level.Add(lists.Child(kNoListId, a), lists.Child(kNoListId, b))) {
         aborted = true;
         break;
       }
-      level_bytes += bytes;
-      level.push_back(std::move(c));
     }
   }
   result.candidates_generated += level.size();
@@ -60,12 +55,12 @@ OrderDiscoverResult DiscoverOrderDependencies(
         break;
       }
       // ORDER checks through CheckOd, which reads no check-memo slot.
-      checker.Prepare(level, nullptr, nullptr, /*memoize_checks=*/false);
+      checker.Prepare(level.candidates(), nullptr, nullptr,
+                      /*memoize_checks=*/false);
 
-      std::vector<Candidate> next;
-      std::size_t next_bytes = 0;
-      std::unordered_set<Candidate, CandidateHash> seen;
-      for (const Candidate& c : level) {
+      Frontier next(lists, *ctx);
+      for (std::size_t i = 0; i < level.size(); ++i) {
+        const Candidate c = level[i];
         if (ctx->ShouldStop()) {
           aborted = true;
           break;
@@ -74,38 +69,28 @@ OrderDiscoverResult DiscoverOrderDependencies(
         // Full classification: a swap must be detected even when a split
         // occurs first, because only swaps prune the subtree.
         const OdCheckOutcome outcome = checker.CheckOd(c.x, c.y);
+        const AttributeList& x = lists.list(c.x);
+        const AttributeList& y = lists.list(c.y);
         if (outcome.valid()) {
           ctx->AtInjectionPoint("order.generate");
-          result.ods.push_back(od::OrderDependency{c.x, c.y});
+          result.ods.push_back(od::OrderDependency{x, y});
           // Extend RHS only: X → YA is not implied by X → Y, but XA → Y is.
           for (rel::ColumnId a = 0; a < n; ++a) {
-            if (c.x.Contains(a) || c.y.Contains(a)) continue;
-            Candidate child{c.x, c.y.WithAppended(a)};
-            if (seen.count(child) != 0) continue;
-            std::size_t bytes = CandidateBytes(child);
-            if (!ctx->ChargeMemory(bytes)) {
+            if (x.Contains(a) || y.Contains(a)) continue;
+            if (!next.Add(c.x, lists.Child(c.y, a))) {
               aborted = true;
               break;
             }
-            next_bytes += bytes;
-            seen.insert(child);
-            next.push_back(std::move(child));
           }
         } else if (!outcome.has_swap) {
           // Split only: extending the RHS can never repair a split,
           // extending the LHS can.
           for (rel::ColumnId a = 0; a < n; ++a) {
-            if (c.x.Contains(a) || c.y.Contains(a)) continue;
-            Candidate child{c.x.WithAppended(a), c.y};
-            if (seen.count(child) != 0) continue;
-            std::size_t bytes = CandidateBytes(child);
-            if (!ctx->ChargeMemory(bytes)) {
+            if (x.Contains(a) || y.Contains(a)) continue;
+            if (!next.Add(lists.Child(c.x, a), c.y)) {
               aborted = true;
               break;
             }
-            next_bytes += bytes;
-            seen.insert(child);
-            next.push_back(std::move(child));
           }
         }
         // Swap: prune the whole subtree.
@@ -113,15 +98,12 @@ OrderDiscoverResult DiscoverOrderDependencies(
       }
       result.candidates_generated += next.size();
       level = std::move(next);
-      ctx->ReleaseMemory(level_bytes);
-      level_bytes = next_bytes;
       ++current_level;
     }
   } catch (const FaultInjectedError&) {
     ctx->RequestStop(StopReason::kFaultInjected);
     aborted = true;
   }
-  ctx->ReleaseMemory(level_bytes);
 
   aborted = aborted || ctx->stop_requested();
   od::SortUnique(result.ods);

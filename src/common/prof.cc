@@ -268,6 +268,12 @@ std::string ToJson(const Report& report) {
                   report.wall_seconds, report.unattributed_seconds);
     out += buf;
   }
+  if (report.run_seconds > 0.0) {
+    std::snprintf(buf, sizeof(buf),
+                  ",\"run_seconds\":%.6f,\"busy_ratio\":%.4f",
+                  report.run_seconds, report.busy_ratio);
+    out += buf;
+  }
   out += "}";
   return out;
 }

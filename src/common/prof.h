@@ -100,6 +100,11 @@ struct Report {
   /// set by a caller that knows both (0 wall: not measured).
   double wall_seconds = 0.0;
   double unattributed_seconds = 0.0;
+  /// Seconds of the algorithm run alone, and how busy its threads were:
+  /// Σ CPU seconds of the phases inside the run ÷ (threads × run seconds).
+  /// Set by a caller that knows both (0 run: not measured).
+  double run_seconds = 0.0;
+  double busy_ratio = 0.0;
 
   bool empty() const { return phases.empty() && alloc_calls == 0; }
 };
@@ -113,7 +118,8 @@ Report Snapshot();
 /// `{"cycles_per_second":...,"phases":[{"name":...,"cycles":...,
 ///   "seconds":...,"bytes":...,"calls":...},...],
 ///   "alloc":{"bytes":...,"calls":...}}`, plus `"wall_seconds"` and
-/// `"unattributed_seconds"` when the wall time was measured.
+/// `"unattributed_seconds"` when the wall time was measured, and
+/// `"run_seconds"` and `"busy_ratio"` when the run time was.
 std::string ToJson(const Report& report);
 
 }  // namespace ocdd::prof

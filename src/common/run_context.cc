@@ -1,6 +1,11 @@
 #include "common/run_context.h"
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 
 #include "common/io_env.h"
@@ -25,6 +30,115 @@ const char* StopReasonName(StopReason reason) {
       return "level_cap";
   }
   return "unknown";
+}
+
+namespace {
+
+/// The decimal number at the start of `text` after blanks; 0 when none.
+std::size_t LeadingNumber(std::string_view text) {
+  std::size_t i = 0;
+  while (i < text.size() && (text[i] == ' ' || text[i] == '\t')) ++i;
+  std::size_t value = 0;
+  const std::size_t start = i;
+  for (; i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]));
+       ++i) {
+    const std::size_t digit = static_cast<std::size_t>(text[i] - '0');
+    if (value > (std::numeric_limits<std::size_t>::max() - digit) / 10) {
+      return std::numeric_limits<std::size_t>::max();
+    }
+    value = value * 10 + digit;
+  }
+  return i == start ? 0 : value;
+}
+
+std::string ReadSmallFile(const char* path) {
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// `<root><path>/<file>` for `path` and each of its ancestors, innermost
+/// first, ending with `<root>/<file>`.
+void AppendWithAncestors(std::string_view root, std::string_view path,
+                         std::string_view file,
+                         std::vector<std::string>* out) {
+  while (!path.empty() && path.back() == '/') path.remove_suffix(1);
+  while (true) {
+    out->push_back(std::string(root) + std::string(path) + "/" +
+                   std::string(file));
+    if (path.empty()) return;
+    const std::size_t slash = path.rfind('/');
+    path = path.substr(0, slash == std::string_view::npos ? 0 : slash);
+  }
+}
+
+}  // namespace
+
+std::size_t DefaultMemoryBudget(std::string_view cgroup_memory_max,
+                                std::string_view meminfo) {
+  std::size_t limit = LeadingNumber(cgroup_memory_max);  // "max" -> 0
+  constexpr std::string_view kTotal = "MemTotal:";
+  const std::size_t at = meminfo.find(kTotal);
+  if (at != std::string_view::npos) {
+    const std::size_t kib = LeadingNumber(meminfo.substr(at + kTotal.size()));
+    const std::size_t ram =
+        kib > std::numeric_limits<std::size_t>::max() / 1024
+            ? std::numeric_limits<std::size_t>::max()
+            : kib * 1024;
+    if (ram != 0) limit = limit == 0 ? ram : std::min(limit, ram);
+  }
+  return limit / 2;
+}
+
+std::vector<std::string> CgroupMemoryLimitFiles(
+    std::string_view proc_self_cgroup) {
+  // Each line is "hierarchy-id:controller-list:path".
+  std::string_view v2_path;
+  std::string_view v1_path;
+  std::string_view rest = proc_self_cgroup;
+  while (!rest.empty()) {
+    const std::size_t eol = rest.find('\n');
+    std::string_view line = rest.substr(0, eol);
+    rest = eol == std::string_view::npos ? std::string_view()
+                                         : rest.substr(eol + 1);
+    const std::size_t first = line.find(':');
+    if (first == std::string_view::npos) continue;
+    const std::size_t second = line.find(':', first + 1);
+    if (second == std::string_view::npos) continue;
+    const std::string_view id = line.substr(0, first);
+    const std::string_view controllers =
+        line.substr(first + 1, second - first - 1);
+    const std::string_view path = line.substr(second + 1);
+    if (id == "0" && controllers.empty()) {
+      v2_path = path;
+      continue;
+    }
+    std::string_view list = controllers;
+    while (!list.empty()) {
+      const std::size_t comma = list.find(',');
+      if (list.substr(0, comma) == "memory") v1_path = path;
+      list = comma == std::string_view::npos ? std::string_view()
+                                             : list.substr(comma + 1);
+    }
+  }
+  std::vector<std::string> files;
+  AppendWithAncestors("/sys/fs/cgroup", v2_path, "memory.max", &files);
+  AppendWithAncestors("/sys/fs/cgroup/memory", v1_path,
+                      "memory.limit_in_bytes", &files);
+  return files;
+}
+
+std::size_t HostMemoryBudget() {
+  const std::string meminfo = ReadSmallFile("/proc/meminfo");
+  std::size_t budget = DefaultMemoryBudget("", meminfo);
+  for (const std::string& path :
+       CgroupMemoryLimitFiles(ReadSmallFile("/proc/self/cgroup"))) {
+    const std::string limit = ReadSmallFile(path.c_str());
+    if (limit.empty()) continue;  // no such cgroup here
+    const std::size_t b = DefaultMemoryBudget(limit, meminfo);
+    if (b != 0 && (budget == 0 || b < budget)) budget = b;
+  }
+  return budget;
 }
 
 std::vector<std::string> RunBudgets::ToCliFlags() const {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ocdd {
@@ -39,6 +40,30 @@ struct RunBudgets {
   /// to whole MiB — the flag's unit.
   std::vector<std::string> ToCliFlags() const;
 };
+
+/// The memory budget the CLI gives a run that names none: half of the
+/// smaller of the cgroup memory limit and the host's RAM. The inputs are
+/// file texts: `cgroup_memory_max` of cgroup v2 `memory.max` ("max" or a
+/// byte count; cgroup v1 `memory.limit_in_bytes` holds a byte count too),
+/// `meminfo` of `/proc/meminfo` (its `MemTotal:` line, in kB). A text that
+/// does not parse sets no limit; 0 = neither does.
+std::size_t DefaultMemoryBudget(std::string_view cgroup_memory_max,
+                                std::string_view meminfo);
+
+/// The cgroup files that may limit a process's memory, given the text of
+/// its `/proc/self/cgroup`: `memory.max` of its cgroup v2 (the `0::` line)
+/// and `memory.limit_in_bytes` of its cgroup v1 memory controller (the
+/// line whose controller list names `memory`), each for the process's own
+/// cgroup and every ancestor up to the mount root, which is listed even
+/// when the text has no such line. Every one of them bounds the process.
+/// Paths are under `/sys/fs/cgroup` (v2) and `/sys/fs/cgroup/memory` (v1).
+std::vector<std::string> CgroupMemoryLimitFiles(
+    std::string_view proc_self_cgroup);
+
+/// The smallest `DefaultMemoryBudget` over this host's files: each file of
+/// `CgroupMemoryLimitFiles(/proc/self/cgroup)` that exists, with
+/// `/proc/meminfo`. 0 = none of them sets a limit.
+std::size_t HostMemoryBudget();
 
 /// Why a discovery run stopped before exhausting its search space.
 ///

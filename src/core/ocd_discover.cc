@@ -1,7 +1,6 @@
 #include "core/ocd_discover.h"
 
 #include <memory>
-#include <unordered_set>
 #include <utility>
 
 #include "common/run_context.h"
@@ -49,8 +48,8 @@ class Driver {
     const std::vector<ColumnId>& universe = result.reduction.reduced_universe;
 
     od::DependencyStore store;
-    std::vector<Candidate> level;
-    std::size_t level_bytes = 0;
+    ListTable& lists = checker_.lists();
+    Frontier level(lists, *ctx_);
     std::size_t current_level = 2;
     bool aborted = false;
     StopReason cap_reason = StopReason::kNone;
@@ -81,9 +80,9 @@ class Driver {
       b.AddSection("meta", meta.Take());
       ByteWriter fr;
       fr.U32(static_cast<std::uint32_t>(level.size()));
-      for (const Candidate& c : level) {
-        fr.IdVec(c.x.ids());
-        fr.IdVec(c.y.ids());
+      for (const Candidate& c : level.candidates()) {
+        fr.IdVec(lists.list(c.x).ids());
+        fr.IdVec(lists.list(c.y).ids());
       }
       b.AddSection("frontier", fr.Take());
       ByteWriter cl;
@@ -141,12 +140,12 @@ class Driver {
       }
       ByteReader fr(*fr_s);
       std::uint32_t n = fr.U32();
-      std::vector<Candidate> restored;
+      std::vector<std::pair<AttributeList, AttributeList>> restored;
       restored.reserve(n);
       for (std::uint32_t i = 0; i < n && fr.ok(); ++i) {
         AttributeList x(fr.IdVec());
         AttributeList y(fr.IdVec());
-        restored.push_back(Candidate{std::move(x), std::move(y)});
+        restored.emplace_back(std::move(x), std::move(y));
       }
       if (!fr.ok()) {
         ck.warning = "resume skipped: snapshot frontier damaged";
@@ -172,18 +171,14 @@ class Driver {
         ck.warning = "resume skipped: snapshot claims damaged";
         return false;
       }
-      // Commit: replay the frontier's memory charge, then adopt the state.
-      std::size_t restored_bytes = 0;
-      for (const Candidate& c : restored) {
-        std::size_t bytes = CandidateBytes(c);
-        if (!ctx_->ChargeMemory(bytes)) {
+      // Commit: intern the frontier's lists and replay its memory charge,
+      // then adopt the state.
+      for (const auto& [x, y] : restored) {
+        if (!level.Add(lists.Intern(x), lists.Intern(y))) {
           aborted = true;
           break;
         }
-        restored_bytes += bytes;
       }
-      level = std::move(restored);
-      level_bytes = restored_bytes;
       current_level = static_cast<std::size_t>(s_level);
       result.levels_completed = static_cast<std::size_t>(s_levels_completed);
       result.candidates_generated = s_candidates;
@@ -212,14 +207,11 @@ class Driver {
       // line 4).
       for (std::size_t i = 0; i < universe.size() && !aborted; ++i) {
         for (std::size_t j = i + 1; j < universe.size(); ++j) {
-          Candidate c{AttributeList{universe[i]}, AttributeList{universe[j]}};
-          std::size_t bytes = CandidateBytes(c);
-          if (!ctx_->ChargeMemory(bytes)) {
+          if (!level.Add(lists.Child(kNoListId, universe[i]),
+                         lists.Child(kNoListId, universe[j]))) {
             aborted = true;
             break;
           }
-          level_bytes += bytes;
-          level.push_back(std::move(c));
         }
       }
       result.candidates_generated += level.size();
@@ -261,7 +253,8 @@ class Driver {
         if (options_.check_hook != nullptr) {
           served.assign(level.size(), 0);
           for (std::size_t i = 0; i < level.size(); ++i) {
-            if (options_.check_hook->Lookup(level[i].x, level[i].y,
+            if (options_.check_hook->Lookup(lists.list(level[i].x),
+                                            lists.list(level[i].y),
                                             &checked[i].out)) {
               served[i] = 1;
               checked[i].checked = true;
@@ -272,7 +265,9 @@ class Driver {
 
         // Cache both sides' partitions of every candidate the hook did not
         // serve before the (parallel, read-only) check phase.
-        checker_.Prepare(level, pool.get(), served.empty() ? nullptr : &served);
+        const std::vector<PartitionChecker::CheckSlot*> slots =
+            checker_.Prepare(level.candidates(), pool.get(),
+                             served.empty() ? nullptr : &served);
 
         auto check_one = [&](std::size_t i) {
           if (!served.empty() && served[i] != 0) return;
@@ -281,7 +276,8 @@ class Driver {
           // §4.2.1: the OCD single check, plus both embedded ODs at valid
           // nodes — they drive pruning and are emitted when valid.
           checked[i] = CheckedCandidate{
-              true, checker_.CheckOcdAndOds(level[i].x, level[i].y)};
+              true,
+              checker_.CheckOcdAndOds(level[i].x, level[i].y, slots[i])};
         };
 
         if (pool) {
@@ -303,7 +299,8 @@ class Driver {
           for (std::size_t i = 0; i < level.size(); ++i) {
             if (served[i] != 0 || !checked[i].checked) continue;
             ++hook_recomputed_;
-            options_.check_hook->Observe(level[i].x, level[i].y,
+            options_.check_hook->Observe(lists.list(level[i].x),
+                                         lists.list(level[i].y),
                                          checked[i].out);
           }
         }
@@ -312,20 +309,20 @@ class Driver {
         // On abort the emission still runs — every candidate the check phase
         // finished contributes to the partial result — but no children are
         // generated.
-        std::vector<Candidate> next;
-        std::size_t next_bytes = 0;
-        std::unordered_set<Candidate, CandidateHash> seen;
+        Frontier next(lists, *ctx_);
         prof::ScopedTimer generate_timer(prof::Phase::kGenerate);
         for (std::size_t i = 0; i < level.size(); ++i) {
-          const Candidate& c = level[i];
+          const Candidate c = level[i];
           if (!checked[i].checked) continue;
           const CandidateOutcome& r = checked[i].out;
           if (!r.ocd_valid) continue;
           ctx_->AtInjectionPoint("ocd.generate");
 
-          store.AddOcd(od::OrderCompatibility{c.x, c.y});
-          if (r.od_xy) store.AddOd(od::OrderDependency{c.x, c.y});
-          if (r.od_yx) store.AddOd(od::OrderDependency{c.y, c.x});
+          const AttributeList& x = lists.list(c.x);
+          const AttributeList& y = lists.list(c.y);
+          store.AddOcd(od::OrderCompatibility{x, y});
+          if (r.od_xy) store.AddOd(od::OrderDependency{x, y});
+          if (r.od_yx) store.AddOd(od::OrderDependency{y, x});
           if (aborted) continue;
 
           bool extend_x = !r.od_xy || !options_.apply_od_pruning;
@@ -333,32 +330,11 @@ class Driver {
           if (!extend_x && !extend_y) continue;
 
           for (ColumnId a : universe) {
-            if (c.x.Contains(a) || c.y.Contains(a)) continue;
-            if (extend_x) {
-              Candidate child{c.x.WithAppended(a), c.y};
-              if (seen.count(child) == 0) {
-                std::size_t bytes = CandidateBytes(child);
-                if (!ctx_->ChargeMemory(bytes)) {
-                  aborted = true;
-                  break;
-                }
-                next_bytes += bytes;
-                seen.insert(child);
-                next.push_back(std::move(child));
-              }
-            }
-            if (extend_y) {
-              Candidate child{c.x, c.y.WithAppended(a)};
-              if (seen.count(child) == 0) {
-                std::size_t bytes = CandidateBytes(child);
-                if (!ctx_->ChargeMemory(bytes)) {
-                  aborted = true;
-                  break;
-                }
-                next_bytes += bytes;
-                seen.insert(child);
-                next.push_back(std::move(child));
-              }
+            if (x.Contains(a) || y.Contains(a)) continue;
+            if ((extend_x && !next.Add(lists.Child(c.x, a), c.y)) ||
+                (extend_y && !next.Add(c.x, lists.Child(c.y, a)))) {
+              aborted = true;
+              break;
             }
           }
           if (options_.max_candidates_per_level != 0 &&
@@ -374,8 +350,6 @@ class Driver {
         }
         result.candidates_generated += next.size();
         level = std::move(next);
-        ctx_->ReleaseMemory(level_bytes);
-        level_bytes = next_bytes;
         ++current_level;
       }
     } catch (const FaultInjectedError&) {
@@ -384,7 +358,6 @@ class Driver {
       ctx_->RequestStop(StopReason::kFaultInjected);
       aborted = true;
     }
-    ctx_->ReleaseMemory(level_bytes);
 
     aborted = aborted || ctx_->stop_requested();
 
@@ -399,7 +372,7 @@ class Driver {
           write_snapshot(pending_blob);
         }
       } else {
-        level.clear();
+        // A run that finishes has an empty frontier.
         write_snapshot(encode_state(true));
       }
     }

@@ -1,7 +1,6 @@
 #include "core/partition_checker.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "common/prof.h"
@@ -12,22 +11,49 @@ using od::AttributeList;
 
 namespace {
 
-/// Key of a refine-memo entry (parent id, column) or of a check-memo slot
-/// (lower id, higher id).
-std::uint64_t PairKey(PartId a, std::uint32_t b) {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
+/// Key of the check-memo slot of {x, y}: (lower id, higher id).
 std::uint64_t SlotKey(PartId x, PartId y) {
   return x <= y ? PairKey(x, y) : PairKey(y, x);
 }
 
-AttributeList Prefix(const AttributeList& list, std::size_t k) {
-  return AttributeList(std::vector<rel::ColumnId>(list.ids().begin(),
-                                                  list.ids().begin() + k));
+}  // namespace
+
+Frontier::Frontier(Frontier&& other) noexcept
+    : lists_(other.lists_),
+      ctx_(other.ctx_),
+      candidates_(std::move(other.candidates_)),
+      seen_(std::move(other.seen_)),
+      bytes_(std::exchange(other.bytes_, 0)) {}
+
+Frontier& Frontier::operator=(Frontier&& other) noexcept {
+  if (this != &other) {
+    ctx_->ReleaseMemory(bytes_);
+    lists_ = other.lists_;
+    ctx_ = other.ctx_;
+    candidates_ = std::move(other.candidates_);
+    seen_ = std::move(other.seen_);
+    bytes_ = std::exchange(other.bytes_, 0);
+  }
+  return *this;
 }
 
-}  // namespace
+bool Frontier::Add(ListId x, ListId y) {
+  if (x == kNoListId || y == kNoListId) return false;
+  const Candidate c{x, y};
+  const std::size_t slot = seen_.Slot(
+      PairKey(x, y), [&](std::uint32_t i) { return candidates_[i] == c; });
+  if (seen_.at(slot) != IdIndex::kEmpty) return true;
+  const std::size_t bytes = CandidateBytes(*lists_, c);
+  if (!ctx_->ChargeMemory(bytes)) return false;
+  bytes_ += bytes;
+  candidates_.push_back(c);
+  if (!seen_.Reserve(candidates_.size(), [&](std::uint32_t i) {
+        return PairKey(candidates_[i].x, candidates_[i].y);
+      })) {
+    seen_.Set(slot, static_cast<std::uint32_t>(candidates_.size() - 1));
+  }
+  return true;
+}
 
 PartitionChecker::PartitionChecker(const rel::CodedRelation& relation,
                                    RunContext& ctx,
@@ -37,22 +63,21 @@ PartitionChecker::PartitionChecker(const rel::CodedRelation& relation,
       ctx_(ctx),
       max_cache_bytes_(max_cache_bytes),
       use_partitions_(use_partitions),
-      sorter_(relation) {}
+      sorter_(relation),
+      lists_(&ctx) {}
 
 PartitionChecker::~PartitionChecker() { ctx_.ReleaseMemory(cache_bytes_); }
-
-PartId PartitionChecker::IdOf(const AttributeList& list) const {
-  auto it = ids_.find(list);
-  return it == ids_.end() ? kNoPartId : it->second;
-}
 
 bool PartitionChecker::Charge(std::size_t bytes) {
   if (max_cache_bytes_ != 0 && cache_bytes_ + bytes > max_cache_bytes_) {
     return false;
   }
   const std::size_t budget = ctx_.memory_budget();
-  if (budget != 0 && (cache_bytes_ + bytes > budget / 2 ||
-                      ctx_.memory_used() + bytes > budget)) {
+  // The cache and the list table share half of the budget; the cache
+  // yields, since it can fall back to sorting and the table cannot.
+  if (budget != 0 &&
+      (cache_bytes_ + lists_.charged_bytes() + bytes > budget / 2 ||
+       ctx_.memory_used() + bytes > budget)) {
     return false;
   }
   if (!ctx_.ChargeMemory(bytes)) return false;
@@ -66,29 +91,26 @@ void PartitionChecker::Count(std::uint64_t n) const {
   ctx_.CountCheck(n);
 }
 
-void PartitionChecker::Prepare(const std::vector<Candidate>& level,
-                               ThreadPool* pool,
-                               const std::vector<char>* skip,
-                               bool memoize_checks) {
-  if (!use_partitions_) return;
+std::vector<PartitionChecker::CheckSlot*> PartitionChecker::Prepare(
+    const std::vector<Candidate>& level, ThreadPool* pool,
+    const std::vector<char>* skip, bool memoize_checks) {
+  std::vector<CheckSlot*> slots(level.size(), nullptr);
+  if (!use_partitions_) return slots;
   // Missing lists (and prefixes) by length, deduplicated, in level order.
-  std::vector<std::vector<AttributeList>> layers;
+  std::vector<std::vector<ListId>> layers;
   {
     prof::ScopedTimer plan_timer(prof::Phase::kPlan);
     ReleaseSlots(level, skip);
-    std::unordered_set<AttributeList, od::AttributeListHash> planned;
+    std::vector<char> planned(lists_.size(), 0);
     // Longest prefix first: the cache and the plan are both prefix-closed,
     // so the first prefix found in either ends the walk.
-    auto plan = [&](const AttributeList& list) {
-      if (ids_.count(list) != 0) return;
-      for (std::size_t k = list.size(); k >= 1; --k) {
-        AttributeList prefix = Prefix(list, k);
-        if ((k < list.size() && ids_.count(prefix) != 0) ||
-            !planned.insert(prefix).second) {
-          return;
-        }
+    auto plan = [&](ListId list) {
+      for (ListId id = list; id != kNoListId; id = lists_.parent(id)) {
+        if (lists_.part(id) != kNoPartId || planned[id] != 0) return;
+        planned[id] = 1;
+        const std::size_t k = lists_.length(id);
         if (layers.size() <= k) layers.resize(k + 1);
-        layers[k].push_back(std::move(prefix));
+        layers[k].push_back(id);
       }
     };
     for (std::size_t i = 0; i < level.size(); ++i) {
@@ -98,38 +120,44 @@ void PartitionChecker::Prepare(const std::vector<Candidate>& level,
     }
   }
 
-  for (std::vector<AttributeList>& layer : layers) {
+  for (const std::vector<ListId>& layer : layers) {
     if (layer.empty()) continue;
-    if (ctx_.ShouldStop()) return;  // also notices a passed deadline
-    if (!RefineLayer(layer, pool)) return;
+    if (ctx_.ShouldStop()) return slots;  // also notices a passed deadline
+    if (!RefineLayer(layer, pool)) return slots;
   }
 
-  if (!memoize_checks) return;
+  if (!memoize_checks) return slots;
   prof::ScopedTimer publish_timer(prof::Phase::kPublish);
   for (std::size_t i = 0; i < level.size(); ++i) {
     if (skip != nullptr && (*skip)[i] != 0) continue;
-    const PartId x = IdOf(level[i].x);
-    const PartId y = IdOf(level[i].y);
+    const PartId x = lists_.part(level[i].x);
+    const PartId y = lists_.part(level[i].y);
     if (x == kNoPartId || y == kNoPartId) continue;
     const std::uint64_t key = SlotKey(x, y);
-    if (slots_.count(key) != 0 || !Charge(kSlotBytes)) continue;
-    slots_.try_emplace(key);
+    auto it = slots_.find(key);
+    if (it == slots_.end()) {
+      if (!Charge(kSlotBytes)) continue;
+      it = slots_.try_emplace(key).first;
+    }
+    slots[i] = &it->second;
   }
+  return slots;
 }
 
 void PartitionChecker::ReleaseSlots(const std::vector<Candidate>& level,
                                     const std::vector<char>* skip) {
   if (slots_.empty()) return;
-  std::unordered_set<std::uint64_t> again;
+  std::vector<std::uint64_t> again;
   for (std::size_t i = 0; i < level.size(); ++i) {
     if (skip != nullptr && (*skip)[i] != 0) continue;
-    const PartId x = IdOf(level[i].x);
-    const PartId y = IdOf(level[i].y);
-    if (x != kNoPartId && y != kNoPartId) again.insert(SlotKey(x, y));
+    const PartId x = lists_.part(level[i].x);
+    const PartId y = lists_.part(level[i].y);
+    if (x != kNoPartId && y != kNoPartId) again.push_back(SlotKey(x, y));
   }
+  std::sort(again.begin(), again.end());
   std::size_t released = 0;
   for (auto it = slots_.begin(); it != slots_.end();) {
-    if (again.count(it->first) != 0) {
+    if (std::binary_search(again.begin(), again.end(), it->first)) {
       ++it;
       continue;
     }
@@ -140,28 +168,28 @@ void PartitionChecker::ReleaseSlots(const std::vector<Candidate>& level,
   ctx_.ReleaseMemory(released);
 }
 
-bool PartitionChecker::RefineLayer(std::vector<AttributeList>& lists,
+bool PartitionChecker::RefineLayer(const std::vector<ListId>& layer,
                                    ThreadPool* pool) {
-  // Resolve each list to (parent id, last column). Pairs the refine memo
-  // already holds need no work; a list whose parent a budget refused stays
-  // uncached.
-  std::vector<std::pair<AttributeList*, std::uint64_t>> waiting;
+  // Resolve each list to (parent's partition id, last column). Pairs the
+  // refine memo already holds need no work; a list whose parent a budget
+  // refused stays uncached.
+  std::vector<std::pair<ListId, std::uint64_t>> waiting;
   std::vector<std::uint64_t> keys;
   {
     prof::ScopedTimer plan_timer(prof::Phase::kPlan);
-    for (AttributeList& list : lists) {
+    for (ListId list : layer) {
       PartId parent = kNoPartId;
-      if (list.size() > 1) {
-        parent = IdOf(Prefix(list, list.size() - 1));
+      if (lists_.parent(list) != kNoListId) {
+        parent = lists_.part(lists_.parent(list));
         if (parent == kNoPartId) continue;
       }
-      const std::uint64_t key = PairKey(parent, list[list.size() - 1]);
+      const std::uint64_t key = PairKey(parent, lists_.last(list));
       auto hit = refined_.find(key);
       if (hit != refined_.end()) {
-        ids_.emplace(std::move(list), hit->second);
+        lists_.set_part(list, hit->second);
         continue;
       }
-      waiting.emplace_back(&list, key);
+      waiting.emplace_back(list, key);
       keys.push_back(key);
     }
     // Sorted by (parent id, column): deterministic, and siblings adjacent.
@@ -169,7 +197,6 @@ bool PartitionChecker::RefineLayer(std::vector<AttributeList>& lists,
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   }
   if (keys.empty()) return true;
-
   // One task per parent: its children refine back to back on one thread,
   // reusing the parent's rank histogram. Single columns have no parent
   // and are one task each.
@@ -240,9 +267,9 @@ bool PartitionChecker::RefineLayer(std::vector<AttributeList>& lists,
                            : Publish(std::move(job.result), job.hash);
     if (id != kNoPartId) refined_.emplace(keys[j], id);
   }
-  for (auto& [list, key] : waiting) {
+  for (const auto& [list, key] : waiting) {
     auto hit = refined_.find(key);
-    if (hit != refined_.end()) ids_.emplace(std::move(*list), hit->second);
+    if (hit != refined_.end()) lists_.set_part(list, hit->second);
   }
   return true;
 }
@@ -259,24 +286,18 @@ PartId PartitionChecker::Publish(ListPartition&& result, std::uint64_t hash) {
   return id;
 }
 
-PartitionChecker::CheckSlot* PartitionChecker::SlotOf(PartId x,
-                                                      PartId y) const {
-  auto it = slots_.find(SlotKey(x, y));
-  return it == slots_.end() ? nullptr : &it->second;
-}
-
-CandidateOutcome PartitionChecker::CheckOcdAndOds(
-    const AttributeList& x, const AttributeList& y) const {
+CandidateOutcome PartitionChecker::CheckOcdAndOds(ListId x, ListId y,
+                                                 CheckSlot* slot) const {
   CandidateOutcome out;
-  const PartId ix = IdOf(x);
-  const PartId iy = IdOf(y);
+  const PartId ix = lists_.part(x);
+  const PartId iy = lists_.part(y);
   Count(1);
   if (ix != kNoPartId && iy != kNoPartId) {
     // One row pass fills both directions' extremes: the swap bit answers
     // the OCD single check, the full outcomes both embedded ODs.
     OdCheckOutcome xy;
     OdCheckOutcome yx;
-    if (CheckSlot* slot = SlotOf(ix, iy)) {
+    if (slot != nullptr) {
       const PartId lo = std::min(ix, iy);
       const PartId hi = std::max(ix, iy);
       std::call_once(slot->once, [&] {
@@ -297,22 +318,24 @@ CandidateOutcome PartitionChecker::CheckOcdAndOds(
     }
     return out;
   }
-  out.ocd_valid = sorter_.HoldsOcd(x, y);
+  const AttributeList& lx = lists_.list(x);
+  const AttributeList& ly = lists_.list(y);
+  out.ocd_valid = sorter_.HoldsOcd(lx, ly);
   if (out.ocd_valid) {
     Count(2);
-    out.od_xy = sorter_.HoldsOd(x, y);
-    out.od_yx = sorter_.HoldsOd(y, x);
+    out.od_xy = sorter_.HoldsOd(lx, ly);
+    out.od_yx = sorter_.HoldsOd(ly, lx);
   }
   return out;
 }
 
-OdCheckOutcome PartitionChecker::CheckOd(const AttributeList& lhs,
-                                         const AttributeList& rhs) const {
-  const PartId il = IdOf(lhs);
-  const PartId ir = IdOf(rhs);
+OdCheckOutcome PartitionChecker::CheckOd(ListId lhs, ListId rhs) const {
+  const PartId il = lists_.part(lhs);
+  const PartId ir = lists_.part(rhs);
   Count(1);
   if (il == kNoPartId || ir == kNoPartId) {
-    return sorter_.CheckOd(lhs, rhs, /*early_exit=*/false);
+    return sorter_.CheckOd(lists_.list(lhs), lists_.list(rhs),
+                           /*early_exit=*/false);
   }
   return ListPartition::CheckOd(parts_[il], parts_[ir]);
 }

@@ -13,6 +13,7 @@
 #include "common/thread_pool.h"
 #include "core/checker.h"
 #include "core/list_partition.h"
+#include "core/list_table.h"
 #include "od/attribute_list.h"
 #include "relation/coded_relation.h"
 
@@ -21,30 +22,57 @@ namespace ocdd::core {
 /// Default byte budget of a walk's sorted-partition cache.
 inline constexpr std::size_t kDefaultPartitionCacheBytes = 1ULL << 30;
 
-/// One candidate of a lattice walk: the attribute lists of `x ~ y` (ORDER
-/// reads it as `x → y`).
+/// One candidate of a lattice walk: the interned lists of `x ~ y` (ORDER
+/// reads it as `x → y`), ids of the walk's `ListTable`.
 struct Candidate {
-  od::AttributeList x;
-  od::AttributeList y;
+  ListId x = kNoListId;
+  ListId y = kNoListId;
 
   friend bool operator==(const Candidate& a, const Candidate& b) {
     return a.x == b.x && a.y == b.y;
   }
 };
 
-struct CandidateHash {
-  std::size_t operator()(const Candidate& c) const {
-    od::AttributeListHash h;
-    return h(c.x) * 1000003ULL ^ h(c.y);
-  }
-};
-
-/// Heap-inclusive footprint of one candidate, the unit the walks charge
-/// their frontiers to the RunContext memory budget in.
-inline std::size_t CandidateBytes(const Candidate& c) {
-  return sizeof(Candidate) +
-         (c.x.size() + c.y.size()) * sizeof(rel::ColumnId);
+/// Frontier charge of one candidate: the footprint of its two lists as
+/// values. The table shares them and is charged on its own; the frontier
+/// charge stays per candidate, so a memory budget bounds the frontier by
+/// the size of its lists.
+inline std::size_t CandidateBytes(const ListTable& lists, const Candidate& c) {
+  return 2 * sizeof(od::AttributeList) +
+         (lists.length(c.x) + lists.length(c.y)) * sizeof(rel::ColumnId);
 }
+
+/// A level of a lattice walk as it is generated: its candidates in
+/// first-seen order, each once (an `IdIndex` of positions by id pair
+/// catches duplicates), each charged `CandidateBytes` to the RunContext
+/// memory budget. The charge is returned when the frontier is destroyed
+/// or assigned over.
+class Frontier {
+ public:
+  Frontier(const ListTable& lists, RunContext& ctx)
+      : lists_(&lists), ctx_(&ctx) {}
+  ~Frontier() { ctx_->ReleaseMemory(bytes_); }
+  Frontier(Frontier&& other) noexcept;
+  Frontier& operator=(Frontier&& other) noexcept;
+
+  /// Appends `x ~ y` unless the frontier holds it. False when either id is
+  /// `kNoListId` (the table refused to intern it) or the candidate's charge
+  /// is refused: the RunContext has then latched `kMemoryBudget` and the
+  /// walk ends.
+  bool Add(ListId x, ListId y);
+
+  const std::vector<Candidate>& candidates() const { return candidates_; }
+  const Candidate& operator[](std::size_t i) const { return candidates_[i]; }
+  std::size_t size() const { return candidates_.size(); }
+  bool empty() const { return candidates_.empty(); }
+
+ private:
+  const ListTable* lists_;
+  RunContext* ctx_;
+  std::vector<Candidate> candidates_;
+  IdIndex seen_;  // candidate positions by (x, y)
+  std::size_t bytes_ = 0;
+};
 
 /// The three bits of one OCD candidate's check outcome. The OD bits are
 /// meaningful only when `ocd_valid` is set — an invalid OCD candidate
@@ -65,34 +93,52 @@ struct CandidateOutcome {
 /// `OrderChecker` (§4.3) instead, with the same results and the same check
 /// counts.
 ///
+/// Lists are ids: the checker owns the walk's `ListTable`, the walks build
+/// candidates from its ids, and the cache records each list's partition id
+/// in the table. Planning follows parent ids, publishing writes the table,
+/// and a check reads both sides' partition ids by index, so no phase
+/// hashes or copies an `AttributeList` per candidate.
+///
 /// The cache is content-addressed: every OCD `X ~ Y` the walk validates
 /// makes `XY` and `YX` the same partition, and a non-splitting refinement
 /// repeats its parent, so many lists share one rank vector. Each distinct
 /// vector is stored once under a dense `PartId` (identity = a 64-bit
-/// content hash confirmed by exact comparison), lists map to ids, and two
-/// memos key work by ids instead of lists:
+/// content hash confirmed by exact comparison), and two memos key work by
+/// partition ids:
 ///
 ///  * refine memo: (parent id, column) → id, so a vector is refined once;
 ///  * check memo: {x id, y id} → outcome, so `CheckOcdAndOds` runs the
 ///    check kernel once per distinct pair of vectors in a level (one pass
 ///    answers both directions). `Prepare` opens a slot per pair of the
-///    level, and each slot is filled once by whichever check reaches it
-///    first. Slots live for one level: the next `Prepare` releases those
-///    its level does not check again, so dead slots never hold cache room
-///    that later vectors need. `CheckOd`, ORDER's check, is not memoised.
+///    level and hands each candidate its slot, and each slot is filled
+///    once by whichever check reaches it first. Slots live for one level:
+///    the next `Prepare` releases those its level does not check again, so
+///    dead slots never hold cache room that later vectors need. `CheckOd`,
+///    ORDER's check, is not memoised.
 ///
 /// A new vector or memo slot is stored only when it fits `max_cache_bytes`
-/// and the RunContext memory budget, of which the cache takes at most half
-/// so the candidate frontier keeps the rest. The fit is tested before
-/// charging, so a full cache falls back to sorting (a vector) or to an
-/// unmemoised kernel run (a slot) and never latches `kMemoryBudget`; the
-/// destructor returns the charge. Every check counts on `num_checks()` and
-/// on the RunContext check budget, memoised or not.
+/// and the RunContext memory budget, of which the cache and the list table
+/// together take at most half so the candidate frontier keeps the rest.
+/// The fit is tested before charging, so a full cache falls back to
+/// sorting (a vector) or to an unmemoised kernel run (a slot) and never
+/// latches `kMemoryBudget`; the destructor returns the charge. The table
+/// charges its lists itself (list_table.h) and the cache yields to it.
+/// Every check counts on `num_checks()` and on the RunContext check
+/// budget, memoised or not.
 ///
-/// `Prepare` must not overlap the checks; the `Check*` methods are const
-/// and may run concurrently from pool workers between `Prepare` calls.
+/// `Prepare` and the table's writers must not overlap the checks; the
+/// `Check*` methods are const and may run concurrently from pool workers
+/// between `Prepare` calls.
 class PartitionChecker {
  public:
+  /// The check memo of one unordered pair {lo, hi} of partition ids
+  /// (lo <= hi): `both[0]` is the direction lo → hi, `both[1]` is
+  /// hi → lo, computed in one pass by the first caller.
+  struct CheckSlot {
+    std::once_flag once;
+    OdCheckOutcome both[2];
+  };
+
   /// `max_cache_bytes` 0 = no cache cap of its own. `use_partitions` false
   /// makes `Prepare` a no-op, so every check sorts.
   PartitionChecker(const rel::CodedRelation& relation, RunContext& ctx,
@@ -102,28 +148,33 @@ class PartitionChecker {
   PartitionChecker(const PartitionChecker&) = delete;
   PartitionChecker& operator=(const PartitionChecker&) = delete;
 
+  /// The walk's interned lists; candidates name lists by these ids.
+  ListTable& lists() { return lists_; }
+  const ListTable& lists() const { return lists_; }
+
   /// Caches the partitions of both sides of every candidate of `level`
   /// not flagged in `skip`, and of their prefixes, within the budgets.
   /// With `memoize_checks` it also opens a check-memo slot for each pair of
   /// cached sides, for `CheckOcdAndOds`; either way it releases the
-  /// previous level's slots that `level` does not check again. `CheckOd`
-  /// reads no slot, so a walk that checks only through it passes false.
-  /// Refinement runs one list length at a time, on `pool` when given; the
-  /// cache content never depends on the thread count. A stopped run skips
-  /// the remaining lengths.
-  void Prepare(const std::vector<Candidate>& level, ThreadPool* pool,
-               const std::vector<char>* skip = nullptr,
-               bool memoize_checks = true);
+  /// previous level's slots that `level` does not check again. Returns
+  /// each candidate's slot (null: none), index for index with `level`.
+  /// `CheckOd` reads no slot, so a walk that checks only through it passes
+  /// false. Refinement runs one list length at a time, on `pool` when
+  /// given; the cache content never depends on the thread count. A stopped
+  /// run skips the remaining lengths.
+  std::vector<CheckSlot*> Prepare(const std::vector<Candidate>& level,
+                                  ThreadPool* pool,
+                                  const std::vector<char>* skip = nullptr,
+                                  bool memoize_checks = true);
 
   /// OCD single check `x ~ y` (Theorem 4.1) and, when it holds, both
   /// embedded ODs `x → y` and `y → x`: 1 check, plus 2 at valid nodes.
-  CandidateOutcome CheckOcdAndOds(const od::AttributeList& x,
-                                  const od::AttributeList& y) const;
+  /// `slot` is the one `Prepare` handed this candidate (null: none).
+  CandidateOutcome CheckOcdAndOds(ListId x, ListId y, CheckSlot* slot) const;
 
   /// Full OD check `lhs → rhs` with exact split/swap classification:
   /// 1 check.
-  OdCheckOutcome CheckOd(const od::AttributeList& lhs,
-                         const od::AttributeList& rhs) const;
+  OdCheckOutcome CheckOd(ListId lhs, ListId rhs) const;
 
   std::uint64_t num_checks() const {
     return checks_.load(std::memory_order_relaxed);
@@ -133,34 +184,22 @@ class PartitionChecker {
   /// are kept for the whole walk, and the current level's memo slots.
   std::size_t cache_bytes() const { return cache_bytes_; }
 
-  /// Id of the vector cached for `list`, or `kNoPartId`.
-  PartId IdOf(const od::AttributeList& list) const;
-
   /// Number of distinct vectors stored.
   std::size_t num_partitions() const { return parts_.size(); }
 
  private:
-  /// The check memo of one unordered pair {lo, hi} of ids (lo <= hi):
-  /// `both[0]` is the direction lo → hi, `both[1]` is hi → lo, computed in
-  /// one pass by the first caller.
-  struct CheckSlot {
-    std::once_flag once;
-    OdCheckOutcome both[2];
-  };
   /// Heap footprint of one slot in `slots_`: the node and its bucket.
   static constexpr std::size_t kSlotBytes =
       sizeof(std::pair<const std::uint64_t, CheckSlot>) + 2 * sizeof(void*);
 
   /// Refines one length's missing lists; false when a refinement threw.
-  bool RefineLayer(std::vector<od::AttributeList>& lists, ThreadPool* pool);
+  bool RefineLayer(const std::vector<ListId>& layer, ThreadPool* pool);
   /// Id of `result`'s content: an equal stored vector's, else a new one's
   /// if it fits the budgets, else `kNoPartId`.
   PartId Publish(ListPartition&& result, std::uint64_t hash);
   /// Releases the memo slots `level` does not check again.
   void ReleaseSlots(const std::vector<Candidate>& level,
                     const std::vector<char>* skip);
-  /// The memo slot of {x, y}, or null.
-  CheckSlot* SlotOf(PartId x, PartId y) const;
   bool Charge(std::size_t bytes);
   void Count(std::uint64_t n) const;
 
@@ -169,10 +208,10 @@ class PartitionChecker {
   const std::size_t max_cache_bytes_;
   const bool use_partitions_;
   OrderChecker sorter_;
+  ListTable lists_;
   mutable std::atomic<std::uint64_t> checks_{0};
   std::vector<ListPartition> parts_;
   std::unordered_multimap<std::uint64_t, PartId> by_content_;
-  std::unordered_map<od::AttributeList, PartId, od::AttributeListHash> ids_;
   std::unordered_map<std::uint64_t, PartId> refined_;
   // Mutable: the const checks fill the slots, each once.
   mutable std::unordered_map<std::uint64_t, CheckSlot> slots_;

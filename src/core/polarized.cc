@@ -1,7 +1,6 @@
 #include "core/polarized.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/timer.h"
 #include "common/run_context.h"
@@ -120,6 +119,7 @@ PolarizedDiscoverResult DiscoverPolarizedOcds(
       options.run_context != nullptr ? *options.run_context : local_ctx;
   rel::CodedRelation augmented = AugmentWithReversedColumns(relation);
   PartitionChecker checker(augmented, ctx, kDefaultPartitionCacheBytes);
+  ListTable& lists = checker.lists();
 
   // Non-constant base columns only; a constant is trivially compatible with
   // everything in both directions.
@@ -133,22 +133,17 @@ PolarizedDiscoverResult DiscoverPolarizedOcds(
   // mirror images (a-, b-) and (a-, b+) are equivalent. Every frontier
   // candidate is charged to the memory budget; a refused charge latches
   // `kMemoryBudget` and ends the walk.
-  std::vector<Candidate> level;
-  std::size_t level_bytes = 0;
+  Frontier level(lists, ctx);
   bool aborted = false;
   for (std::size_t i = 0; i < active.size() && !aborted; ++i) {
-    for (std::size_t j = i + 1; j < active.size(); ++j) {
+    for (std::size_t j = i + 1; j < active.size() && !aborted; ++j) {
       for (rel::ColumnId v : {active[j], active[j] + n}) {
-        Candidate c{AttributeList{active[i]}, AttributeList{v}};
-        const std::size_t bytes = CandidateBytes(c);
-        if (!ctx.ChargeMemory(bytes)) {
+        if (!level.Add(lists.Child(kNoListId, active[i]),
+                       lists.Child(kNoListId, v))) {
           aborted = true;
           break;
         }
-        level_bytes += bytes;
-        level.push_back(std::move(c));
       }
-      if (aborted) break;
     }
   }
   result.candidates_generated += level.size();
@@ -159,56 +154,43 @@ PolarizedDiscoverResult DiscoverPolarizedOcds(
       aborted = true;
       break;
     }
-    checker.Prepare(level, nullptr);
+    const std::vector<PartitionChecker::CheckSlot*> slots =
+        checker.Prepare(level.candidates(), nullptr);
 
-    std::vector<Candidate> next;
-    std::size_t next_bytes = 0;
-    std::unordered_set<Candidate, CandidateHash> seen;
-    for (const Candidate& c : level) {
+    Frontier next(lists, ctx);
+    for (std::size_t i = 0; i < level.size() && !aborted; ++i) {
+      const Candidate c = level[i];
       if (ctx.ShouldStop()) {
         aborted = true;
         break;
       }
-      const CandidateOutcome out = checker.CheckOcdAndOds(c.x, c.y);
+      const CandidateOutcome out = checker.CheckOcdAndOds(c.x, c.y, slots[i]);
       if (!out.ocd_valid) continue;
-      result.ocds.push_back(
-          PolarizedOcd{DecodeList(c.x, n), DecodeList(c.y, n)});
+      const AttributeList& x = lists.list(c.x);
+      const AttributeList& y = lists.list(c.y);
+      result.ocds.push_back(PolarizedOcd{DecodeList(x, n), DecodeList(y, n)});
       if (out.od_xy) {
-        result.ods.push_back(
-            PolarizedOd{DecodeList(c.x, n), DecodeList(c.y, n)});
+        result.ods.push_back(PolarizedOd{DecodeList(x, n), DecodeList(y, n)});
       }
       if (out.od_yx) {
-        result.ods.push_back(
-            PolarizedOd{DecodeList(c.y, n), DecodeList(c.x, n)});
+        result.ods.push_back(PolarizedOd{DecodeList(y, n), DecodeList(x, n)});
       }
-      std::vector<Candidate> children;
-      for (rel::ColumnId base : active) {
-        if (UsesBase(c.x, base, n) || UsesBase(c.y, base, n)) continue;
+      for (std::size_t b = 0; b < active.size() && !aborted; ++b) {
+        const rel::ColumnId base = active[b];
+        if (UsesBase(x, base, n) || UsesBase(y, base, n)) continue;
         for (rel::ColumnId v : {base, base + n}) {
-          if (!out.od_xy) children.push_back({c.x.WithAppended(v), c.y});
-          if (!out.od_yx) children.push_back({c.x, c.y.WithAppended(v)});
+          if ((!out.od_xy && !next.Add(lists.Child(c.x, v), c.y)) ||
+              (!out.od_yx && !next.Add(c.x, lists.Child(c.y, v)))) {
+            aborted = true;
+            break;
+          }
         }
       }
-      for (Candidate& child : children) {
-        if (seen.count(child) != 0) continue;
-        const std::size_t bytes = CandidateBytes(child);
-        if (!ctx.ChargeMemory(bytes)) {
-          aborted = true;
-          break;
-        }
-        next_bytes += bytes;
-        seen.insert(child);
-        next.push_back(std::move(child));
-      }
-      if (aborted) break;
     }
     result.candidates_generated += next.size();
-    ctx.ReleaseMemory(level_bytes);
     level = std::move(next);
-    level_bytes = next_bytes;
     ++current_level;
   }
-  ctx.ReleaseMemory(level_bytes);
 
   std::sort(result.ocds.begin(), result.ocds.end());
   std::sort(result.ods.begin(), result.ods.end());

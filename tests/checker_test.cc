@@ -83,8 +83,6 @@ TEST(OrderCheckerTest, OcdSingleCheckOnFixtures) {
 
 TEST(PartitionCheckerTest, CountsChecksIdenticallyOnBothPaths) {
   CodedRelation r = CodedIntTable({{1, 2, 3}, {1, 2, 3}, {3, 2, 1}});
-  const std::vector<Candidate> level = {{AttributeList{0}, AttributeList{1}},
-                                        {AttributeList{0}, AttributeList{2}}};
   // The default cache, then a one-byte cache that makes every check sort.
   for (std::size_t cache_bytes : {kDefaultPartitionCacheBytes,
                                   std::size_t{1}}) {
@@ -92,12 +90,19 @@ TEST(PartitionCheckerTest, CountsChecksIdenticallyOnBothPaths) {
     RunContext ctx;
     {
       PartitionChecker checker(r, ctx, cache_bytes);
-      checker.Prepare(level, nullptr);
+      ListTable& lists = checker.lists();
+      const std::vector<Candidate> level = {
+          {lists.Intern(AttributeList{0}), lists.Intern(AttributeList{1})},
+          {lists.Intern(AttributeList{0}), lists.Intern(AttributeList{2})}};
+      const auto slots = checker.Prepare(level, nullptr);
       EXPECT_EQ(checker.cache_bytes() > 0, cache_bytes > 1);
-      EXPECT_EQ(ctx.memory_used(), checker.cache_bytes());
-      CandidateOutcome ab = checker.CheckOcdAndOds(level[0].x, level[0].y);
+      EXPECT_EQ(ctx.memory_used(),
+                checker.cache_bytes() + lists.charged_bytes());
+      CandidateOutcome ab =
+          checker.CheckOcdAndOds(level[0].x, level[0].y, slots[0]);
       EXPECT_TRUE(ab.ocd_valid && ab.od_xy && ab.od_yx);
-      CandidateOutcome ac = checker.CheckOcdAndOds(level[1].x, level[1].y);
+      CandidateOutcome ac =
+          checker.CheckOcdAndOds(level[1].x, level[1].y, slots[1]);
       EXPECT_FALSE(ac.ocd_valid);
       EXPECT_TRUE(checker.CheckOd(level[1].x, level[1].y).has_swap);
       // 3 at the valid node, 1 at the invalid one, 1 OD check.

@@ -451,6 +451,41 @@ TEST(CheckpointResumeTest, FingerprintMismatchStartsFresh) {
   EXPECT_EQ(crossed.ocds, fresh.ocds);
 }
 
+/// A snapshot written before lists became table ids resumes to the same
+/// result: the fixture is generation 3 of `ocdd run LINEITEM --rows 60
+/// --algo discover --max-checks 250 --checkpoint DIR` from the release
+/// whose candidates still held their lists (state format version 1).
+TEST(CheckpointResumeTest, ResumesFromAVersionOneSnapshotOnDisk) {
+  auto relation = datagen::MakeDataset("LINEITEM", 60, 42);
+  ASSERT_TRUE(relation.ok());
+  const rel::CodedRelation coded = rel::CodedRelation::Encode(*relation);
+  const core::OcdDiscoverResult fresh = core::DiscoverOcds(coded);
+  ASSERT_TRUE(fresh.completed);
+
+  ScratchDir scratch("version_one");
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    // A resumed run writes and prunes generations: start each from 3 alone.
+    fs::remove_all(scratch.path);
+    fs::create_directories(scratch.path);
+    fs::copy_file(std::string(OCDD_TEST_SRC_DIR) +
+                      "/fixtures/ocddiscover_v1_lineitem60.snap",
+                  GenerationPath(scratch.path, "ocddiscover", 3));
+    core::OcdDiscoverOptions opts;
+    opts.num_threads = threads;
+    opts.checkpoint.dir = scratch.path;
+    opts.checkpoint.resume = true;
+    const core::OcdDiscoverResult resumed = core::DiscoverOcds(coded, opts);
+    ASSERT_TRUE(resumed.checkpoint_stats.resumed)
+        << resumed.checkpoint_stats.warning;
+    EXPECT_EQ(resumed.checkpoint_stats.resumed_generation, 3u);
+    EXPECT_TRUE(resumed.completed);
+    EXPECT_EQ(resumed.ocds, fresh.ocds);
+    EXPECT_EQ(resumed.ods, fresh.ods);
+    EXPECT_EQ(resumed.num_checks, fresh.num_checks);
+  }
+}
+
 /// Resume with an empty/missing directory warns and runs fresh.
 TEST(CheckpointResumeTest, ResumeWithoutSnapshotWarnsAndRunsFresh) {
   rel::CodedRelation coded = TestRelation();

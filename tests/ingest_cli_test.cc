@@ -305,10 +305,28 @@ TEST(IngestCliTest, ProfileAttributesTheWallTime) {
               1e-5)
       << run.output;
 
+  // The run's own seconds and busy ratio: the phases inside the run over
+  // its one thread's seconds.
+  const double run_seconds = profile["run_seconds"].number_value();
+  EXPECT_NEAR(run_seconds, (*doc)["elapsed_seconds"].number_value(), 1e-6)
+      << run.output;
+  double run_cpu = 0;
+  for (const report::JsonValue& phase : profile["phases"].array()) {
+    const std::string name = phase["name"].string_value();
+    if (name != "ingest" && name != "encode" && name != "serialize") {
+      run_cpu += phase["seconds"].number_value();
+    }
+  }
+  ASSERT_GT(run_seconds, 0.0) << run.output;
+  EXPECT_NEAR(profile["busy_ratio"].number_value(), run_cpu / run_seconds,
+              0.05)
+      << run.output;
+
   RunResult text = RunCli("discover " + csv + " --profile");
   ASSERT_EQ(text.exit_code, 0) << text.output;
   EXPECT_NE(text.output.find("# profile: unattributed"), std::string::npos)
       << text.output;
+  EXPECT_NE(text.output.find("busy_ratio"), std::string::npos) << text.output;
 }
 
 TEST(IngestCliTest, DirectorySourceIsATypedIoError) {

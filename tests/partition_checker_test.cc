@@ -23,6 +23,17 @@ using od::AttributeList;
 using rel::CodedRelation;
 using testutil::CodedIntTable;
 
+/// The candidate `x ~ y`, its lists interned in `checker`'s table.
+Candidate Cand(PartitionChecker& checker, const AttributeList& x,
+               const AttributeList& y) {
+  return Candidate{checker.lists().Intern(x), checker.lists().Intern(y)};
+}
+
+/// Id of the vector cached for `list`, or `kNoPartId`.
+PartId PartOf(PartitionChecker& checker, const AttributeList& list) {
+  return checker.lists().part(checker.lists().Intern(list));
+}
+
 TEST(PartitionCheckerTest, OrderCompatibleListsShareOneVectorAndOneCharge) {
   // A ~ B: [A,B] and [B,A] order the rows identically, yet neither equals
   // [A] or [B] alone.
@@ -35,23 +46,29 @@ TEST(PartitionCheckerTest, OrderCompatibleListsShareOneVectorAndOneCharge) {
 
   RunContext ctx;
   PartitionChecker one(r, ctx, kDefaultPartitionCacheBytes);
-  one.Prepare({{ab, c}}, nullptr);
+  one.Prepare({Cand(one, ab, c)}, nullptr);
   PartitionChecker both(r, ctx, kDefaultPartitionCacheBytes);
-  both.Prepare({{ab, c}, {ba, c}}, nullptr);
+  const std::vector<Candidate> level = {Cand(both, ab, c), Cand(both, ba, c)};
+  const auto slots = both.Prepare(level, nullptr);
 
-  EXPECT_NE(both.IdOf(ab), kNoPartId);
-  EXPECT_EQ(both.IdOf(ab), both.IdOf(ba));
-  EXPECT_NE(both.IdOf(ab), both.IdOf(AttributeList{0}));
-  EXPECT_NE(both.IdOf(ab), both.IdOf(AttributeList{1}));
+  EXPECT_NE(PartOf(both, ab), kNoPartId);
+  EXPECT_EQ(PartOf(both, ab), PartOf(both, ba));
+  EXPECT_NE(PartOf(both, ab), PartOf(both, AttributeList{0}));
+  EXPECT_NE(PartOf(both, ab), PartOf(both, AttributeList{1}));
   EXPECT_EQ(both.num_partitions(), 4u);  // [A], [B], [A,B] = [B,A], [C]
   // [B,A] adds only its prefix [B]: no vector and no check slot of its own.
   EXPECT_EQ(both.cache_bytes(),
             one.cache_bytes() + ListPartition::ForColumn(r, 1).MemoryBytes());
-  EXPECT_EQ(ctx.memory_used(), one.cache_bytes() + both.cache_bytes());
+  EXPECT_EQ(slots[0], slots[1]);
+  EXPECT_EQ(ctx.memory_used(),
+            one.cache_bytes() + both.cache_bytes() +
+                one.lists().charged_bytes() + both.lists().charged_bytes());
 
   // Both lists answer alike, and each counts as a check of its own.
-  const CandidateOutcome x = both.CheckOcdAndOds(ab, c);
-  const CandidateOutcome y = both.CheckOcdAndOds(ba, c);
+  const CandidateOutcome x =
+      both.CheckOcdAndOds(level[0].x, level[0].y, slots[0]);
+  const CandidateOutcome y =
+      both.CheckOcdAndOds(level[1].x, level[1].y, slots[1]);
   EXPECT_EQ(x.ocd_valid, y.ocd_valid);
   EXPECT_EQ(x.od_xy, y.od_xy);
   EXPECT_EQ(x.od_yx, y.od_yx);
@@ -63,9 +80,11 @@ TEST(PartitionCheckerTest, NonSplittingRefineAliasesItsParent) {
   CodedRelation r = CodedIntTable({{1, 1, 2, 2}, {6, 6, 5, 5}});
   RunContext ctx;
   PartitionChecker checker(r, ctx, kDefaultPartitionCacheBytes);
-  checker.Prepare({{AttributeList{0, 1}, AttributeList{1}}}, nullptr);
-  EXPECT_NE(checker.IdOf(AttributeList{0}), kNoPartId);
-  EXPECT_EQ(checker.IdOf(AttributeList{0, 1}), checker.IdOf(AttributeList{0}));
+  checker.Prepare({Cand(checker, AttributeList{0, 1}, AttributeList{1})},
+                  nullptr);
+  EXPECT_NE(PartOf(checker, AttributeList{0}), kNoPartId);
+  EXPECT_EQ(PartOf(checker, AttributeList{0, 1}),
+            PartOf(checker, AttributeList{0}));
   EXPECT_EQ(checker.num_partitions(), 2u);  // [A] = [A,B], [B]
 }
 
@@ -76,10 +95,12 @@ TEST(PartitionCheckerTest, VectorsThatDifferInOneRankStayApart) {
             ListPartition::ForColumn(r, 1).num_groups());
   RunContext ctx;
   PartitionChecker checker(r, ctx, kDefaultPartitionCacheBytes);
-  checker.Prepare({{AttributeList{0}, AttributeList{1}}}, nullptr);
-  EXPECT_NE(checker.IdOf(AttributeList{0}), kNoPartId);
-  EXPECT_NE(checker.IdOf(AttributeList{1}), kNoPartId);
-  EXPECT_NE(checker.IdOf(AttributeList{0}), checker.IdOf(AttributeList{1}));
+  checker.Prepare({Cand(checker, AttributeList{0}, AttributeList{1})},
+                  nullptr);
+  EXPECT_NE(PartOf(checker, AttributeList{0}), kNoPartId);
+  EXPECT_NE(PartOf(checker, AttributeList{1}), kNoPartId);
+  EXPECT_NE(PartOf(checker, AttributeList{0}),
+            PartOf(checker, AttributeList{1}));
   EXPECT_EQ(checker.num_partitions(), 2u);
 }
 
@@ -93,28 +114,34 @@ TEST(PartitionCheckerTest, CheckSlotsLiveForOneLevel) {
   const std::size_t c_bytes = ListPartition::ForColumn(r, 2).MemoryBytes();
   RunContext ctx;
   PartitionChecker checker(r, ctx, kDefaultPartitionCacheBytes);
-  checker.Prepare({{a, b}}, nullptr);
+  const Candidate ab = Cand(checker, a, b);
+  const Candidate ac = Cand(checker, a, c);
+  checker.Prepare({ab}, nullptr);
   const std::size_t slot_bytes = checker.cache_bytes() - a_bytes - b_bytes;
   ASSERT_GT(slot_bytes, 0u);
   // The next level drops {A,B}'s slot and opens {A,C}'s.
-  checker.Prepare({{a, c}}, nullptr);
+  checker.Prepare({ac}, nullptr);
   EXPECT_EQ(checker.cache_bytes(), a_bytes + b_bytes + c_bytes + slot_bytes);
   // A level that checks {A,C} again keeps its slot beside {A,B}'s new one.
-  checker.Prepare({{a, b}, {a, c}}, nullptr);
+  const auto slots = checker.Prepare({ab, ac}, nullptr);
   EXPECT_EQ(checker.cache_bytes(),
             a_bytes + b_bytes + c_bytes + 2 * slot_bytes);
-  EXPECT_EQ(ctx.memory_used(), checker.cache_bytes());
+  EXPECT_EQ(ctx.memory_used(),
+            checker.cache_bytes() + checker.lists().charged_bytes());
 
   // Under a cap one byte short of all three vectors and a slot, the dead
   // {A,B} slot gives way to [C]; the {A,C} slot then does not fit, and its
   // check runs unmemoised.
   PartitionChecker capped(r, ctx, a_bytes + b_bytes + c_bytes + slot_bytes - 1);
-  capped.Prepare({{a, b}}, nullptr);
-  capped.Prepare({{a, c}}, nullptr);
-  EXPECT_NE(capped.IdOf(c), kNoPartId);
+  capped.Prepare({Cand(capped, a, b)}, nullptr);
+  const Candidate capped_ac = Cand(capped, a, c);
+  const auto capped_slots = capped.Prepare({capped_ac}, nullptr);
+  EXPECT_NE(PartOf(capped, c), kNoPartId);
+  EXPECT_EQ(capped_slots[0], nullptr);
   EXPECT_EQ(capped.cache_bytes(), a_bytes + b_bytes + c_bytes);
-  const CandidateOutcome capped_out = capped.CheckOcdAndOds(a, c);
-  const CandidateOutcome out = checker.CheckOcdAndOds(a, c);
+  const CandidateOutcome capped_out =
+      capped.CheckOcdAndOds(capped_ac.x, capped_ac.y, capped_slots[0]);
+  const CandidateOutcome out = checker.CheckOcdAndOds(ac.x, ac.y, slots[1]);
   EXPECT_EQ(capped_out.ocd_valid, out.ocd_valid);
   EXPECT_EQ(capped_out.od_xy, out.od_xy);
   EXPECT_EQ(capped_out.od_yx, out.od_yx);
@@ -169,17 +196,17 @@ TEST(PartitionCheckerTest, RefinesOncePerDistinctParentAndColumn) {
       }
     }
   }
+  RunContext ctx;
+  PartitionChecker checker(r, ctx, kDefaultPartitionCacheBytes);
   std::vector<Candidate> level;
   for (std::size_t i = 0; i + 1 < lists.size(); i += 2) {
-    level.push_back(Candidate{lists[i], lists[i + 1]});
+    level.push_back(Cand(checker, lists[i], lists[i + 1]));
   }
-  level.push_back(Candidate{lists.back(), lists.front()});
+  level.push_back(Cand(checker, lists.back(), lists.front()));
 
   const bool was_enabled = prof::Enabled();
   prof::SetEnabled(true);
   prof::Reset();
-  RunContext ctx;
-  PartitionChecker checker(r, ctx, kDefaultPartitionCacheBytes);
   checker.Prepare(level, nullptr);
   std::uint64_t refines = 0;
   for (const prof::PhaseStats& phase : prof::Snapshot().phases) {
@@ -189,11 +216,11 @@ TEST(PartitionCheckerTest, RefinesOncePerDistinctParentAndColumn) {
 
   std::set<std::pair<PartId, rel::ColumnId>> pairs;
   for (const AttributeList& list : lists) {
-    ASSERT_NE(checker.IdOf(list), kNoPartId) << list.ToString();
+    ASSERT_NE(PartOf(checker, list), kNoPartId) << list.ToString();
     if (list.size() < 2) continue;
     AttributeList prefix(std::vector<rel::ColumnId>(list.ids().begin(),
                                                     list.ids().end() - 1));
-    pairs.emplace(checker.IdOf(prefix), list[list.size() - 1]);
+    pairs.emplace(PartOf(checker, prefix), list[list.size() - 1]);
   }
   EXPECT_EQ(refines, pairs.size());
   EXPECT_LT(pairs.size(), lists.size() - n);  // LATTICE's lists do share

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
 
+#include "core/checker.h"
 #include "core/ocd_discover.h"
 #include "datagen/generators.h"
+#include "datagen/registry.h"
 #include "test_util.h"
 
 namespace ocdd::core {
@@ -114,6 +118,100 @@ TEST(PolarizedTest, MemoryBudgetCapsTheFrontier) {
   EXPECT_LT(capped.num_checks, full.num_checks);
   EXPECT_LE(budget.peak_memory(), limit);
   EXPECT_EQ(budget.memory_used(), 0u);
+}
+
+/// Polarized discovery as the sort-based `OrderChecker` sees it, with no
+/// partition cache: the same level-by-level walk over r± (ascending lhs
+/// head at level 2, children extend a side whose OD does not hold by an
+/// unused base column in either direction, each candidate once per level),
+/// every candidate checked by sorting and counted as the production walk
+/// counts it (1 OCD check, 2 more at valid nodes).
+PolarizedDiscoverResult SortPathReference(const CodedRelation& relation,
+                                          std::size_t max_level) {
+  using od::AttributeList;
+  const std::size_t n = relation.num_columns();
+  const CodedRelation augmented = AugmentWithReversedColumns(relation);
+  const OrderChecker sorter(augmented);
+  auto decode = [n](const AttributeList& list) {
+    PolarizedList out;
+    for (rel::ColumnId v : list.ids()) {
+      out.push_back(v < n ? PolarizedAttribute{v, false}
+                          : PolarizedAttribute{v - n, true});
+    }
+    return out;
+  };
+  auto uses = [n](const AttributeList& list, rel::ColumnId base) {
+    for (rel::ColumnId v : list.ids()) {
+      if ((v < n ? v : v - n) == base) return true;
+    }
+    return false;
+  };
+  std::vector<rel::ColumnId> active;
+  for (rel::ColumnId c = 0; c < n; ++c) {
+    if (!relation.column(c).is_constant()) active.push_back(c);
+  }
+  using Pair = std::pair<AttributeList, AttributeList>;
+  std::vector<Pair> level;
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    for (std::size_t j = i + 1; j < active.size(); ++j) {
+      for (rel::ColumnId v : {active[j], active[j] + n}) {
+        level.push_back({AttributeList{active[i]}, AttributeList{v}});
+      }
+    }
+  }
+  PolarizedDiscoverResult result;
+  result.candidates_generated = level.size();
+  for (std::size_t current = 2; !level.empty() && current <= max_level;
+       ++current) {
+    std::vector<Pair> next;
+    std::set<Pair> seen;
+    auto add = [&](Pair child) {
+      if (seen.insert(child).second) next.push_back(std::move(child));
+    };
+    for (const auto& [x, y] : level) {
+      ++result.num_checks;
+      if (!sorter.HoldsOcd(x, y)) continue;
+      result.num_checks += 2;
+      const bool od_xy = sorter.HoldsOd(x, y);
+      const bool od_yx = sorter.HoldsOd(y, x);
+      result.ocds.push_back({decode(x), decode(y)});
+      if (od_xy) result.ods.push_back({decode(x), decode(y)});
+      if (od_yx) result.ods.push_back({decode(y), decode(x)});
+      for (rel::ColumnId base : active) {
+        if (uses(x, base) || uses(y, base)) continue;
+        for (rel::ColumnId v : {base, base + n}) {
+          if (!od_xy) add({x.WithAppended(v), y});
+          if (!od_yx) add({x, y.WithAppended(v)});
+        }
+      }
+    }
+    result.candidates_generated += next.size();
+    level = std::move(next);
+  }
+  std::sort(result.ocds.begin(), result.ocds.end());
+  std::sort(result.ods.begin(), result.ods.end());
+  result.completed = level.empty();
+  return result;
+}
+
+TEST(PolarizedTest, EveryDatasetMatchesTheSortPath) {
+  for (const datagen::DatasetSpec& spec : datagen::AllDatasets()) {
+    Result<rel::Relation> data = datagen::MakeDataset(spec.name, 200, 42);
+    ASSERT_TRUE(data.ok()) << spec.name;
+    CodedRelation r = CodedRelation::Encode(*data);
+    // FLIGHT_1K's 109 columns give level 3 over a million candidates.
+    const std::size_t max_level = spec.num_columns > 100 ? 2 : 4;
+    const PolarizedDiscoverResult reference = SortPathReference(r, max_level);
+    SCOPED_TRACE(spec.name);
+    PolarizedDiscoverOptions opts;
+    opts.max_level = max_level;
+    const PolarizedDiscoverResult run = DiscoverPolarizedOcds(r, opts);
+    EXPECT_EQ(run.completed, reference.completed);
+    EXPECT_EQ(run.ocds, reference.ocds);
+    EXPECT_EQ(run.ods, reference.ods);
+    EXPECT_EQ(run.num_checks, reference.num_checks);
+    EXPECT_EQ(run.candidates_generated, reference.candidates_generated);
+  }
 }
 
 TEST(PolarizedTest, NcvoterAgeBirthYearInverse) {

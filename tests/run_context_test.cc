@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -229,6 +230,62 @@ TEST_F(RunContextFaultTest, OneShotFiresOnNthHitAndPointsAreCounted) {
             (std::vector<std::string>{"a.level", "b.check"}));
   EXPECT_EQ(env.StatsFor("b.check").ops, 3u);
   EXPECT_EQ(env.StatsFor("b.check").faults_fired, 1u);
+}
+
+TEST(DefaultMemoryBudgetTest, HalfOfTheSmallerOfCgroupLimitAndRam) {
+  const std::string meminfo =
+      "MemTotal:       16479424 kB\nMemFree:        14565728 kB\n";
+  const std::size_t ram = std::size_t{16479424} * 1024;
+  // cgroup v2 without a limit: half the RAM.
+  EXPECT_EQ(DefaultMemoryBudget("max\n", meminfo), ram / 2);
+  // A cgroup limit below the RAM wins.
+  EXPECT_EQ(DefaultMemoryBudget("4294967296\n", meminfo),
+            std::size_t{2147483648});
+  // cgroup v1's "no limit" is a huge byte count: the RAM wins.
+  EXPECT_EQ(DefaultMemoryBudget("9223372036854771712\n", meminfo), ram / 2);
+  // Either text alone still bounds the run.
+  EXPECT_EQ(DefaultMemoryBudget("", meminfo), ram / 2);
+  EXPECT_EQ(DefaultMemoryBudget("1000\n", ""), 500u);
+  // Neither parses: no budget.
+  EXPECT_EQ(DefaultMemoryBudget("max", "MemFree: 12 kB\n"), 0u);
+  EXPECT_EQ(DefaultMemoryBudget("garbage", "MemTotal: lots\n"), 0u);
+  // A number past size_t saturates instead of wrapping.
+  EXPECT_EQ(DefaultMemoryBudget("99999999999999999999999", ""),
+            std::numeric_limits<std::size_t>::max() / 2);
+}
+
+TEST(DefaultMemoryBudgetTest, LimitFilesFollowTheProcessCgroup) {
+  using Files = std::vector<std::string>;
+  // cgroup v2 under a systemd slice: own cgroup, then each ancestor.
+  EXPECT_EQ(CgroupMemoryLimitFiles("0::/system.slice/ocdd.service\n"),
+            (Files{"/sys/fs/cgroup/system.slice/ocdd.service/memory.max",
+                   "/sys/fs/cgroup/system.slice/memory.max",
+                   "/sys/fs/cgroup/memory.max",
+                   "/sys/fs/cgroup/memory/memory.limit_in_bytes"}));
+  // cgroup v1 (hybrid): the memory controller's line, also when it shares
+  // its hierarchy with other controllers.
+  const std::string v1 =
+      "9:name=systemd:/\n"
+      "4:memory:/process_api/90d5\n"
+      "3:cpuset:/jobs\n"
+      "0::/\n";
+  EXPECT_EQ(CgroupMemoryLimitFiles(v1),
+            (Files{"/sys/fs/cgroup/memory.max",
+                   "/sys/fs/cgroup/memory/process_api/90d5/"
+                   "memory.limit_in_bytes",
+                   "/sys/fs/cgroup/memory/process_api/memory.limit_in_bytes",
+                   "/sys/fs/cgroup/memory/memory.limit_in_bytes"}));
+  EXPECT_EQ(CgroupMemoryLimitFiles("5:cpu,memory:/docker/ab/\n"),
+            (Files{"/sys/fs/cgroup/memory.max",
+                   "/sys/fs/cgroup/memory/docker/ab/memory.limit_in_bytes",
+                   "/sys/fs/cgroup/memory/docker/memory.limit_in_bytes",
+                   "/sys/fs/cgroup/memory/memory.limit_in_bytes"}));
+  // A namespaced container, or no readable text: the mount roots only.
+  const Files roots{"/sys/fs/cgroup/memory.max",
+                    "/sys/fs/cgroup/memory/memory.limit_in_bytes"};
+  EXPECT_EQ(CgroupMemoryLimitFiles("0::/\n"), roots);
+  EXPECT_EQ(CgroupMemoryLimitFiles(""), roots);
+  EXPECT_EQ(CgroupMemoryLimitFiles("garbage\n3:memoryx:/a\n"), roots);
 }
 
 }  // namespace

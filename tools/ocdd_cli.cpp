@@ -169,12 +169,13 @@ Result<Args> ParseArgs(int argc, char** argv) {
 
 /// Budgets shared by all discovery commands. `--time-limit` is armed
 /// separately, right before the algorithm starts, so loading stays outside
-/// the deadline.
+/// the deadline. Without `--memory-limit` the run gets half of the smaller
+/// of the cgroup memory limit and the host's RAM, so no walk takes the
+/// whole host unless asked to: `--memory-limit 0` runs unbudgeted.
 void ApplyRunFlags(const Args& args) {
-  std::size_t memory_mib = args.GetSize("memory-limit", 0);
-  if (memory_mib != 0) {
-    g_run_context.set_memory_budget(memory_mib << 20);
-  }
+  g_run_context.set_memory_budget(
+      args.Has("memory-limit") ? args.GetSize("memory-limit", 0) << 20
+                               : ocdd::HostMemoryBudget());
   std::size_t max_checks = args.GetSize("max-checks", 0);
   if (max_checks != 0) {
     g_run_context.set_check_budget(max_checks);
@@ -255,7 +256,8 @@ void PrintIngestNote(const ocdd::rel::CsvIngestReport& report) {
 }
 
 /// Non-JSON rendering of a `--profile` run (one `# profile:` line per
-/// phase, the allocation hook's totals, and the unattributed wall time).
+/// phase, the allocation hook's totals, the unattributed wall time, and the
+/// run's own seconds and busy ratio).
 void PrintProfileNote(const ocdd::prof::Report& report) {
   for (const auto& p : report.phases) {
     std::printf("# profile: %-20s %10.6fs %14llu bytes %10llu calls\n",
@@ -267,6 +269,8 @@ void PrintProfileNote(const ocdd::prof::Report& report) {
               static_cast<unsigned long long>(report.alloc_calls));
   std::printf("# profile: %-20s %10.6fs of %.6fs wall\n", "unattributed",
               report.unattributed_seconds, report.wall_seconds);
+  std::printf("# profile: %-20s %10.6fs %.4f busy_ratio\n", "run",
+              report.run_seconds, report.busy_ratio);
 }
 
 /// `ocdd <task>` and `ocdd run --algo <task>`, for every row of the task
@@ -315,12 +319,21 @@ int RunTask(const ocdd::report::Task& task, const Args& args) {
                             .count();
     prof_report = ocdd::prof::Snapshot();
     prof_report.wall_seconds = wall;
-    prof_report.unattributed_seconds =
-        prof_report.wall_seconds -
-        ocdd::prof::PhaseSeconds(prof_report, Phase::kIngest) -
-        ocdd::prof::PhaseSeconds(prof_report, Phase::kEncode) -
-        out.elapsed_seconds -
+    const double outside_run =
+        ocdd::prof::PhaseSeconds(prof_report, Phase::kIngest) +
+        ocdd::prof::PhaseSeconds(prof_report, Phase::kEncode) +
         ocdd::prof::PhaseSeconds(prof_report, Phase::kSerialize);
+    prof_report.unattributed_seconds =
+        prof_report.wall_seconds - outside_run - out.elapsed_seconds;
+    // busy_ratio as perfbench defines it: the run's phase CPU over the
+    // thread-seconds the run had.
+    double run_cpu = -outside_run;
+    for (const auto& p : prof_report.phases) run_cpu += p.seconds;
+    prof_report.run_seconds = out.elapsed_seconds;
+    if (out.elapsed_seconds > 0.0) {
+      prof_report.busy_ratio =
+          run_cpu / (static_cast<double>(params.threads) * out.elapsed_seconds);
+    }
   }
 
   if (params.json) {
@@ -1100,6 +1113,8 @@ void Usage() {
       "          NCVOTER_1K)\n"
       "flags: --rows N --seed S --threads N --time-limit SEC --max-level L\n"
       "       --memory-limit MIB --max-checks N\n"
+      "        (--memory-limit defaults to half of the smaller of the cgroup\n"
+      "        memory limit and the host's RAM; 0 = unbudgeted)\n"
       "       --checkpoint DIR --resume\n"
       "       --on-bad-row fail|skip|quarantine   (CSV ingest policy;\n"
       "        default fail: the first malformed data row aborts the read\n"

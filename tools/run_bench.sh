@@ -2,16 +2,18 @@
 # Bench sweep with machine-readable output and baseline regression diff.
 #
 # Runs bench_fig6_threads (thread scaling, both check modes),
-# bench_table6 (cross-algorithm table), and bench_kernels (SIMD check
-# kernels per backend/width + the full-LATTICE headline run), recording
+# bench_table6 (cross-algorithm table), bench_kernels (SIMD check
+# kernels per backend/width + the full-LATTICE headline run), and
+# bench_incremental (warm batches vs from-scratch rediscovery), recording
 # every measurement as JSON — one BENCH_<name>.json per bench binary,
 # written by the shared reporter in bench/bench_util.h. See
 # docs/performance.md for the format and how to compare two sweeps.
 #
 # After the sweep, every fresh BENCH_*.json is diffed against the
 # committed baseline of the same name in the repo root (when one exists).
-# Matching entries (same dataset/rows/label/threads/mode, both completed)
-# must agree on `checks`, `ocds` and `ods`: any drift is printed as FAIL and
+# Matching entries (same dataset/rows/label/threads/mode, or for the
+# incremental bench the same batch kind/size, both completed) must agree
+# on `checks`, `ocds` and `ods`: any drift is printed as FAIL and
 # the script exits 1 after the sweep. Entries that got more than 10% slower
 # are flagged with a WARN line; timings on a shared box are advisory, so
 # warnings never fail the run.
@@ -23,6 +25,8 @@
 #   OCDD_BENCH_DATASETS=LETTER,LATTICE    registry datasets to run
 #   OCDD_BENCH_BUDGET=<seconds>           per-run time limit
 #   OCDD_BENCH_SKIP=table6,kernels        comma list of benches to skip
+#                                         (fig6_threads, table6, kernels,
+#                                         incremental)
 #   OCDD_SCALE=full                       paper-scale rows
 set -euo pipefail
 
@@ -38,7 +42,7 @@ skipped() { [[ "${SKIP}" == *",$1,"* ]]; }
 echo "==> building bench binaries"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)" \
-  --target bench_fig6_threads bench_table6 bench_kernels
+  --target bench_fig6_threads bench_table6 bench_kernels bench_incremental
 
 mkdir -p "${OUT}"
 
@@ -62,6 +66,12 @@ if ! skipped kernels; then
     ./build/bench/bench_kernels | tee "${OUT}/kernels.log"
 fi
 
+if ! skipped incremental; then
+  echo "==> incremental vs from-scratch (incremental)"
+  OCDD_BENCH_JSON_DIR="${OUT}" \
+    ./build/bench/bench_incremental | tee "${OUT}/incremental.log"
+fi
+
 echo "==> reports:"
 ls -l "${OUT}"/BENCH_*.json
 
@@ -78,7 +88,10 @@ import json, sys
 base_path, fresh_path = sys.argv[1], sys.argv[2]
 def key(e):
     return (e.get("dataset"), e.get("rows"), e.get("label", ""),
-            e.get("threads"), e.get("use_sorted_partitions"))
+            e.get("threads"), e.get("use_sorted_partitions"),
+            e.get("kind"), e.get("batch_size"))
+def seconds(e):
+    return e.get("seconds", e.get("incremental_seconds", 0.0))
 base = {key(e): e for e in json.load(open(base_path))["entries"]}
 warned = matched = failed = 0
 for e in json.load(open(fresh_path))["entries"]:
@@ -91,7 +104,7 @@ for e in json.load(open(fresh_path))["entries"]:
             failed += 1
             print(f"  FAIL {base_path} {key(e)}: {count} "
                   f"{b.get(count)} -> {e.get(count)}")
-    old, new = b["seconds"], e["seconds"]
+    old, new = seconds(b), seconds(e)
     if old > 0 and new > old * 1.10:
         warned += 1
         print(f"  WARN {base_path} {key(e)}: {old:.3f}s -> {new:.3f}s "
