@@ -3,14 +3,13 @@
 // One IncrementalSession is bootstrapped over LATTICE, then a stream of
 // batches (append-only, delete-only, mixed; sizes 1..1000) is applied to it.
 // Each `ApplyBatch` is timed against a from-scratch `DiscoverFromScratch`
-// run on the *same* materialized relation with the same options — the exact
-// computation the warm state is supposed to make redundant. The interesting
-// number is the speedup at small batch sizes, where nearly every candidate
-// is served by the warmth hook and the walk degenerates to O(batch) counting
-// passes.
+// run on the *same* materialized relation with the same options. A session
+// step is that same walk plus merging the batch, so the speedup should sit
+// near 1 at every batch size; the bench watches that the session adds no
+// cost of its own.
 //
 // Entries land in $OCDD_BENCH_JSON_DIR/BENCH_incremental.json
-// (tools/run_incremental_bench.sh). Knobs: OCDD_BENCH_ROWS,
+// (tools/run_bench.sh). Knobs: OCDD_BENCH_ROWS,
 // OCDD_BENCH_BATCH_SIZES (comma list), OCDD_SCALE=full for paper rows.
 
 #include <chrono>
@@ -42,8 +41,6 @@ struct Entry {
   double incremental_seconds = 0.0;
   double scratch_seconds = 0.0;
   double speedup = 0.0;
-  std::uint64_t hook_served = 0;
-  std::uint64_t hook_recomputed = 0;
   std::uint64_t checks = 0;
   std::size_t ocds = 0;
   std::size_t ods = 0;
@@ -51,9 +48,7 @@ struct Entry {
 };
 
 /// `count` fresh append rows: copies of random existing rows, so types are
-/// right by construction and the new rows collide with live value ranges
-/// (the hard case for the counting fast path — all-new values would be
-/// trivially swap-free at the extremes).
+/// right by construction and the new rows collide with live value ranges.
 std::vector<std::vector<ocdd::rel::Value>> DrawAppends(
     const ocdd::rel::Relation& rel, std::size_t count, ocdd::Rng& rng) {
   std::vector<std::vector<ocdd::rel::Value>> rows;
@@ -84,7 +79,7 @@ std::vector<std::size_t> DrawDeletes(std::size_t rows, std::size_t count,
 }
 
 void WriteReport(const std::vector<Entry>& entries, const std::string& dataset,
-                 double bootstrap_seconds, double warmup_seconds) {
+                 double bootstrap_seconds) {
   std::string dir = ".";
   if (const char* env = std::getenv("OCDD_BENCH_JSON_DIR")) {
     if (*env != '\0') dir = env;
@@ -97,22 +92,18 @@ void WriteReport(const std::vector<Entry>& entries, const std::string& dataset,
   }
   std::fprintf(f,
                "{\n  \"bench\": \"incremental\",\n  \"dataset\": \"%s\",\n"
-               "  \"bootstrap_seconds\": %.6f,\n"
-               "  \"warmup_seconds\": %.6f,\n  \"entries\": [",
-               dataset.c_str(), bootstrap_seconds, warmup_seconds);
+               "  \"bootstrap_seconds\": %.6f,\n  \"entries\": [",
+               dataset.c_str(), bootstrap_seconds);
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
     std::fprintf(
         f,
         "%s\n    {\"kind\": \"%s\", \"batch_size\": %zu, \"rows\": %zu, "
         "\"incremental_seconds\": %.6f, \"scratch_seconds\": %.6f, "
-        "\"speedup\": %.2f, \"hook_served\": %llu, "
-        "\"hook_recomputed\": %llu, \"checks\": %llu, \"ocds\": %zu, "
+        "\"speedup\": %.2f, \"checks\": %llu, \"ocds\": %zu, "
         "\"ods\": %zu, \"completed\": %s}",
         i == 0 ? "" : ",", e.kind.c_str(), e.batch_size, e.rows,
         e.incremental_seconds, e.scratch_seconds, e.speedup,
-        static_cast<unsigned long long>(e.hook_served),
-        static_cast<unsigned long long>(e.hook_recomputed),
         static_cast<unsigned long long>(e.checks), e.ocds, e.ods,
         e.completed ? "true" : "false");
   }
@@ -157,28 +148,7 @@ int main() {
   std::printf("%s rows=%zu bootstrap=%s\n", dataset.c_str(), rows,
               ocdd::bench::FormatTime(bootstrap_seconds, true).c_str());
 
-  // One unmeasured warmup batch: the first append after bootstrap (or a
-  // reopen) builds the per-list perm cache for the append fast path, a
-  // one-time cost that would otherwise land entirely on whichever matrix
-  // entry happens to run first. Entries below measure the steady state;
-  // the warmup time is reported separately in the JSON.
   ocdd::Rng rng(0xBE7C);
-  double warmup_seconds = 0.0;
-  {
-    ocdd::rel::RowBatch warmup;
-    warmup.appends = DrawAppends(session->relation(), 1, rng);
-    const Clock::time_point w0 = Clock::now();
-    auto stats = session->ApplyBatch(warmup);
-    warmup_seconds = Seconds(w0);
-    if (!stats.ok()) {
-      std::fprintf(stderr, "warmup failed: %s\n",
-                   stats.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("warmup (1-row append, builds perm cache)=%s\n",
-                ocdd::bench::FormatTime(warmup_seconds, true).c_str());
-  }
-
   const std::vector<std::size_t> sizes = ocdd::bench::SizeListFromEnv(
       "OCDD_BENCH_BATCH_SIZES", {1, 10, 100, 1000});
   const char* kinds[] = {"append", "delete", "mixed"};
@@ -214,7 +184,7 @@ int main() {
       const double scr_s = Seconds(scr0);
 
       // The contract the QA oracle enforces in depth; here a cheap guard so
-      // a broken fast path can't post a flattering number.
+      // a session that drifted from the oracle can't post a number.
       if (scratch.ods.size() != stats->result.ods.size() ||
           scratch.ocds.size() != stats->result.ocds.size()) {
         std::fprintf(stderr,
@@ -233,8 +203,6 @@ int main() {
       e.incremental_seconds = inc_s;
       e.scratch_seconds = scr_s;
       e.speedup = inc_s > 0.0 ? scr_s / inc_s : 0.0;
-      e.hook_served = stats->result.hook_served;
-      e.hook_recomputed = stats->result.hook_recomputed;
       e.checks = stats->result.num_checks;
       e.ocds = stats->result.ocds.size();
       e.ods = stats->result.ods.size();
@@ -243,15 +211,14 @@ int main() {
 
       std::printf(
           "%-7s size=%-5zu rows=%-7zu inc=%-9s scratch=%-9s speedup=%6.1fx "
-          "served=%llu recomputed=%llu\n",
+          "checks=%llu\n",
           kind, size, e.rows,
           ocdd::bench::FormatTime(inc_s, stats->result.completed).c_str(),
           ocdd::bench::FormatTime(scr_s, scratch.completed).c_str(),
-          e.speedup, static_cast<unsigned long long>(e.hook_served),
-          static_cast<unsigned long long>(e.hook_recomputed));
+          e.speedup, static_cast<unsigned long long>(e.checks));
     }
   }
 
-  WriteReport(entries, dataset, bootstrap_seconds, warmup_seconds);
+  WriteReport(entries, dataset, bootstrap_seconds);
   return status;
 }

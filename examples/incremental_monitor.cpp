@@ -1,8 +1,8 @@
 // Dependency maintenance under appends — the paper's future-work scenario
 // (§7): rows arrive at runtime and the discovered dependency set must stay
-// consistent. An IncrementalSession keeps warm per-candidate outcomes and
-// serves every candidate a batch provably cannot change; only the rest pay
-// a data pass. The result always equals a from-scratch run.
+// consistent. An IncrementalSession keeps the relation and its last result,
+// merges each batch in and rediscovers, so the result always equals a
+// from-scratch run.
 //
 //   $ ./examples/incremental_monitor
 
@@ -40,10 +40,8 @@ void Append(const char* what, IncrementalSession& session,
                           before.reduction.equivalence_classes
                   ? "unchanged"
                   : "changed");
-  std::printf("  %llu candidates served from warm state, %llu rechecked; "
-              "%zu rows\n",
-              static_cast<unsigned long long>(now.hook_served),
-              static_cast<unsigned long long>(now.hook_recomputed),
+  std::printf("  %llu checks; %zu rows\n",
+              static_cast<unsigned long long>(now.num_checks),
               stats->num_rows);
 }
 
@@ -71,15 +69,13 @@ int main() {
 
   // 2. An insert that puts savings out of order with income, bracket and
   //    tax (high income, low savings): every dependency relying on that
-  //    order goes, the column reduction stays, and the warm state proves
-  //    every outcome without a data pass.
+  //    order goes and the column reduction stays.
   Append("append savings outlier", *session,
          {Value::String("P. Spender"), Value::Int(99000), Value::Int(100),
           Value::Int(4), Value::Int(19000)});
 
   // 3. An insert with inconsistent tax breaks the income ↔ tax equivalence:
-  //    the column reduction changes and the affected candidates are
-  //    rechecked.
+  //    the column reduction changes.
   Append("append tax anomaly", *session,
          {Value::String("Q. Anomaly"), Value::Int(99500), Value::Int(200),
           Value::Int(4), Value::Int(2)});

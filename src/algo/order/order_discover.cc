@@ -55,9 +55,13 @@ OrderDiscoverResult DiscoverOrderDependencies(
         break;
       }
       // ORDER checks through CheckOd, which reads no check-memo slot.
-      checker.Prepare(level.candidates(), nullptr, nullptr,
-                      /*memoize_checks=*/false);
+      checker.Prepare(level.candidates(), nullptr, /*memoize_checks=*/false);
 
+      // The capped last level builds no children; it only notes whether
+      // one would exist.
+      const bool last_level =
+          options.max_level != 0 && current_level == options.max_level;
+      bool capped = false;
       Frontier next(lists, *ctx);
       for (std::size_t i = 0; i < level.size(); ++i) {
         const Candidate c = level[i];
@@ -77,6 +81,10 @@ OrderDiscoverResult DiscoverOrderDependencies(
           // Extend RHS only: X → YA is not implied by X → Y, but XA → Y is.
           for (rel::ColumnId a = 0; a < n; ++a) {
             if (x.Contains(a) || y.Contains(a)) continue;
+            if (last_level) {
+              capped = true;
+              break;
+            }
             if (!next.Add(c.x, lists.Child(c.y, a))) {
               aborted = true;
               break;
@@ -87,6 +95,10 @@ OrderDiscoverResult DiscoverOrderDependencies(
           // extending the LHS can.
           for (rel::ColumnId a = 0; a < n; ++a) {
             if (x.Contains(a) || y.Contains(a)) continue;
+            if (last_level) {
+              capped = true;
+              break;
+            }
             if (!next.Add(lists.Child(c.x, a), c.y)) {
               aborted = true;
               break;
@@ -95,6 +107,10 @@ OrderDiscoverResult DiscoverOrderDependencies(
         }
         // Swap: prune the whole subtree.
         if (aborted) break;
+      }
+      if (capped && !aborted) {
+        aborted = true;
+        cap_reason = StopReason::kLevelCap;
       }
       result.candidates_generated += next.size();
       level = std::move(next);

@@ -245,32 +245,13 @@ class Driver {
           break;
         }
 
-        // Hook pre-resolution (sequential): candidates whose outcome the
-        // hook can prove are served up front, so the partition pipeline
-        // below never pays for their lists and the check phase skips them.
+        // Cache both sides' partitions of every candidate before the
+        // (parallel, read-only) check phase.
         std::vector<CheckedCandidate> checked(level.size());
-        std::vector<char> served;
-        if (options_.check_hook != nullptr) {
-          served.assign(level.size(), 0);
-          for (std::size_t i = 0; i < level.size(); ++i) {
-            if (options_.check_hook->Lookup(lists.list(level[i].x),
-                                            lists.list(level[i].y),
-                                            &checked[i].out)) {
-              served[i] = 1;
-              checked[i].checked = true;
-              ++hook_served_;
-            }
-          }
-        }
-
-        // Cache both sides' partitions of every candidate the hook did not
-        // serve before the (parallel, read-only) check phase.
         const std::vector<PartitionChecker::CheckSlot*> slots =
-            checker_.Prepare(level.candidates(), pool.get(),
-                             served.empty() ? nullptr : &served);
+            checker_.Prepare(level.candidates(), pool.get());
 
         auto check_one = [&](std::size_t i) {
-          if (!served.empty() && served[i] != 0) return;
           if (ctx_->ShouldStop()) return;
           ctx_->AtInjectionPoint("ocd.check");
           // §4.2.1: the OCD single check, plus both embedded ODs at valid
@@ -292,23 +273,14 @@ class Driver {
         }
         aborted = ctx_->stop_requested();
 
-        // Feed every data-backed outcome to the hook (sequential, like
-        // Lookup). Candidates the budget stopped before checking are not
-        // reported — their outcome is unknown.
-        if (options_.check_hook != nullptr) {
-          for (std::size_t i = 0; i < level.size(); ++i) {
-            if (served[i] != 0 || !checked[i].checked) continue;
-            ++hook_recomputed_;
-            options_.check_hook->Observe(lists.list(level[i].x),
-                                         lists.list(level[i].y),
-                                         checked[i].out);
-          }
-        }
-
         // Sequential generation phase: emission + next level (deduplicated).
         // On abort the emission still runs — every candidate the check phase
         // finished contributes to the partial result — but no children are
-        // generated.
+        // generated. Neither are they at the capped last level, which only
+        // notes whether a child would exist.
+        const bool last_level =
+            options_.max_level != 0 && current_level == options_.max_level;
+        bool capped = false;
         Frontier next(lists, *ctx_);
         prof::ScopedTimer generate_timer(prof::Phase::kGenerate);
         for (std::size_t i = 0; i < level.size(); ++i) {
@@ -331,6 +303,10 @@ class Driver {
 
           for (ColumnId a : universe) {
             if (x.Contains(a) || y.Contains(a)) continue;
+            if (last_level) {
+              capped = true;
+              break;
+            }
             if ((extend_x && !next.Add(lists.Child(c.x, a), c.y)) ||
                 (extend_y && !next.Add(c.x, lists.Child(c.y, a)))) {
               aborted = true;
@@ -341,12 +317,15 @@ class Driver {
               next.size() > options_.max_candidates_per_level) {
             aborted = true;
             cap_reason = StopReason::kLevelCap;
-            break;
           }
         }
 
         if (!aborted) {
           result.levels_completed = current_level;
+        }
+        if (capped) {
+          aborted = true;
+          cap_reason = StopReason::kLevelCap;
         }
         result.candidates_generated += next.size();
         level = std::move(next);
@@ -389,8 +368,6 @@ class Driver {
     result.stop_reason =
         ctx_->stop_reason() != StopReason::kNone ? ctx_->stop_reason()
                                                  : cap_reason;
-    result.hook_served = hook_served_;
-    result.hook_recomputed = hook_recomputed_;
     result.partition_cache_bytes = checker_.cache_bytes();
     result.elapsed_seconds = timer.ElapsedSeconds();
     return result;
@@ -409,8 +386,6 @@ class Driver {
   RunContext* ctx_;
   PartitionChecker checker_;
   std::uint64_t checks_base_ = 0;
-  std::uint64_t hook_served_ = 0;
-  std::uint64_t hook_recomputed_ = 0;
 };
 
 }  // namespace

@@ -15,28 +15,6 @@
 
 namespace ocdd::core {
 
-/// Injection seam for incremental maintenance (src/algo/incremental/).
-///
-/// Before a candidate `X ~ Y` is checked against the data the driver asks
-/// `Lookup`; returning true serves the outcome without a data pass — the
-/// candidate is not charged to the check budget and its lists are not
-/// partitioned. After every *data-backed* check the driver reports the
-/// fresh outcome through `Observe`, letting the hook warm its cache for
-/// the next run. Both methods are invoked sequentially from the driver
-/// thread (never from pool workers), so implementations need no locking.
-///
-/// Soundness is entirely the hook's burden: a served outcome must be
-/// exactly what a data-backed check of the current relation would return,
-/// or the walk diverges from the from-scratch result.
-class CandidateCheckHook {
- public:
-  virtual ~CandidateCheckHook() = default;
-  virtual bool Lookup(const od::AttributeList& x, const od::AttributeList& y,
-                      CandidateOutcome* out) = 0;
-  virtual void Observe(const od::AttributeList& x, const od::AttributeList& y,
-                       const CandidateOutcome& outcome) = 0;
-};
-
 /// Tuning knobs for a discovery run.
 struct OcdDiscoverOptions {
   /// Injectable run control: deadline, check/memory budgets, cooperative
@@ -49,12 +27,15 @@ struct OcdDiscoverOptions {
   /// Worker threads for candidate checking (paper §4.2.2); 1 = sequential.
   std::size_t num_threads = 1;
 
-  /// Cap on the tree level ℓ = |X| + |Y| (0 = unlimited).
+  /// Cap on the tree level ℓ = |X| + |Y| (0 = unlimited). Level
+  /// `max_level` is checked and emitted in full but spawns no children;
+  /// the run stops with `kLevelCap` when one of its candidates would.
   std::size_t max_level = 0;
 
-  /// Abort when a level would exceed this many candidates — a memory
-  /// backstop for quasi-constant blow-ups (§5.3.2), where the paper sees
-  /// levels with millions of candidates. 0 = unlimited.
+  /// Stop generating when the next level would exceed this many
+  /// candidates — a memory backstop for quasi-constant blow-ups (§5.3.2),
+  /// where the paper sees levels with millions of candidates. The current
+  /// level is still emitted in full. 0 = unlimited.
   std::size_t max_candidates_per_level = 4'000'000;
 
   /// Disable to skip the columnsReduction() phase (ablation).
@@ -76,11 +57,6 @@ struct OcdDiscoverOptions {
   /// leaves implicit (they are derivable from emitted ODs), at the cost of
   /// strictly more candidates and checks.
   bool apply_od_pruning = true;
-
-  /// Optional candidate-outcome cache consulted before every data-backed
-  /// check (see CandidateCheckHook above). Not owned; nullptr = every
-  /// candidate is checked against the data.
-  CandidateCheckHook* check_hook = nullptr;
 
   /// Crash-safe checkpointing (see docs/checkpointing.md). Snapshots are
   /// taken at level boundaries — the BFS frontier plus the emitted OCD/OD
@@ -111,12 +87,6 @@ struct OcdDiscoverResult {
 
   /// Number of OCD candidates generated across all levels.
   std::uint64_t candidates_generated = 0;
-
-  /// Candidates answered by `options.check_hook` without a data pass, and
-  /// candidates that missed the hook and were recomputed against the data.
-  /// Both zero when no hook was installed.
-  std::uint64_t hook_served = 0;
-  std::uint64_t hook_recomputed = 0;
 
   /// Highest tree level fully processed (level ℓ holds candidates with
   /// |X| + |Y| = ℓ; the first level is 2).

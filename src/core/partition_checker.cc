@@ -93,14 +93,14 @@ void PartitionChecker::Count(std::uint64_t n) const {
 
 std::vector<PartitionChecker::CheckSlot*> PartitionChecker::Prepare(
     const std::vector<Candidate>& level, ThreadPool* pool,
-    const std::vector<char>* skip, bool memoize_checks) {
+    bool memoize_checks) {
   std::vector<CheckSlot*> slots(level.size(), nullptr);
   if (!use_partitions_) return slots;
   // Missing lists (and prefixes) by length, deduplicated, in level order.
   std::vector<std::vector<ListId>> layers;
   {
     prof::ScopedTimer plan_timer(prof::Phase::kPlan);
-    ReleaseSlots(level, skip);
+    ReleaseSlots(level);
     std::vector<char> planned(lists_.size(), 0);
     // Longest prefix first: the cache and the plan are both prefix-closed,
     // so the first prefix found in either ends the walk.
@@ -113,10 +113,9 @@ std::vector<PartitionChecker::CheckSlot*> PartitionChecker::Prepare(
         layers[k].push_back(id);
       }
     };
-    for (std::size_t i = 0; i < level.size(); ++i) {
-      if (skip != nullptr && (*skip)[i] != 0) continue;
-      plan(level[i].x);
-      plan(level[i].y);
+    for (const Candidate& c : level) {
+      plan(c.x);
+      plan(c.y);
     }
   }
 
@@ -129,7 +128,6 @@ std::vector<PartitionChecker::CheckSlot*> PartitionChecker::Prepare(
   if (!memoize_checks) return slots;
   prof::ScopedTimer publish_timer(prof::Phase::kPublish);
   for (std::size_t i = 0; i < level.size(); ++i) {
-    if (skip != nullptr && (*skip)[i] != 0) continue;
     const PartId x = lists_.part(level[i].x);
     const PartId y = lists_.part(level[i].y);
     if (x == kNoPartId || y == kNoPartId) continue;
@@ -144,14 +142,12 @@ std::vector<PartitionChecker::CheckSlot*> PartitionChecker::Prepare(
   return slots;
 }
 
-void PartitionChecker::ReleaseSlots(const std::vector<Candidate>& level,
-                                    const std::vector<char>* skip) {
+void PartitionChecker::ReleaseSlots(const std::vector<Candidate>& level) {
   if (slots_.empty()) return;
   std::vector<std::uint64_t> again;
-  for (std::size_t i = 0; i < level.size(); ++i) {
-    if (skip != nullptr && (*skip)[i] != 0) continue;
-    const PartId x = lists_.part(level[i].x);
-    const PartId y = lists_.part(level[i].y);
+  for (const Candidate& c : level) {
+    const PartId x = lists_.part(c.x);
+    const PartId y = lists_.part(c.y);
     if (x != kNoPartId && y != kNoPartId) again.push_back(SlotKey(x, y));
   }
   std::sort(again.begin(), again.end());

@@ -152,8 +152,8 @@ class PartitionChecker {
   ListTable& lists() { return lists_; }
   const ListTable& lists() const { return lists_; }
 
-  /// Caches the partitions of both sides of every candidate of `level`
-  /// not flagged in `skip`, and of their prefixes, within the budgets.
+  /// Caches the partitions of both sides of every candidate of `level`,
+  /// and of their prefixes, within the budgets.
   /// With `memoize_checks` it also opens a check-memo slot for each pair of
   /// cached sides, for `CheckOcdAndOds`; either way it releases the
   /// previous level's slots that `level` does not check again. Returns
@@ -164,7 +164,6 @@ class PartitionChecker {
   /// run skips the remaining lengths.
   std::vector<CheckSlot*> Prepare(const std::vector<Candidate>& level,
                                   ThreadPool* pool,
-                                  const std::vector<char>* skip = nullptr,
                                   bool memoize_checks = true);
 
   /// OCD single check `x ~ y` (Theorem 4.1) and, when it holds, both
@@ -198,8 +197,7 @@ class PartitionChecker {
   /// if it fits the budgets, else `kNoPartId`.
   PartId Publish(ListPartition&& result, std::uint64_t hash);
   /// Releases the memo slots `level` does not check again.
-  void ReleaseSlots(const std::vector<Candidate>& level,
-                    const std::vector<char>* skip);
+  void ReleaseSlots(const std::vector<Candidate>& level);
   bool Charge(std::size_t bytes);
   void Count(std::uint64_t n) const;
 

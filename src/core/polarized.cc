@@ -157,6 +157,11 @@ PolarizedDiscoverResult DiscoverPolarizedOcds(
     const std::vector<PartitionChecker::CheckSlot*> slots =
         checker.Prepare(level.candidates(), nullptr);
 
+    // The capped last level builds no children; it only notes whether one
+    // would exist.
+    const bool last_level =
+        options.max_level != 0 && current_level == options.max_level;
+    bool capped = false;
     Frontier next(lists, ctx);
     for (std::size_t i = 0; i < level.size() && !aborted; ++i) {
       const Candidate c = level[i];
@@ -178,6 +183,10 @@ PolarizedDiscoverResult DiscoverPolarizedOcds(
       for (std::size_t b = 0; b < active.size() && !aborted; ++b) {
         const rel::ColumnId base = active[b];
         if (UsesBase(x, base, n) || UsesBase(y, base, n)) continue;
+        if (last_level) {
+          capped = capped || !out.od_xy || !out.od_yx;
+          break;
+        }
         for (rel::ColumnId v : {base, base + n}) {
           if ((!out.od_xy && !next.Add(lists.Child(c.x, v), c.y)) ||
               (!out.od_yx && !next.Add(c.x, lists.Child(c.y, v)))) {
@@ -187,6 +196,7 @@ PolarizedDiscoverResult DiscoverPolarizedOcds(
         }
       }
     }
+    aborted = aborted || capped;
     result.candidates_generated += next.size();
     level = std::move(next);
     ++current_level;

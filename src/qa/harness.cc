@@ -641,8 +641,9 @@ std::vector<rel::RowBatch> MakeBatchSchedule(const rel::Relation& base,
 
 /// The incremental-equivalence stage of one qa iteration: replay `schedule`
 /// on an IncrementalSession over `base` and assert after every batch that
-/// the session's claims equal a from-scratch discovery of the materialized
-/// relation — the contract of docs/incremental.md. With a non-empty
+/// the session's claims and column reduction equal a from-scratch
+/// discovery of the materialized relation — the contract of
+/// docs/incremental.md. With a non-empty
 /// `state_dir` the session is additionally dropped mid-schedule and
 /// reopened from its on-disk warm state (the persistence leg); an empty
 /// `state_dir` runs purely in memory, which is what the schedule shrinker's
@@ -659,7 +660,7 @@ std::vector<Discrepancy> CheckIncremental(
   }
 
   auto compare = [&](const algo::IncrementalSession& session,
-                     const std::string& where, bool compare_counters) {
+                     const std::string& where) {
     ++*checks;
     core::OcdDiscoverResult oracle =
         algo::DiscoverFromScratch(session.relation(), iopts);
@@ -692,8 +693,18 @@ std::vector<Discrepancy> CheckIncremental(
     };
     diff("ods", session.last_result().ods, oracle.ods);
     diff("ocds", session.last_result().ocds, oracle.ocds);
-    if (compare_counters && session.last_result().candidates_generated !=
-                                oracle.candidates_generated) {
+    const core::ColumnReduction& got = session.last_result().reduction;
+    const core::ColumnReduction& want = oracle.reduction;
+    if (got.reduced_universe != want.reduced_universe ||
+        got.constant_columns != want.constant_columns ||
+        got.equivalence_classes != want.equivalence_classes) {
+      out.push_back({"incremental", "reduction",
+                     where + " reduced to " + got.ToString(session.coded()) +
+                         ", from-scratch to " +
+                         want.ToString(session.coded())});
+    }
+    if (session.last_result().candidates_generated !=
+        oracle.candidates_generated) {
       out.push_back(
           {"incremental", "lattice",
            where + " visited " +
@@ -710,7 +721,7 @@ std::vector<Discrepancy> CheckIncremental(
     return out;
   }
   algo::IncrementalSession session = std::move(started).value();
-  compare(session, "bootstrap", true);
+  compare(session, "bootstrap");
 
   // Reopen from disk once, mid-schedule — crossing the persistence boundary
   // with warm state that has already absorbed batches.
@@ -726,13 +737,7 @@ std::vector<Discrepancy> CheckIncremental(
       return out;
     }
     const std::string where = "after batch " + std::to_string(b + 1);
-    compare(session, where, true);
-    if (schedule[b].empty() && stats->result.hook_recomputed != 0) {
-      out.push_back({"incremental", "warmth",
-                     where + " (empty) recomputed " +
-                         std::to_string(stats->result.hook_recomputed) +
-                         " candidates; all must be served warm"});
-    }
+    compare(session, where);
 
     if (out.empty() && b + 1 == reopen_after) {
       const std::uint64_t seq = session.batch_seq();
@@ -757,8 +762,9 @@ std::vector<Discrepancy> CheckIncremental(
         return out;
       }
       // Restored claims must equal the oracle too (counters travel through
-      // the snapshot's stats section, so they are held to the same bar).
-      compare(session, where + " (reopened)", true);
+      // the snapshot's stats section and the reduction is recomputed from
+      // the restored rows, so both are held to the same bar).
+      compare(session, where + " (reopened)");
     }
   }
   return out;

@@ -37,8 +37,9 @@ struct QaOptions {
   /// batch schedule — append-only (fresh, duplicated, and NULL-bearing
   /// rows), delete-only, mixed, and empty batches — on an
   /// `IncrementalSession`, asserting after every batch that the
-  /// incrementally maintained OD/OCD claims equal a from-scratch discovery
-  /// of the materialized relation, with a drop-and-reopen persistence leg
+  /// incrementally maintained OD/OCD claims and column reduction equal a
+  /// from-scratch discovery of the materialized relation, with a
+  /// drop-and-reopen persistence leg
   /// mid-schedule (docs/incremental.md). Failing schedules are ddmin-shrunk
   /// batch- and op-wise (ShrinkFailingSchedule).
   bool incremental = true;

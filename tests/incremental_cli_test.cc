@@ -124,7 +124,6 @@ TEST(IncrementalCliTest, WarmStateCarriesAcrossProcessesAndMatchesScratch) {
   auto b1_doc = ParseJsonOrDie(b1.output);
   EXPECT_EQ(b1_doc["batch_seq"].number_value(), 1);
   EXPECT_EQ(b1_doc["resumed"].bool_value(), true);
-  EXPECT_GT(b1_doc["hook_served"].number_value(), 0);
   EXPECT_EQ(b1_doc["snapshot_written"].bool_value(), true);
 
   RunResult b2 = RunCli("apply-batch " + dir.path + "/b2.batch --state " +
@@ -152,6 +151,36 @@ TEST(IncrementalCliTest, WarmStateCarriesAcrossProcessesAndMatchesScratch) {
   const std::string final_csv = dir.path + "/final.csv";
   ASSERT_TRUE(rel::WriteCsvFile(cur, final_csv).ok());
   EXPECT_EQ(ClaimsOf(b2_doc["report"]), FromScratchClaims(final_csv));
+
+  // apply-batch reads no --perm-cache-mib; like any unknown flag it is a
+  // usage error.
+  EXPECT_EQ(RunCli("apply-batch --state " + state + " --perm-cache-mib 4")
+                .exit_code,
+            2);
+}
+
+TEST(IncrementalCliTest, BatchlessReopenReportsTheColumnReduction) {
+  // FLIGHT_1K reduces to 14 constants and one equivalence class; a
+  // batchless reopen of the warm state must report the same reduction as
+  // the bootstrap that wrote it.
+  ScratchDir dir("reduction");
+  const std::string state = dir.path + "/state";
+  RunResult boot =
+      RunCli("apply-batch --state " + state + " --base FLIGHT_1K --json");
+  ASSERT_EQ(boot.exit_code, 0) << boot.output;
+  const report::JsonValue boot_doc = ParseJsonOrDie(boot.output);
+  const report::JsonValue& reduction = boot_doc["report"]["reduction"];
+  EXPECT_EQ(reduction["constants"].array().size(), 14u);
+  ASSERT_EQ(reduction["equivalence_classes"].array().size(), 1u);
+  EXPECT_EQ(report::SerializeJson(reduction["equivalence_classes"]),
+            R"([["id0","id1","id2","id6","id7","id8","id9"]])");
+
+  RunResult reopen = RunCli("apply-batch --state " + state + " --json");
+  ASSERT_EQ(reopen.exit_code, 0) << reopen.output;
+  const report::JsonValue reopen_doc = ParseJsonOrDie(reopen.output);
+  EXPECT_TRUE(reopen_doc["resumed"].bool_value());
+  EXPECT_EQ(report::SerializeJson(reopen_doc["report"]["reduction"]),
+            report::SerializeJson(reduction));
 }
 
 TEST(IncrementalCliTest, SigkillMidApplyThenClientReplayConverges) {

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "datagen/fixtures.h"
+#include "datagen/registry.h"
 #include "od/brute_force.h"
 #include "od/inference.h"
 #include "test_util.h"
@@ -104,6 +105,63 @@ TEST(OcdDiscoverTest, MaxLevelCap) {
   for (const OrderCompatibility& ocd : result.ocds) {
     EXPECT_LE(ocd.lhs.size() + ocd.rhs.size(), 2u);
   }
+}
+
+TEST(OcdDiscoverTest, LevelCapStopsExactlyWhenAChildWouldExist) {
+  CodedRelation r = testutil::RandomCodedTable(1, 6, 5, 2);
+  const OcdDiscoverResult full = DiscoverOcds(r);
+  ASSERT_TRUE(full.completed);
+  ASSERT_GE(full.levels_completed, 4u);
+
+  // Capping at the deepest level the walk reaches changes nothing.
+  OcdDiscoverOptions at_end;
+  at_end.max_level = full.levels_completed;
+  const OcdDiscoverResult same = DiscoverOcds(r, at_end);
+  EXPECT_TRUE(same.completed);
+  EXPECT_EQ(same.ocds, full.ocds);
+  EXPECT_EQ(same.ods, full.ods);
+  EXPECT_EQ(same.candidates_generated, full.candidates_generated);
+
+  // One level less: the last level is checked and emitted, builds nothing.
+  OcdDiscoverOptions below;
+  below.max_level = full.levels_completed - 1;
+  const OcdDiscoverResult capped = DiscoverOcds(r, below);
+  EXPECT_FALSE(capped.completed);
+  EXPECT_EQ(capped.stop_reason, StopReason::kLevelCap);
+  EXPECT_EQ(capped.levels_completed, below.max_level);
+  EXPECT_EQ(capped.stop_state.frontier_size, 0u);
+  std::vector<OrderCompatibility> shallow;
+  for (const OrderCompatibility& ocd : full.ocds) {
+    if (ocd.lhs.size() + ocd.rhs.size() <= below.max_level) {
+      shallow.push_back(ocd);
+    }
+  }
+  EXPECT_EQ(capped.ocds, shallow);
+}
+
+TEST(OcdDiscoverTest, CappedFlightWalkEmitsItsWholeLastLevel) {
+  // FLIGHT_1K's level 4 passes the per-level candidate cap. Level 3 must
+  // still be emitted in full, whether `max_level` stops the walk there or
+  // the candidate cap trips while level 4 is built.
+  auto data = datagen::MakeDataset("FLIGHT_1K", 1000, 42);
+  ASSERT_TRUE(data.ok());
+  const CodedRelation r = CodedRelation::Encode(*data);
+  OcdDiscoverOptions at_three;
+  at_three.max_level = 3;
+  const OcdDiscoverResult capped = DiscoverOcds(r, at_three);
+  EXPECT_FALSE(capped.completed);
+  EXPECT_EQ(capped.stop_reason, StopReason::kLevelCap);
+  EXPECT_EQ(capped.num_checks, 196'952u);
+  EXPECT_EQ(capped.ocds.size(), 43'187u);
+  EXPECT_EQ(capped.ods.size(), 2'416u);
+  EXPECT_EQ(capped.stop_state.frontier_size, 0u);
+
+  const OcdDiscoverResult tripped = DiscoverOcds(r);
+  EXPECT_FALSE(tripped.completed);
+  EXPECT_EQ(tripped.stop_reason, StopReason::kLevelCap);
+  EXPECT_EQ(tripped.num_checks, capped.num_checks);
+  EXPECT_EQ(tripped.ocds, capped.ocds);
+  EXPECT_EQ(tripped.ods, capped.ods);
 }
 
 TEST(OcdDiscoverTest, ChecksAreCounted) {

@@ -84,6 +84,21 @@ TEST(OrderDiscoverTest, MaxLevelCapsCandidates)  {
   }
 }
 
+TEST(OrderDiscoverTest, CappedLastLevelBuildsNoChildren) {
+  // FLIGHT_1K's level 3 holds ~460,000 ORDER candidates and level 4 would
+  // hold millions; at `max_level = 3` every generated candidate is checked.
+  auto data = datagen::MakeDataset("FLIGHT_1K", 200, 42);
+  ASSERT_TRUE(data.ok());
+  const CodedRelation r = CodedRelation::Encode(*data);
+  OrderDiscoverOptions opts;
+  opts.max_level = 3;
+  const OrderDiscoverResult result = DiscoverOrderDependencies(r, opts);
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(result.stop_reason, StopReason::kLevelCap);
+  EXPECT_EQ(result.candidates_generated, result.num_checks);
+  EXPECT_EQ(result.stop_state.frontier_size, 0u);
+}
+
 // Completeness property: every valid disjoint OD from brute force must be
 // discovered or derivable from a discovered one (valid OD X → Y implies
 // X' → Y for any X' extending X, and is found for the shortest prefix pair).

@@ -123,7 +123,8 @@ TEST(PolarizedTest, MemoryBudgetCapsTheFrontier) {
 /// Polarized discovery as the sort-based `OrderChecker` sees it, with no
 /// partition cache: the same level-by-level walk over r± (ascending lhs
 /// head at level 2, children extend a side whose OD does not hold by an
-/// unused base column in either direction, each candidate once per level),
+/// unused base column in either direction, each candidate once per level,
+/// level `max_level` checked without building its children),
 /// every candidate checked by sorting and counted as the production walk
 /// counts it (1 OCD check, 2 more at valid nodes).
 PolarizedDiscoverResult SortPathReference(const CodedRelation& relation,
@@ -161,8 +162,8 @@ PolarizedDiscoverResult SortPathReference(const CodedRelation& relation,
   }
   PolarizedDiscoverResult result;
   result.candidates_generated = level.size();
-  for (std::size_t current = 2; !level.empty() && current <= max_level;
-       ++current) {
+  result.completed = true;
+  for (std::size_t current = 2; !level.empty(); ++current) {
     std::vector<Pair> next;
     std::set<Pair> seen;
     auto add = [&](Pair child) {
@@ -185,12 +186,16 @@ PolarizedDiscoverResult SortPathReference(const CodedRelation& relation,
         }
       }
     }
+    // The capped last level is checked but spawns nothing.
+    if (current == max_level) {
+      result.completed = next.empty();
+      break;
+    }
     result.candidates_generated += next.size();
     level = std::move(next);
   }
   std::sort(result.ocds.begin(), result.ocds.end());
   std::sort(result.ods.begin(), result.ods.end());
-  result.completed = level.empty();
   return result;
 }
 

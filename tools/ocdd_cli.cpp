@@ -373,7 +373,6 @@ int CmdApplyBatch(const Args& args, const char* /*argv0*/) {
   opts.num_threads = args.GetSize("threads", 1);
   opts.max_level = args.GetSize("max-level", 0);
   opts.keep_generations = args.GetSize("keep-generations", 2);
-  opts.max_perm_cache_bytes = args.GetSize("perm-cache-mib", 512) << 20;
 
   // The base source is only consulted when no warm generation is usable —
   // bootstrap, or degradation after corruption.
@@ -438,9 +437,6 @@ int CmdApplyBatch(const Args& args, const char* /*argv0*/) {
            std::string(session->resumed() ? "true" : "false");
     out += ",\"snapshot_written\":" +
            std::string(stats.snapshot_written ? "true" : "false");
-    out += ",\"hook_served\":" + std::to_string(stats.result.hook_served);
-    out += ",\"hook_recomputed\":" +
-           std::to_string(stats.result.hook_recomputed);
     out += ",\"seconds\":" + std::to_string(stats.seconds);
     if (!session->open_warning().empty()) {
       out += ",\"open_warning\":\"" +
@@ -473,12 +469,9 @@ int CmdApplyBatch(const Args& args, const char* /*argv0*/) {
                 static_cast<unsigned long long>(ingest.records_total));
   }
   std::printf(
-      "# batch %llu: -%zu +%zu rows -> %zu; served %llu recomputed %llu "
-      "(%llu checks) in %.3fs%s\n",
+      "# batch %llu: -%zu +%zu rows -> %zu; %llu checks in %.3fs%s\n",
       static_cast<unsigned long long>(stats.batch_seq), stats.deletes,
       stats.appends, stats.num_rows,
-      static_cast<unsigned long long>(stats.result.hook_served),
-      static_cast<unsigned long long>(stats.result.hook_recomputed),
       static_cast<unsigned long long>(stats.result.num_checks), stats.seconds,
       ocdd::report::PartialNote(stats.result.completed,
                                  stats.result.stop_reason).c_str());
@@ -1081,7 +1074,7 @@ void Usage() {
       "  apply-batch  incremental maintenance step: ocdd apply-batch\n"
       "             [batch-file] --state DIR [--base SOURCE] [--rows N]\n"
       "             [--seed S] [--threads N] [--max-level L] [--json]\n"
-      "             [--keep-generations K] [--perm-cache-mib N]\n"
+      "             [--keep-generations K]\n"
       "             [--on-bad-row fail|skip|quarantine]; with no batch file\n"
       "             only bootstraps/validates the warm state\n"
       "             (docs/incremental.md)\n"
@@ -1171,8 +1164,7 @@ const std::vector<Verb>& Verbs() {
         {"fsck", CmdFsck, {"repair no-recursive json"}},
         {"apply-batch", CmdApplyBatch,
          {kSourceFlags, kBudgetFlags,
-          "state base threads max-level keep-generations perm-cache-mib "
-          "json"}},
+          "state base threads max-level keep-generations json"}},
         {"profile", CmdProfile, {kSourceFlags}},
         {"rewrite", CmdRewrite, {kSourceFlags, kBudgetFlags, "order-by"}},
         {"explain", CmdExplain,

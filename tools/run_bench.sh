@@ -4,7 +4,7 @@
 # Runs bench_fig6_threads (thread scaling, both check modes),
 # bench_table6 (cross-algorithm table), bench_kernels (SIMD check
 # kernels per backend/width + the full-LATTICE headline run), and
-# bench_incremental (warm batches vs from-scratch rediscovery), recording
+# bench_incremental (session batches vs from-scratch rediscovery), recording
 # every measurement as JSON — one BENCH_<name>.json per bench binary,
 # written by the shared reporter in bench/bench_util.h. See
 # docs/performance.md for the format and how to compare two sweeps.
