@@ -76,7 +76,7 @@ int main() {
         report.Add({name, r.num_rows(), r.num_columns(), t, partitions,
                     result.elapsed_seconds, result.num_checks,
                     result.ocds.size(), result.ods.size(), result.completed,
-                    {}, {}, 0});
+                    {}, {}, 0, result.stop_reason});
       }
       std::printf("\n");
       all_times.push_back(times);

@@ -220,6 +220,7 @@ int main() {
       e.ocds = result.ocds.size();
       e.ods = result.ods.size();
       e.completed = result.completed;
+      e.stop_reason = result.stop_reason;
       report.Add(std::move(e));
     }
     ocdd::simd::Refresh();

@@ -39,7 +39,7 @@ void RunDataset(const ocdd::datagen::DatasetSpec& spec,
   auto order = ocdd::algo::DiscoverOrderDependencies(r, order_opts);
   report.Add({spec.name, r.num_rows(), r.num_columns(), 1, true,
               order.elapsed_seconds, order.num_checks, 0, order.ods.size(),
-              order.completed, "order", {}, 0});
+              order.completed, "order", {}, 0, order.stop_reason});
 
   // FASTOD baseline.
   ocdd::algo::FastodOptions fastod_opts;
@@ -54,7 +54,7 @@ void RunDataset(const ocdd::datagen::DatasetSpec& spec,
   report.Add({spec.name, r.num_rows(), r.num_columns(), ocd_opts.num_threads,
               ocd_opts.use_sorted_partitions, mine.elapsed_seconds,
               mine.num_checks, mine.ocds.size(), mine.ods.size(),
-              mine.completed, {}, {}, 0});
+              mine.completed, {}, {}, 0, mine.stop_reason});
   ocdd::core::ExpansionOptions exp_opts;
   exp_opts.max_materialized = 200000;
   auto expanded = ocdd::core::ExpandResults(mine, r, exp_opts);

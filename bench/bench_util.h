@@ -97,6 +97,9 @@ struct BenchEntry {
   /// How often a time-budgeted micro entry ran its op (`seconds` is per
   /// op); 0 for entries that time whole runs.
   std::uint64_t iterations = 0;
+  /// Why the run stopped (`kNone` when it completed). tools/run_bench.sh
+  /// gates the counts of runs whose stop is deterministic.
+  StopReason stop_reason = StopReason::kNone;
 };
 
 /// Collects `BenchEntry` records and writes them as
@@ -146,12 +149,13 @@ class BenchReport {
           "%s\n    {\"dataset\": \"%s\", \"label\": \"%s\", \"rows\": %zu, "
           "\"cols\": %zu, \"threads\": %zu, \"use_sorted_partitions\": %s, "
           "\"seconds\": %.6f, \"checks\": %llu, \"ocds\": %zu, "
-          "\"ods\": %zu, \"completed\": %s, \"iterations\": %llu",
+          "\"ods\": %zu, \"completed\": %s, \"stop_reason\": \"%s\", "
+          "\"iterations\": %llu",
           i == 0 ? "" : ",", Escaped(e.dataset).c_str(),
           Escaped(e.label).c_str(), e.rows, e.cols, e.threads,
           e.use_sorted_partitions ? "true" : "false", e.seconds,
           static_cast<unsigned long long>(e.checks), e.ocds, e.ods,
-          e.completed ? "true" : "false",
+          e.completed ? "true" : "false", StopReasonName(e.stop_reason),
           static_cast<unsigned long long>(e.iterations));
       if (!e.profile_json.empty()) {
         std::fprintf(f, ", \"profile\": %s", e.profile_json.c_str());

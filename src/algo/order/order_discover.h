@@ -2,10 +2,10 @@
 #define OCDD_ALGO_ORDER_ORDER_DISCOVER_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "common/run_context.h"
+#include "core/level_walk.h"
 #include "core/partition_checker.h"
 #include "od/dependency.h"
 #include "relation/coded_relation.h"
@@ -26,19 +26,15 @@ struct OrderDiscoverOptions {
   std::size_t max_partition_cache_bytes = core::kDefaultPartitionCacheBytes;
 };
 
-struct OrderDiscoverResult {
+/// Output of an ORDER run; the walk's counters (core/level_walk.h) count
+/// OD checks.
+struct OrderDiscoverResult : core::WalkCounters {
   /// Minimal ODs with disjoint, duplicate-free sides, sorted. By
   /// construction this algorithm cannot discover repeated-attribute
   /// dependencies such as `AB → B` — the incompleteness the paper
   /// demonstrates with the YES dataset (§5.2.1).
   std::vector<od::OrderDependency> ods;
 
-  std::uint64_t num_checks = 0;
-  std::uint64_t candidates_generated = 0;
-  bool completed = true;
-  StopReason stop_reason = StopReason::kNone;  ///< kNone when completed
-  /// Where the run was when it stopped (meaningful when `!completed`).
-  StopState stop_state;
   double elapsed_seconds = 0.0;
 };
 

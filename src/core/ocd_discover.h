@@ -2,13 +2,12 @@
 #define OCDD_CORE_OCD_DISCOVER_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/run_context.h"
 #include "common/snapshot.h"
 #include "core/column_reduction.h"
+#include "core/level_walk.h"
 #include "core/partition_checker.h"
 #include "od/dependency.h"
 #include "relation/coded_relation.h"
@@ -29,14 +28,9 @@ struct OcdDiscoverOptions {
 
   /// Cap on the tree level ℓ = |X| + |Y| (0 = unlimited). Level
   /// `max_level` is checked and emitted in full but spawns no children;
-  /// the run stops with `kLevelCap` when one of its candidates would.
+  /// the run stops with `kLevelCap` when one of its candidates would. The
+  /// walk's candidate cap (`kMaxCandidatesPerLevel`) stops it the same way.
   std::size_t max_level = 0;
-
-  /// Stop generating when the next level would exceed this many
-  /// candidates — a memory backstop for quasi-constant blow-ups (§5.3.2),
-  /// where the paper sees levels with millions of candidates. The current
-  /// level is still emitted in full. 0 = unlimited.
-  std::size_t max_candidates_per_level = 4'000'000;
 
   /// Disable to skip the columnsReduction() phase (ablation).
   bool apply_column_reduction = true;
@@ -67,8 +61,9 @@ struct OcdDiscoverOptions {
   CheckpointConfig checkpoint;
 };
 
-/// Output of `DiscoverOcds`.
-struct OcdDiscoverResult {
+/// Output of `DiscoverOcds`; the walk's counters (level_walk.h) count OCD
+/// single checks plus OD checks.
+struct OcdDiscoverResult : WalkCounters {
   /// Minimal OCDs (disjoint duplicate-free sides) over the reduced
   /// universe U′, canonicalized and sorted.
   std::vector<od::OrderCompatibility> ocds;
@@ -80,28 +75,6 @@ struct OcdDiscoverResult {
   /// The columnsReduction() output: constants and equivalence classes are
   /// an integral part of the result (paper §4.1).
   ColumnReduction reduction;
-
-  /// Total candidate checks performed (OCD single checks + OD checks) —
-  /// the `#checks` column of Table 6.
-  std::uint64_t num_checks = 0;
-
-  /// Number of OCD candidates generated across all levels.
-  std::uint64_t candidates_generated = 0;
-
-  /// Highest tree level fully processed (level ℓ holds candidates with
-  /// |X| + |Y| = ℓ; the first level is 2).
-  std::size_t levels_completed = 0;
-
-  /// False when a budget (checks/time/level), cancellation, or fault stopped
-  /// the run early.
-  bool completed = true;
-
-  /// Why the run stopped (`kNone` when `completed`). Level and
-  /// candidates-per-level caps report `kLevelCap`.
-  StopReason stop_reason = StopReason::kNone;
-
-  /// Where the run was when it stopped (meaningful when `!completed`).
-  StopState stop_state;
 
   /// What checkpointing did (zero-initialized when disabled).
   CheckpointStats checkpoint_stats;

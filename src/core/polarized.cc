@@ -4,9 +4,9 @@
 
 #include "common/timer.h"
 #include "common/run_context.h"
+#include "core/level_walk.h"
 #include "core/partition_checker.h"
 #include "od/attribute_list.h"
-#include "od/dependency_set.h"
 
 namespace ocdd::core {
 
@@ -94,16 +94,64 @@ PolarizedList DecodeList(const AttributeList& list, std::size_t n) {
   return out;
 }
 
-rel::ColumnId BaseColumn(rel::ColumnId virtual_id, std::size_t n) {
-  return virtual_id < n ? virtual_id : virtual_id - n;
-}
+/// Polarized discovery's rules for the lattice walk: OCDDISCOVER's check
+/// over r±, and children by polarity — a side whose OD does not hold is
+/// extended by every unused base column, ascending and descending.
+struct PolarizedRules {
+  using Outcome = CandidateOutcome;
+  static constexpr bool kMemoizeChecks = true;
 
-bool UsesBase(const AttributeList& list, rel::ColumnId base, std::size_t n) {
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    if (BaseColumn(list[i], n) == base) return true;
+  const ListTable& lists;
+  std::size_t n;                            // base columns
+  const std::vector<rel::ColumnId>& active;  // non-constant base columns
+  PolarizedDiscoverResult& result;
+
+  /// Level 2, mirror-canonical: the lhs head is ascending. Per unordered
+  /// base pair {a, b} with a < b this yields (a+, b+) and (a+, b-); the
+  /// mirror images (a-, b-) and (a-, b+) are equivalent.
+  std::vector<std::pair<rel::ColumnId, rel::ColumnId>> SeedPairs() const {
+    std::vector<std::pair<rel::ColumnId, rel::ColumnId>> pairs;
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      for (std::size_t j = i + 1; j < active.size(); ++j) {
+        pairs.emplace_back(active[i], active[j]);
+        pairs.emplace_back(active[i], active[j] + n);
+      }
+    }
+    return pairs;
   }
-  return false;
-}
+
+  Outcome Check(const PartitionChecker& checker, Candidate c,
+                PartitionChecker::CheckSlot* slot) const {
+    return checker.CheckOcdAndOds(c.x, c.y, slot);
+  }
+
+  void Emit(Candidate c, const Outcome& out) {
+    if (!out.ocd_valid) return;
+    PolarizedList x = DecodeList(lists.list(c.x), n);
+    PolarizedList y = DecodeList(lists.list(c.y), n);
+    if (out.od_xy) result.ods.push_back(PolarizedOd{x, y});
+    if (out.od_yx) result.ods.push_back(PolarizedOd{y, x});
+    result.ocds.push_back(PolarizedOcd{std::move(x), std::move(y)});
+  }
+
+  template <typename Child>
+  void Expand(Candidate c, const Outcome& out, Child&& child) const {
+    if (!out.ocd_valid) return;
+    const AttributeList& x = lists.list(c.x);
+    const AttributeList& y = lists.list(c.y);
+    for (rel::ColumnId base : active) {
+      const rel::ColumnId desc = base + n;
+      if (x.Contains(base) || x.Contains(desc) || y.Contains(base) ||
+          y.Contains(desc)) {
+        continue;
+      }
+      for (rel::ColumnId v : {base, desc}) {
+        if (!out.od_xy) child(Side::kX, v);
+        if (!out.od_yx) child(Side::kY, v);
+      }
+    }
+  }
+};
 
 }  // namespace
 
@@ -112,14 +160,13 @@ PolarizedDiscoverResult DiscoverPolarizedOcds(
     const PolarizedDiscoverOptions& options) {
   WallTimer timer;
   PolarizedDiscoverResult result;
-  std::size_t n = relation.num_columns();
+  const std::size_t n = relation.num_columns();
 
   RunContext local_ctx;
   RunContext& ctx =
       options.run_context != nullptr ? *options.run_context : local_ctx;
   rel::CodedRelation augmented = AugmentWithReversedColumns(relation);
   PartitionChecker checker(augmented, ctx, kDefaultPartitionCacheBytes);
-  ListTable& lists = checker.lists();
 
   // Non-constant base columns only; a constant is trivially compatible with
   // everything in both directions.
@@ -128,84 +175,13 @@ PolarizedDiscoverResult DiscoverPolarizedOcds(
     if (!relation.column(c).is_constant()) active.push_back(c);
   }
 
-  // Level 2, mirror-canonical: the lhs head is ascending. Per unordered
-  // base pair {a, b} with a < b this yields (a+, b+) and (a+, b-); the
-  // mirror images (a-, b-) and (a-, b+) are equivalent. Every frontier
-  // candidate is charged to the memory budget; a refused charge latches
-  // `kMemoryBudget` and ends the walk.
-  Frontier level(lists, ctx);
-  bool aborted = false;
-  for (std::size_t i = 0; i < active.size() && !aborted; ++i) {
-    for (std::size_t j = i + 1; j < active.size() && !aborted; ++j) {
-      for (rel::ColumnId v : {active[j], active[j] + n}) {
-        if (!level.Add(lists.Child(kNoListId, active[i]),
-                       lists.Child(kNoListId, v))) {
-          aborted = true;
-          break;
-        }
-      }
-    }
-  }
-  result.candidates_generated += level.size();
-
-  std::size_t current_level = 2;
-  while (!level.empty() && !aborted) {
-    if (options.max_level != 0 && current_level > options.max_level) {
-      aborted = true;
-      break;
-    }
-    const std::vector<PartitionChecker::CheckSlot*> slots =
-        checker.Prepare(level.candidates(), nullptr);
-
-    // The capped last level builds no children; it only notes whether one
-    // would exist.
-    const bool last_level =
-        options.max_level != 0 && current_level == options.max_level;
-    bool capped = false;
-    Frontier next(lists, ctx);
-    for (std::size_t i = 0; i < level.size() && !aborted; ++i) {
-      const Candidate c = level[i];
-      if (ctx.ShouldStop()) {
-        aborted = true;
-        break;
-      }
-      const CandidateOutcome out = checker.CheckOcdAndOds(c.x, c.y, slots[i]);
-      if (!out.ocd_valid) continue;
-      const AttributeList& x = lists.list(c.x);
-      const AttributeList& y = lists.list(c.y);
-      result.ocds.push_back(PolarizedOcd{DecodeList(x, n), DecodeList(y, n)});
-      if (out.od_xy) {
-        result.ods.push_back(PolarizedOd{DecodeList(x, n), DecodeList(y, n)});
-      }
-      if (out.od_yx) {
-        result.ods.push_back(PolarizedOd{DecodeList(y, n), DecodeList(x, n)});
-      }
-      for (std::size_t b = 0; b < active.size() && !aborted; ++b) {
-        const rel::ColumnId base = active[b];
-        if (UsesBase(x, base, n) || UsesBase(y, base, n)) continue;
-        if (last_level) {
-          capped = capped || !out.od_xy || !out.od_yx;
-          break;
-        }
-        for (rel::ColumnId v : {base, base + n}) {
-          if ((!out.od_xy && !next.Add(lists.Child(c.x, v), c.y)) ||
-              (!out.od_yx && !next.Add(c.x, lists.Child(c.y, v)))) {
-            aborted = true;
-            break;
-          }
-        }
-      }
-    }
-    aborted = aborted || capped;
-    result.candidates_generated += next.size();
-    level = std::move(next);
-    ++current_level;
-  }
-
+  PolarizedRules rules{checker.lists(), n, active, result};
+  LevelWalk<PolarizedRules> walk("polarized", rules, checker, ctx, result,
+                                 options.max_level);
+  walk.Seed();
+  walk.Run([] {});
   std::sort(result.ocds.begin(), result.ocds.end());
   std::sort(result.ods.begin(), result.ods.end());
-  result.num_checks = checker.num_checks();
-  result.completed = !aborted;
   result.elapsed_seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/run_context.h"
+#include "core/level_walk.h"
 #include "relation/coded_relation.h"
 
 namespace ocdd::core {
@@ -101,16 +102,15 @@ struct PolarizedDiscoverOptions {
   std::size_t max_level = 4;
 };
 
-struct PolarizedDiscoverResult {
+/// Output of a polarized run; the walk's counters (level_walk.h) count OCD
+/// single checks plus OD checks over r±.
+struct PolarizedDiscoverResult : WalkCounters {
   /// Minimal polarized OCDs, mirror-canonicalized: the head attribute of
   /// the lhs is always ascending (flipping every direction on both sides
   /// of a dependency preserves validity, so only one of the two mirror
   /// images is reported).
   std::vector<PolarizedOcd> ocds;
   std::vector<PolarizedOd> ods;
-  std::uint64_t num_checks = 0;
-  std::uint64_t candidates_generated = 0;
-  bool completed = true;
   double elapsed_seconds = 0.0;
 };
 

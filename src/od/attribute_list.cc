@@ -4,10 +4,6 @@
 
 namespace ocdd::od {
 
-bool AttributeList::Contains(ColumnId id) const {
-  return std::find(attrs_.begin(), attrs_.end(), id) != attrs_.end();
-}
-
 bool AttributeList::DisjointWith(const AttributeList& other) const {
   for (ColumnId id : attrs_) {
     if (other.Contains(id)) return false;

@@ -30,7 +30,12 @@ class AttributeList {
   ColumnId operator[](std::size_t i) const { return attrs_[i]; }
   const std::vector<ColumnId>& ids() const { return attrs_; }
 
-  bool Contains(ColumnId id) const;
+  bool Contains(ColumnId id) const {
+    for (ColumnId a : attrs_) {
+      if (a == id) return true;
+    }
+    return false;
+  }
 
   /// True when the two lists share no attribute.
   bool DisjointWith(const AttributeList& other) const;

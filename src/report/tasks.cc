@@ -199,7 +199,7 @@ TaskOutput RunPolarized(const rel::CodedRelation& coded,
   out.report += Format(
       "# %zu polarized OCDs, %zu polarized ODs in %.3fs%s\n",
       result.ocds.size(), result.ods.size(), result.elapsed_seconds,
-      result.completed ? "" : " (partial)");
+      PartialNote(result.completed, result.stop_reason).c_str());
   AppendLines(out.report, "POCD ", result.ocds, coded);
   AppendLines(out.report, "POD  ", result.ods, coded);
   return out;

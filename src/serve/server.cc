@@ -368,15 +368,16 @@ void Server::AcceptLoop() {
 }
 
 void Server::ConnectionThread(int fd) {
-  HandleConnection(fd);
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    --active_connections_;
-  }
+  if (!HandleConnection(fd)) ReleaseConnection();
+}
+
+void Server::ReleaseConnection() {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  --active_connections_;
   conn_cv_.notify_all();
 }
 
-void Server::HandleConnection(int fd) {
+bool Server::HandleConnection(int fd) {
   // Read exactly one request frame, bounded in size by FrameLimits, per
   // read by the socket timeout, and in total by the frame deadline (the
   // slowloris guard). Torn frames, bad magic, oversized lengths and CRC
@@ -397,7 +398,7 @@ void Server::HandleConnection(int fd) {
         ++counters_.idle_reaped;
       }
       ::close(fd);
-      return;
+      return false;
     }
     ServeResponse resp;
     resp.status = "rejected";
@@ -413,7 +414,7 @@ void Server::HandleConnection(int fd) {
       if (read_status == IoStatus::kTimeout) ++counters_.slowloris_evicted;
     }
     SendResponse(fd, resp);
-    return;
+    return false;
   }
 
   Result<ServeRequest> parsed =
@@ -428,7 +429,7 @@ void Server::HandleConnection(int fd) {
       ++counters_.rejected_bad_request;
     }
     SendResponse(fd, resp);
-    return;
+    return false;
   }
   ServeRequest request = std::move(*parsed);
 
@@ -437,7 +438,7 @@ void Server::HandleConnection(int fd) {
     resp.id = request.id;
     resp.status = "ok";
     SendResponse(fd, resp);
-    return;
+    return false;
   }
   if (request.kind == "stats") {
     ServeResponse resp;
@@ -446,7 +447,7 @@ void Server::HandleConnection(int fd) {
     resp.have_report = true;
     resp.report = StatsJson();
     SendResponse(fd, resp);
-    return;
+    return false;
   }
 
   // kind == "run": admission control. Checks are ordered cheapest-first;
@@ -468,7 +469,7 @@ void Server::HandleConnection(int fd) {
 
   if (draining_.load()) {
     reject("draining", &ServerCounters::rejected_draining);
-    return;
+    return false;
   }
   if (request.kind == "apply_batch" && disk_.degraded()) {
     // Batch application *needs* durable state — its whole output is a new
@@ -476,11 +477,11 @@ void Server::HandleConnection(int fd) {
     // memory, checkpoints merely suspended), it is shed, typed, while the
     // disk is down.
     reject("disk_degraded", &ServerCounters::rejected_disk_degraded);
-    return;
+    return false;
   }
   if (!tenants_.TryAdmit(request.tenant)) {
     reject("tenant_limit", &ServerCounters::rejected_tenant_limit);
-    return;
+    return false;
   }
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -488,7 +489,7 @@ void Server::HandleConnection(int fd) {
       lock.unlock();
       tenants_.Release(request.tenant, /*completed=*/false);
       reject("queue_full", &ServerCounters::rejected_queue_full);
-      return;
+      return false;
     }
     const std::size_t mem = quota.budgets.memory_bytes;
     if (options_.memory_watermark_bytes != 0 &&
@@ -496,13 +497,20 @@ void Server::HandleConnection(int fd) {
       lock.unlock();
       tenants_.Release(request.tenant, /*completed=*/false);
       reject("memory_watermark", &ServerCounters::rejected_memory_watermark);
-      return;
+      return false;
     }
     committed_memory_ += mem;
     ++counters_.admitted;
     queue_.push_back(Pending{fd, std::move(request), quota});
+    // The hand-off frees the slot, after the push (drain waits for the
+    // slots before it flushes the queue, so it sees this request) and
+    // before an executor wakes (a finished request never holds a slot
+    // while this thread waits to be scheduled). Nothing of the server is
+    // touched once `mu_` is released.
+    ReleaseConnection();
+    queue_cv_.notify_one();
   }
-  queue_cv_.notify_one();
+  return true;
 }
 
 void Server::ExecutorLoop() {

@@ -39,7 +39,8 @@ struct ServerOptions {
   /// this the daemon sheds load with a typed `queue_full` reject.
   std::size_t queue_capacity = 16;
 
-  /// Concurrent connections being read or answered; beyond this new
+  /// Concurrent connections being read or answered inline; a request
+  /// handed to the queue frees its connection's slot. Beyond this new
   /// connections are shed with a typed `connection_limit` reject. 0 = no
   /// cap. Distinct from `queue_capacity`: this bounds *sockets* (and the
   /// short-lived reader thread each one holds), that bounds admitted work.
@@ -212,8 +213,12 @@ class Server {
   };
 
   void AcceptLoop();
-  void HandleConnection(int fd);
+  /// Answers or queues one connection's request; true when it queued it,
+  /// which frees the connection slot.
+  bool HandleConnection(int fd);
   void ConnectionThread(int fd);
+  /// Frees one connection slot and wakes the drain.
+  void ReleaseConnection();
   void ExecutorLoop();
   /// Periodic cache persistence + degraded-mode probe-and-recover.
   void MaintenanceLoop();
@@ -249,9 +254,10 @@ class Server {
   std::size_t committed_memory_ = 0;
   ServerCounters counters_;
 
-  /// Live reader threads (detached); drain waits for the count to reach
-  /// zero — every reader is time-bounded by the frame deadline, so the wait
-  /// terminates.
+  /// Connection slots in use: a reader thread (detached) holds one until
+  /// it answers its request or queues it. Drain waits for the count to
+  /// reach zero — every reader is time-bounded by the frame deadline, so
+  /// the wait terminates.
   std::mutex conn_mu_;
   std::condition_variable conn_cv_;
   std::size_t active_connections_ = 0;

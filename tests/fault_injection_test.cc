@@ -21,6 +21,7 @@
 #include "common/io_env.h"
 #include "common/run_context.h"
 #include "core/ocd_discover.h"
+#include "core/polarized.h"
 #include "od/brute_force.h"
 #include "test_util.h"
 
@@ -63,11 +64,12 @@ Outcome RunArmed(const std::string& spec, const RunFn& run) {
   return out;
 }
 
-/// Dry-runs `run` to learn the injection surface and the complete output,
-/// then strikes every (point, run kind, position) combination through the
-/// registry and checks the partial-result contract.
+/// Dry-runs `run` to learn the injection surface — which must be exactly
+/// `expected_points` — and the complete output, then strikes every (point,
+/// run kind, position) combination through the registry and checks the
+/// partial-result contract.
 void CheckInjectionMatrix(const std::string& algorithm, const RunFn& run,
-                          std::size_t min_points) {
+                          std::vector<std::string> expected_points) {
   // `*=cancel@0` matches every point and never fires, so the dry run counts
   // each point's hits.
   IoEnv& env = IoEnv::Get();
@@ -83,8 +85,11 @@ void CheckInjectionMatrix(const std::string& algorithm, const RunFn& run,
   ASSERT_TRUE(complete.completed) << algorithm << ": dry run must finish";
   ASSERT_EQ(complete.reason, StopReason::kNone) << algorithm;
   std::sort(complete.deps.begin(), complete.deps.end());
-  ASSERT_GE(points.size(), min_points)
-      << algorithm << ": too few injection points reached";
+  std::vector<std::string> seen;
+  for (const auto& point : points) seen.push_back(point.first);
+  std::sort(seen.begin(), seen.end());
+  std::sort(expected_points.begin(), expected_points.end());
+  ASSERT_EQ(seen, expected_points) << algorithm;
 
   const struct {
     const char* kind;
@@ -135,7 +140,7 @@ TEST(FaultInjectionTest, OcdDiscoverMatrix) {
   CheckInjectionMatrix(
       "ocddiscover",
       [&](RunContext* ctx) { return RunOcdDiscover(ctx, coded); },
-      /*min_points=*/3);
+      {"ocd.level", "ocd.check", "ocd.generate"});
 }
 
 TEST(FaultInjectionTest, OcdDiscoverParallelSurvivesThrow) {
@@ -172,7 +177,32 @@ TEST(FaultInjectionTest, OrderMatrix) {
         for (const auto& od : r.ods) out.deps.push_back(od.ToString(coded));
         return out;
       },
-      /*min_points=*/3);
+      {"order.level", "order.check", "order.generate"});
+}
+
+core::PolarizedDiscoverResult RunPolarized(RunContext* ctx,
+                                           const CodedRelation& coded) {
+  core::PolarizedDiscoverOptions opts;
+  opts.run_context = ctx;
+  return core::DiscoverPolarizedOcds(coded, opts);
+}
+
+TEST(FaultInjectionTest, PolarizedMatrix) {
+  CodedRelation coded = TestTable();
+  CheckInjectionMatrix(
+      "polarized",
+      [&](RunContext* ctx) {
+        const core::PolarizedDiscoverResult r = RunPolarized(ctx, coded);
+        Outcome out{r.completed, r.stop_reason, {}};
+        for (const auto& ocd : r.ocds) {
+          out.deps.push_back("POCD " + ocd.ToString(coded));
+        }
+        for (const auto& od : r.ods) {
+          out.deps.push_back("POD " + od.ToString(coded));
+        }
+        return out;
+      },
+      {"polarized.level", "polarized.check", "polarized.generate"});
 }
 
 TEST(FaultInjectionTest, TaneMatrix) {
@@ -187,7 +217,7 @@ TEST(FaultInjectionTest, TaneMatrix) {
         for (const auto& fd : r.fds) out.deps.push_back(fd.ToString(coded));
         return out;
       },
-      /*min_points=*/3);
+      {"tane.level", "tane.check", "tane.generate"});
 }
 
 TEST(FaultInjectionTest, FastodMatrix) {
@@ -202,7 +232,8 @@ TEST(FaultInjectionTest, FastodMatrix) {
         for (const auto& od : r.ods) out.deps.push_back(od.ToString(coded));
         return out;
       },
-      /*min_points=*/3);
+      {"fastod.level", "fastod.fd_check", "fastod.swap_check",
+       "fastod.generate"});
 }
 
 TEST(FaultInjectionTest, FastodBidMatrix) {
@@ -217,7 +248,8 @@ TEST(FaultInjectionTest, FastodBidMatrix) {
         for (const auto& od : r.ods) out.deps.push_back(od.ToString(coded));
         return out;
       },
-      /*min_points=*/3);
+      {"fastod_bid.level", "fastod_bid.fd_check",
+       "fastod_bid.swap_check", "fastod_bid.generate"});
 }
 
 TEST(FaultInjectionTest, UccMatrix) {
@@ -232,7 +264,7 @@ TEST(FaultInjectionTest, UccMatrix) {
         for (const auto& u : r.uccs) out.deps.push_back(u.ToString(coded));
         return out;
       },
-      /*min_points=*/3);
+      {"ucc.level", "ucc.check", "ucc.generate"});
 }
 
 // ---- soundness of partial results (brute-force ground truth) ----
@@ -323,6 +355,13 @@ TEST(FaultInjectionTest, MemoryBudgetStopsEveryAlgorithm) {
     algo::OrderDiscoverOptions o;
     o.run_context = &ctx;
     auto r = algo::DiscoverOrderDependencies(coded, o);
+    EXPECT_FALSE(r.completed);
+    EXPECT_EQ(r.stop_reason, StopReason::kMemoryBudget);
+  }
+  {
+    RunContext ctx;
+    ctx.set_memory_budget(1);
+    auto r = RunPolarized(&ctx, coded);
     EXPECT_FALSE(r.completed);
     EXPECT_EQ(r.stop_reason, StopReason::kMemoryBudget);
   }

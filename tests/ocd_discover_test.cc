@@ -140,9 +140,9 @@ TEST(OcdDiscoverTest, LevelCapStopsExactlyWhenAChildWouldExist) {
 }
 
 TEST(OcdDiscoverTest, CappedFlightWalkEmitsItsWholeLastLevel) {
-  // FLIGHT_1K's level 4 passes the per-level candidate cap. Level 3 must
-  // still be emitted in full, whether `max_level` stops the walk there or
-  // the candidate cap trips while level 4 is built.
+  // FLIGHT_1K's level 3 has more children than the per-level candidate
+  // cap. The cap must stop the walk exactly as `max_level = 3` does: level
+  // 3 emitted in full, and level 4 never built.
   auto data = datagen::MakeDataset("FLIGHT_1K", 1000, 42);
   ASSERT_TRUE(data.ok());
   const CodedRelation r = CodedRelation::Encode(*data);
@@ -162,6 +162,12 @@ TEST(OcdDiscoverTest, CappedFlightWalkEmitsItsWholeLastLevel) {
   EXPECT_EQ(tripped.num_checks, capped.num_checks);
   EXPECT_EQ(tripped.ocds, capped.ocds);
   EXPECT_EQ(tripped.ods, capped.ods);
+  EXPECT_EQ(tripped.candidates_generated, capped.candidates_generated);
+  EXPECT_EQ(tripped.levels_completed, 3u);
+  EXPECT_EQ(capped.levels_completed, 3u);
+  EXPECT_EQ(tripped.stop_state.level, 4u);
+  EXPECT_EQ(capped.stop_state.level, 4u);
+  EXPECT_EQ(tripped.stop_state.frontier_size, 0u);
 }
 
 TEST(OcdDiscoverTest, ChecksAreCounted) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
+#include "common/prof.h"
 #include "datagen/fixtures.h"
 #include "datagen/registry.h"
 #include "od/brute_force.h"
@@ -74,6 +76,23 @@ TEST(OrderDiscoverTest, BudgetStopsEarly) {
   EXPECT_FALSE(result.completed);
 }
 
+TEST(OrderDiscoverTest, AStopInsideALevelReportsThatLevel) {
+  // A budget spent inside level 2 reports level 2 and its n·(n-1)
+  // candidates, and builds no part of level 3.
+  CodedRelation r = testutil::RandomCodedTable(13, 20, 6, 2);
+  OrderDiscoverOptions opts;
+  RunContext budget;
+  budget.set_check_budget(3);
+  opts.run_context = &budget;
+  const OrderDiscoverResult result = DiscoverOrderDependencies(r, opts);
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(result.stop_reason, StopReason::kCheckBudget);
+  EXPECT_EQ(result.stop_state.level, 2u);
+  EXPECT_EQ(result.stop_state.frontier_size, 6u * 5u);
+  EXPECT_EQ(result.candidates_generated, 6u * 5u);
+  EXPECT_EQ(result.levels_completed, 0u);
+}
+
 TEST(OrderDiscoverTest, MaxLevelCapsCandidates)  {
   CodedRelation r = testutil::RandomCodedTable(17, 10, 5, 2);
   OrderDiscoverOptions opts;
@@ -97,6 +116,22 @@ TEST(OrderDiscoverTest, CappedLastLevelBuildsNoChildren) {
   EXPECT_EQ(result.stop_reason, StopReason::kLevelCap);
   EXPECT_EQ(result.candidates_generated, result.num_checks);
   EXPECT_EQ(result.stop_state.frontier_size, 0u);
+}
+
+TEST(OrderDiscoverTest, ProfileTimesGeneration) {
+  // The profile of a run, taken as bench_table6 takes it (reset before,
+  // snapshot after), times ORDER's emission and generation.
+  CodedRelation r = testutil::RandomCodedTable(17, 10, 5, 2);
+  const bool was_enabled = prof::Enabled();
+  prof::SetEnabled(true);
+  prof::Reset();
+  DiscoverOrderDependencies(r);
+  std::uint64_t generate_calls = 0;
+  for (const prof::PhaseStats& phase : prof::Snapshot().phases) {
+    if (std::string(phase.name) == "generate") generate_calls = phase.calls;
+  }
+  prof::SetEnabled(was_enabled);
+  EXPECT_GT(generate_calls, 0u);
 }
 
 // Completeness property: every valid disjoint OD from brute force must be

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
 
+#include "common/prof.h"
 #include "core/checker.h"
 #include "core/ocd_discover.h"
 #include "datagen/generators.h"
@@ -93,6 +95,48 @@ TEST(PolarizedTest, BudgetStopsEarly) {
   opts.run_context = &budget;
   PolarizedDiscoverResult result = DiscoverPolarizedOcds(r, opts);
   EXPECT_FALSE(result.completed);
+}
+
+TEST(PolarizedTest, StopsReportTheirReasonAndLevel) {
+  CodedRelation r = testutil::RandomCodedTable(7, 20, 6, 2);
+  PolarizedDiscoverOptions opts;
+  RunContext budget;
+  budget.set_check_budget(2);
+  opts.run_context = &budget;
+  const PolarizedDiscoverResult stopped = DiscoverPolarizedOcds(r, opts);
+  EXPECT_FALSE(stopped.completed);
+  EXPECT_EQ(stopped.stop_reason, StopReason::kCheckBudget);
+  EXPECT_EQ(stopped.stop_state.level, 2u);
+  EXPECT_EQ(stopped.stop_state.frontier_size, stopped.candidates_generated);
+
+  // LATTICE's co-monotone columns give the capped last level children: a
+  // `level_cap` stop that reports the unbuilt level with no candidates.
+  const CodedRelation lattice =
+      CodedRelation::Encode(datagen::MakeLattice(100, 42));
+  opts.run_context = nullptr;
+  opts.max_level = 2;
+  const PolarizedDiscoverResult capped = DiscoverPolarizedOcds(lattice, opts);
+  EXPECT_FALSE(capped.completed);
+  EXPECT_EQ(capped.stop_reason, StopReason::kLevelCap);
+  EXPECT_EQ(capped.levels_completed, 2u);
+  EXPECT_EQ(capped.stop_state.level, 3u);
+  EXPECT_EQ(capped.stop_state.frontier_size, 0u);
+}
+
+TEST(PolarizedTest, ProfileTimesGeneration) {
+  // The profile of a run, taken as bench_table6 takes it (reset before,
+  // snapshot after), times polarized emission and generation.
+  CodedRelation r = CodedRelation::Encode(datagen::MakeLattice(100, 42));
+  const bool was_enabled = prof::Enabled();
+  prof::SetEnabled(true);
+  prof::Reset();
+  DiscoverPolarizedOcds(r);
+  std::uint64_t generate_calls = 0;
+  for (const prof::PhaseStats& phase : prof::Snapshot().phases) {
+    if (std::string(phase.name) == "generate") generate_calls = phase.calls;
+  }
+  prof::SetEnabled(was_enabled);
+  EXPECT_GT(generate_calls, 0u);
 }
 
 TEST(PolarizedTest, MemoryBudgetCapsTheFrontier) {

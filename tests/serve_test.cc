@@ -15,6 +15,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -451,6 +452,49 @@ TEST(ServeTest, QueueOverflowShedsWithTypedReject) {
   EXPECT_GE(ok, 1);
   EXPECT_GE(shed, 1) << "5 requests into 1 executor + 1 slot must shed";
   EXPECT_EQ(ok + shed, 5) << "every request terminated typed";
+}
+
+TEST(ServeTest, SequentialClientsNeverHitTheConnectionCap) {
+  // Each client sends its requests one after another, so no more
+  // connections than clients are ever open at once: with the cap above
+  // that, none may be shed. A queued request frees its slot at the
+  // hand-off, not when its reader thread is next scheduled.
+  ScratchDir scratch("sequential");
+  std::string script =
+      WriteScript(scratch, "worker.sh", ReportLine(true, "none"));
+  constexpr int kClients = 4;
+  constexpr int kRequests = 500;
+  ServerOptions options = BaseOptions(scratch, script);
+  options.max_connections = kClients + 1;
+  ServerHarness harness(options);
+  const std::string sock = harness.server().socket_path();
+  auto warm = SendRequest(sock, RunRequest("warm"), FastClient());
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_EQ(warm->status, "ok");
+
+  std::atomic<int> not_ok{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kRequests; ++i) {
+        auto resp = SendRequest(
+            sock, RunRequest(std::to_string(c) + "-" + std::to_string(i)),
+            FastClient());
+        if (!resp.ok() || resp->status != "ok") ++not_ok;
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(not_ok.load(), 0);
+
+  ServeRequest stats;
+  stats.kind = "stats";
+  auto st = SendRequest(sock, stats, FastClient());
+  ASSERT_TRUE(st.ok());
+  const report::JsonValue& counters = st->report["counters"];
+  EXPECT_EQ(counters["rejected"]["connection_limit"].number_value(), 0.0);
+  EXPECT_EQ(counters["completed_ok"].number_value(),
+            1.0 + kClients * kRequests);
 }
 
 TEST(ServeTest, TenantLimitIsEnforcedPerTenant) {

@@ -12,11 +12,14 @@
 # After the sweep, every fresh BENCH_*.json is diffed against the
 # committed baseline of the same name in the repo root (when one exists).
 # Matching entries (same dataset/rows/label/threads/mode, or for the
-# incremental bench the same batch kind/size, both completed) must agree
-# on `checks`, `ocds` and `ods`: any drift is printed as FAIL and
-# the script exits 1 after the sweep. Entries that got more than 10% slower
-# are flagged with a WARN line; timings on a shared box are advisory, so
-# warnings never fail the run.
+# incremental bench the same batch kind/size) that stopped for the same
+# deterministic reason — `none` (completed), `level_cap` or `check_budget`
+# — must agree on `checks`, `ocds` and `ods`: any drift is printed as FAIL
+# and the script exits 1 after the sweep. Deadline, memory and cancelled
+# stops depend on the host and are not compared. Entries that got more
+# than 10% slower, or whose stop reason changed, are flagged with a WARN
+# line; timings on a shared box are advisory, so warnings never fail the
+# run.
 #
 #   tools/run_bench.sh [out_dir]          # default out_dir: bench-out
 #
@@ -92,11 +95,22 @@ def key(e):
             e.get("kind"), e.get("batch_size"))
 def seconds(e):
     return e.get("seconds", e.get("incremental_seconds", 0.0))
+def stop(e):
+    # Entries without a stop_reason stopped for none when they completed.
+    return e.get("stop_reason", "none" if e.get("completed") else "unknown")
+DETERMINISTIC = ("none", "level_cap", "check_budget")
 base = {key(e): e for e in json.load(open(base_path))["entries"]}
 warned = matched = failed = 0
 for e in json.load(open(fresh_path))["entries"]:
     b = base.get(key(e))
-    if b is None or not e.get("completed") or not b.get("completed"):
+    if b is None:
+        continue
+    if stop(e) != stop(b):
+        warned += 1
+        print(f"  WARN {base_path} {key(e)}: stopped for {stop(b)} -> "
+              f"{stop(e)}")
+        continue
+    if stop(e) not in DETERMINISTIC:
         continue
     matched += 1
     for count in ("checks", "ocds", "ods"):
