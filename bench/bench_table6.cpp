@@ -30,7 +30,11 @@ void RunDataset(const ocdd::datagen::DatasetSpec& spec,
   // fastFDs stand-in: TANE minimal FDs.
   ocdd::algo::TaneOptions tane_opts;
   ocdd::bench::BudgetContext tane_budget(tane_opts);
+  ocdd::prof::Reset();
   auto tane = ocdd::algo::DiscoverFds(r, tane_opts);
+  report.Add({spec.name, r.num_rows(), r.num_columns(), 1, false,
+              tane.elapsed_seconds, tane.num_checks, 0, tane.fds.size(),
+              tane.completed, "tane", {}, 0, tane.stop_reason});
 
   // ORDER baseline; its entry's profile covers this call only.
   ocdd::algo::OrderDiscoverOptions order_opts;
@@ -44,7 +48,11 @@ void RunDataset(const ocdd::datagen::DatasetSpec& spec,
   // FASTOD baseline.
   ocdd::algo::FastodOptions fastod_opts;
   ocdd::bench::BudgetContext fastod_budget(fastod_opts);
+  ocdd::prof::Reset();
   auto fastod = ocdd::algo::DiscoverFastod(r, fastod_opts);
+  report.Add({spec.name, r.num_rows(), r.num_columns(), 1, false,
+              fastod.elapsed_seconds, fastod.num_checks, 0, fastod.ods.size(),
+              fastod.completed, "fastod", {}, 0, fastod.stop_reason});
 
   // OCDDISCOVER; its entry's profile covers this call only.
   ocdd::core::OcdDiscoverOptions ocd_opts;

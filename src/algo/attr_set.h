@@ -64,6 +64,12 @@ struct AttrSet {
     s.Remove(i);
     return s;
   }
+  /// The set without its largest member; the prefix of a lattice join.
+  AttrSet WithoutLargest() const {
+    if (hi != 0) return {lo, hi & ~(1ULL << (63 - __builtin_clzll(hi)))};
+    if (lo != 0) return {lo & ~(1ULL << (63 - __builtin_clzll(lo))), 0};
+    return *this;
+  }
   bool IsSubsetOf(const AttrSet& o) const {
     return (lo & ~o.lo) == 0 && (hi & ~o.hi) == 0;
   }

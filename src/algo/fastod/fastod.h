@@ -7,6 +7,7 @@
 
 #include "common/run_context.h"
 #include "common/snapshot.h"
+#include "core/level_walk.h"
 #include "od/dependency.h"
 #include "relation/coded_relation.h"
 
@@ -17,7 +18,7 @@ struct FastodOptions {
   /// injection); nullptr = a private, unbudgeted context.
   RunContext* run_context = nullptr;
 
-  std::size_t max_level = 0;        ///< cap on |X| (0 = unlimited)
+  std::size_t max_level = 0;  ///< the largest |X| checked (0 = unlimited)
 
   /// Crash-safe checkpointing at lattice-level boundaries (the natural
   /// snapshot point of the level-wise traversal); see docs/checkpointing.md.
@@ -26,18 +27,13 @@ struct FastodOptions {
   CheckpointConfig checkpoint;
 };
 
-struct FastodResult {
+struct FastodResult : core::WalkCounters {
   /// Canonical set-based ODs: constancy (`X: [] ↦ A`, ≡ the FD `X → A`)
   /// and order compatibility (`X: A ~ B`), sorted.
   std::vector<od::CanonicalOd> ods;
 
   std::size_t num_constancy = 0;  ///< the `|Fd|` column of Table 6
   std::size_t num_compatible = 0;
-  std::uint64_t num_checks = 0;
-  bool completed = true;
-  StopReason stop_reason = StopReason::kNone;  ///< kNone when completed
-  /// Where the run was when it stopped (meaningful when `!completed`).
-  StopState stop_state;
   /// What checkpointing did (zero-initialized when disabled).
   CheckpointStats checkpoint_stats;
   double elapsed_seconds = 0.0;
@@ -49,14 +45,8 @@ struct FastodResult {
 /// attributes — versus OCDDISCOVER's factorial — which is the complexity
 /// trade-off Table 6 probes on real data.
 ///
-/// Candidates per node X (|X| = ℓ):
-///  * constancy `X\A : [] ↦ A` for `A ∈ X ∩ C_c(X)` — exactly TANE's
-///    minimal-FD machinery;
-///  * swap `X\{A,B} : A ~ B` for pairs that were swap-falsified in every
-///    immediate sub-context (a pair valid in a smaller context is implied
-///    in all larger ones and therefore pruned; a pair whose context
-///    functionally determines A or B is implied by that constancy OD and
-///    neither emitted nor propagated).
+/// It is the canonical walk (`DiscoverCanonical`) checking the concordant
+/// polarity: TANE's constancy checks plus swap checks `X\{A,B} : A ~ B`.
 ///
 /// Note: the paper (§5.2.2) reports that the *original authors'* FASTOD
 /// binary emits spurious ODs (e.g. on the NUMBERS dataset). This

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/run_context.h"
+#include "core/level_walk.h"
 #include "od/dependency.h"
 #include "relation/coded_relation.h"
 
@@ -50,26 +51,24 @@ struct FastodBidOptions {
   /// injection); nullptr = a private, unbudgeted context.
   RunContext* run_context = nullptr;
 
-  std::size_t max_level = 0;        ///< cap on |X| (0 = unlimited)
+  std::size_t max_level = 0;  ///< the largest |X| checked (0 = unlimited)
 };
 
-struct FastodBidResult {
+struct FastodBidResult : core::WalkCounters {
   std::vector<BidCanonicalOd> ods;  ///< sorted
   std::size_t num_constancy = 0;
   std::size_t num_concordant = 0;
   std::size_t num_anti = 0;
-  std::uint64_t num_checks = 0;
-  bool completed = true;
-  StopReason stop_reason = StopReason::kNone;  ///< kNone when completed
   double elapsed_seconds = 0.0;
 };
 
-/// Level-wise discovery of minimal bidirectional canonical ODs: the FASTOD
-/// lattice where each swap-candidate pair carries a polarity. A polarity is
-/// emitted in the smallest context where it holds non-trivially and pruned
-/// everywhere above; a pair/polarity falsified in every immediate
-/// sub-context propagates. Unidirectional FASTOD's output is exactly the
-/// constancy + concordant subset of this algorithm's output.
+/// Level-wise discovery of minimal bidirectional canonical ODs: the
+/// canonical walk (`DiscoverCanonical`) checking both polarities, so each
+/// swap-candidate pair carries one. A polarity is emitted in the smallest
+/// context where it holds non-trivially and pruned everywhere above; a
+/// pair/polarity falsified in every immediate sub-context propagates.
+/// Unidirectional FASTOD's output is exactly the constancy + concordant
+/// subset of this algorithm's output.
 FastodBidResult DiscoverFastodBid(const rel::CodedRelation& relation,
                                   const FastodBidOptions& options = {});
 

@@ -2,11 +2,11 @@
 #define OCDD_ALGO_FD_TANE_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "common/run_context.h"
 #include "common/snapshot.h"
+#include "core/level_walk.h"
 #include "od/dependency.h"
 #include "relation/coded_relation.h"
 
@@ -17,22 +17,18 @@ struct TaneOptions {
   /// injection); nullptr = a private, unbudgeted context.
   RunContext* run_context = nullptr;
 
-  std::size_t max_lhs_size = 0;     ///< cap on |LHS| (0 = unlimited)
+  /// The largest |X| checked, so LHSs have at most `max_level - 1`
+  /// attributes (0 = unlimited).
+  std::size_t max_level = 0;
 
   /// Crash-safe checkpointing at lattice-level boundaries; see
-  /// docs/checkpointing.md. Partitions are refolded on resume; the
-  /// previous level survives as its (set, error) pairs only.
+  /// docs/checkpointing.md. Partitions are refolded on resume.
   CheckpointConfig checkpoint;
 };
 
-struct TaneResult {
+struct TaneResult : core::WalkCounters {
   /// Minimal, non-trivial functional dependencies `X → A`, sorted.
   std::vector<od::FunctionalDependency> fds;
-  std::uint64_t num_checks = 0;
-  bool completed = true;
-  StopReason stop_reason = StopReason::kNone;  ///< kNone when completed
-  /// Where the run was when it stopped (meaningful when `!completed`).
-  StopState stop_state;
   /// What checkpointing did (zero-initialized when disabled).
   CheckpointStats checkpoint_stats;
   double elapsed_seconds = 0.0;
@@ -43,10 +39,12 @@ struct TaneResult {
 /// (`|Fd|` column of Table 6) — both produce the complete set of minimal
 /// FDs, which is all the evaluation uses.
 ///
-/// Candidate-RHS sets C⁺(X) enforce minimality exactly as in the original
-/// algorithm; nodes whose C⁺ empties are removed from the lattice. (The
-/// original's superkey early-exit is omitted: keys are instead exhausted by
-/// the regular candidate mechanism — same output, slightly more checks.)
+/// It is the canonical walk (`DiscoverCanonical`) with no swap polarity:
+/// the constancy OD `X\A: [] ↦ A` is the FD `X\A → A`. Candidate-RHS sets
+/// C⁺(X) enforce minimality exactly as in the original algorithm; nodes
+/// whose C⁺ empties are removed from the lattice. (The original's superkey
+/// early-exit is omitted: keys are instead exhausted by the regular
+/// candidate mechanism — same output, slightly more checks.)
 TaneResult DiscoverFds(const rel::CodedRelation& relation,
                        const TaneOptions& options = {});
 

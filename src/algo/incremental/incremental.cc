@@ -162,7 +162,8 @@ Result<BatchApplyStats> IncrementalSession::ApplyBatch(
 // Sections: meta (version, batch_seq, fingerprint, shape, completed flag),
 // schema (names + types), rows (typed binary values + null flags — not CSV,
 // so types cannot drift on reload), claims (ods/ocds of the last walk),
-// stats (walk counters). Generations written while the walk still kept a
+// stats (walk counters), stop (the walk's stop reason and stop state;
+// earlier readers ignore it). Generations written while the walk still kept a
 // per-candidate outcome cache carry two more counters in `stats` and an
 // `outcomes` section; the decoder ignores both.
 // ---------------------------------------------------------------------------
@@ -231,6 +232,13 @@ std::string SessionOps::EncodeState(const IncrementalSession& s) {
   st.U64(s.last_.candidates_generated);
   st.U64(s.last_.levels_completed);
   b.AddSection("stats", st.Take());
+
+  ByteWriter sp;
+  sp.U8(static_cast<std::uint8_t>(s.last_.stop_reason));
+  sp.U64(s.last_.stop_state.checks);
+  sp.U64(s.last_.stop_state.level);
+  sp.U64(s.last_.stop_state.frontier_size);
+  b.AddSection("stop", sp.Take());
 
   return b.Encode();
 }
@@ -335,6 +343,18 @@ Status SessionOps::DecodeState(const SnapshotView& view,
   last.levels_completed = static_cast<std::size_t>(st.U64());
   last.completed = completed;
   if (!st.ok()) return Status::ParseError("warm state: stats damaged");
+  // Generations written before the `stop` section keep only the flag.
+  if (const std::string* sp_s = view.Find("stop")) {
+    ByteReader sp(*sp_s);
+    const std::uint8_t reason = sp.U8();
+    last.stop_state.checks = sp.U64();
+    last.stop_state.level = static_cast<std::size_t>(sp.U64());
+    last.stop_state.frontier_size = static_cast<std::size_t>(sp.U64());
+    if (!sp.ok() || reason > static_cast<std::uint8_t>(StopReason::kLevelCap)) {
+      return Status::ParseError("warm state: stop damaged");
+    }
+    last.stop_reason = static_cast<StopReason>(reason);
+  }
   // The reduction is a function of the rows alone, so it is recomputed
   // here rather than stored.
   last.reduction = core::ReduceColumns(coded);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/run_context.h"
+#include "core/level_walk.h"
 #include "relation/coded_relation.h"
 
 namespace ocdd::algo {
@@ -37,22 +38,20 @@ struct UccOptions {
   /// injection); nullptr = a private, unbudgeted context.
   RunContext* run_context = nullptr;
 
-  std::size_t max_size = 0;         ///< cap on |X| (0 = unlimited)
+  std::size_t max_level = 0;  ///< the largest |X| checked (0 = unlimited)
 };
 
-struct UccResult {
+struct UccResult : core::WalkCounters {
   std::vector<Ucc> uccs;  ///< minimal UCCs, sorted
-  std::uint64_t num_checks = 0;
-  bool completed = true;
-  StopReason stop_reason = StopReason::kNone;  ///< kNone when completed
   double elapsed_seconds = 0.0;
 };
 
-/// Level-wise minimal-UCC discovery over stripped partitions: a set is
-/// unique iff its stripped partition is empty; unique nodes are emitted and
-/// pruned (their supersets are unique but not minimal), non-unique nodes
-/// grow via the prefix-block join with the all-subsets-present condition —
-/// which guarantees minimality of everything emitted.
+/// Level-wise minimal-UCC discovery on the set-lattice walk
+/// (`SetLevelWalk`): a set is unique iff its stripped partition is empty;
+/// unique nodes are emitted and pruned (their supersets are unique but not
+/// minimal), non-unique nodes grow via the prefix-block join with the
+/// all-subsets-present condition — which guarantees minimality of
+/// everything emitted.
 UccResult DiscoverUccs(const rel::CodedRelation& relation,
                        const UccOptions& options = {});
 

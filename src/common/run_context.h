@@ -68,9 +68,8 @@ std::size_t HostMemoryBudget();
 /// Why a discovery run stopped before exhausting its search space.
 ///
 /// Every algorithm result struct carries a `StopReason` next to its
-/// `completed` flag; `kNone` means the run was not stopped (it either
-/// completed, or a structural cap like `max_lhs_size` truncated it without
-/// going through the RunContext).
+/// `completed` flag; `kNone` means the run was not stopped, and a
+/// structural cap reports `kLevelCap` like any other stop.
 enum class StopReason {
   kNone = 0,
   kDeadline,       ///< the wall-clock deadline passed

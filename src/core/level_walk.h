@@ -31,8 +31,9 @@ struct WalkCounters {
   /// Checks performed — the `#checks` column of Table 6.
   std::uint64_t num_checks = 0;
   std::uint64_t candidates_generated = 0;
-  /// Highest level checked and emitted in full (level ℓ holds the
-  /// candidates with |X| + |Y| = ℓ; the first level is 2).
+  /// Highest level checked and emitted in full. In the list walks level ℓ
+  /// holds the candidates with |X| + |Y| = ℓ, from 2; in the set walk
+  /// (`algo::SetLevelWalk`) it holds the sets of ℓ attributes, from 1.
   std::size_t levels_completed = 0;
   /// False when a budget, a cap, cancellation or a fault stopped the walk.
   bool completed = true;

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "algo/fastod/fastod.h"
+#include "algo/fd/tane.h"
 #include "common/io_env.h"
 #include "common/run_context.h"
 #include "core/ocd_discover.h"
@@ -484,6 +486,63 @@ TEST(CheckpointResumeTest, ResumesFromAVersionOneSnapshotOnDisk) {
     EXPECT_EQ(resumed.ods, fresh.ods);
     EXPECT_EQ(resumed.num_checks, fresh.num_checks);
   }
+}
+
+/// A checkpoint directory holding `fixture` as generation 3 of `name`,
+/// set to resume.
+CheckpointConfig ResumeFromFixture(const ScratchDir& scratch,
+                                   const char* name, const char* fixture) {
+  fs::create_directories(scratch.path);
+  fs::copy_file(std::string(OCDD_TEST_SRC_DIR) + "/fixtures/" + fixture,
+                GenerationPath(scratch.path, name, 3));
+  CheckpointConfig cfg;
+  cfg.dir = scratch.path;
+  cfg.resume = true;
+  return cfg;
+}
+
+rel::CodedRelation Lineitem60() {
+  auto relation = datagen::MakeDataset("LINEITEM", 60, 42);
+  EXPECT_TRUE(relation.ok());
+  return rel::CodedRelation::Encode(*relation);
+}
+
+/// A FASTOD snapshot written before the set-lattice walks were shared
+/// resumes to the uninterrupted result: the fixture is generation 3 of
+/// `ocdd run LINEITEM --rows 60 --algo fastod --max-checks 1500
+/// --checkpoint DIR` (state format 1, the layout the walk still writes).
+TEST(CheckpointResumeTest, ResumesAFastodVersionOneSnapshotOnDisk) {
+  const rel::CodedRelation coded = Lineitem60();
+  ScratchDir scratch("fastod_v1");
+  algo::FastodOptions opts;
+  opts.checkpoint =
+      ResumeFromFixture(scratch, "fastod", "fastod_v1_lineitem60.snap");
+  const algo::FastodResult resumed = algo::DiscoverFastod(coded, opts);
+  const algo::FastodResult fresh = algo::DiscoverFastod(coded);
+  ASSERT_TRUE(resumed.checkpoint_stats.resumed)
+      << resumed.checkpoint_stats.warning;
+  EXPECT_EQ(resumed.checkpoint_stats.resumed_generation, 3u);
+  EXPECT_TRUE(resumed.completed);
+  EXPECT_EQ(resumed.ods, fresh.ods);
+  EXPECT_EQ(resumed.num_checks, fresh.num_checks);
+}
+
+/// The same for TANE's state format 1 (`--algo fds --max-checks 600`),
+/// whose layout differs from the format 2 it now writes.
+TEST(CheckpointResumeTest, ResumesATaneVersionOneSnapshotOnDisk) {
+  const rel::CodedRelation coded = Lineitem60();
+  ScratchDir scratch("tane_v1");
+  algo::TaneOptions opts;
+  opts.checkpoint =
+      ResumeFromFixture(scratch, "tane", "tane_v1_lineitem60.snap");
+  const algo::TaneResult resumed = algo::DiscoverFds(coded, opts);
+  const algo::TaneResult fresh = algo::DiscoverFds(coded);
+  ASSERT_TRUE(resumed.checkpoint_stats.resumed)
+      << resumed.checkpoint_stats.warning;
+  EXPECT_EQ(resumed.checkpoint_stats.resumed_generation, 3u);
+  EXPECT_TRUE(resumed.completed);
+  EXPECT_EQ(resumed.fds, fresh.fds);
+  EXPECT_EQ(resumed.num_checks, fresh.num_checks);
 }
 
 /// Resume with an empty/missing directory warns and runs fresh.

@@ -118,6 +118,22 @@ TEST(FastodBidTest, BudgetStopsEarly) {
   EXPECT_FALSE(result.completed);
 }
 
+TEST(FastodBidTest, MaxLevelCapStopsBeforeBuilding) {
+  CodedRelation r = testutil::RandomCodedTable(3, 30, 8, 2);
+  FastodBidOptions opts;
+  opts.max_level = 3;
+  FastodBidResult result = DiscoverFastodBid(r, opts);
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(result.stop_reason, StopReason::kLevelCap);
+  EXPECT_EQ(result.stop_state.level, 4u);
+  EXPECT_EQ(result.stop_state.frontier_size, 0u);
+  for (const BidCanonicalOd& od : result.ods) {
+    EXPECT_LE(od.context.size() +
+                  (od.kind == BidCanonicalOd::Kind::kConstancy ? 1 : 2),
+              3u);
+  }
+}
+
 TEST(FastodBidTest, ToStringRendersPolarity) {
   CodedRelation r = CodedIntTable({{1}, {2}, {3}});
   BidCanonicalOd od;

@@ -157,6 +157,35 @@ TEST(FastodTest, BudgetStopsEarly) {
   EXPECT_FALSE(result.completed);
 }
 
+TEST(FastodTest, MaxLevelCapStopsBeforeBuilding) {
+  CodedRelation r = testutil::RandomCodedTable(31, 30, 8, 2);
+  FastodOptions opts;
+  opts.max_level = 2;
+  FastodResult capped = DiscoverFastod(r, opts);
+  EXPECT_FALSE(capped.completed);
+  EXPECT_EQ(capped.stop_reason, StopReason::kLevelCap);
+  EXPECT_EQ(capped.stop_state.level, 3u);
+  EXPECT_EQ(capped.stop_state.frontier_size, 0u);
+  // Levels 1 and 2 are checked in full: the capped output is the
+  // uncapped one restricted to |X| <= 2.
+  std::vector<CanonicalOd> expected;
+  for (const CanonicalOd& od : DiscoverFastod(r).ods) {
+    const std::size_t x = od.context.size() +
+        (od.kind == CanonicalOd::Kind::kConstancy ? 1 : 2);
+    if (x <= 2) expected.push_back(od);
+  }
+  EXPECT_EQ(capped.ods, expected);
+}
+
+TEST(FastodTest, MaxLevelWithNothingAboveCompletes) {
+  CodedRelation r = CodedIntTable({{1, 2, 3}, {3, 1, 2}});
+  FastodOptions opts;
+  opts.max_level = 2;  // the whole lattice
+  FastodResult result = DiscoverFastod(r, opts);
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(result.stop_reason, StopReason::kNone);
+}
+
 class FastodSoundnessTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FastodSoundnessTest, AllEmittedCanonicalOdsHold) {

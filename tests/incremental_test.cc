@@ -404,6 +404,30 @@ TEST(IncrementalTest, OpenRestoresWarmState) {
   ExpectEquivalent(*reopened, options);
 }
 
+/// A warm state keeps why its walk stopped: a capped session reopens with
+/// the same stop reason and stop state.
+TEST(IncrementalTest, OpenRestoresTheStop) {
+  ScratchDir dir("stop");
+  IncrementalOptions options = DiskOptions(dir.path);
+  options.max_level = 2;
+  core::OcdDiscoverResult last;
+  {
+    auto session = IncrementalSession::Start(BaseRelation(), options);
+    ASSERT_TRUE(session.ok());
+    last = session->last_result();
+  }
+  ASSERT_EQ(last.stop_reason, StopReason::kLevelCap);
+  auto reopened = IncrementalSession::Open(options, FailingLoader());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  ASSERT_TRUE(reopened->resumed());
+  const core::OcdDiscoverResult& again = reopened->last_result();
+  EXPECT_FALSE(again.completed);
+  EXPECT_EQ(again.stop_reason, StopReason::kLevelCap);
+  EXPECT_EQ(again.stop_state.checks, last.stop_state.checks);
+  EXPECT_EQ(again.stop_state.level, last.stop_state.level);
+  EXPECT_EQ(again.stop_state.frontier_size, last.stop_state.frontier_size);
+}
+
 TEST(IncrementalTest, OpenRestoresTheColumnReduction) {
   ScratchDir dir("reduction");
   IncrementalOptions options = DiskOptions(dir.path);

@@ -114,11 +114,16 @@ TEST(TaneTest, BudgetStopsEarly) {
 TEST(TaneTest, MaxLhsSize) {
   CodedRelation r = testutil::RandomCodedTable(23, 16, 5, 2);
   TaneOptions opts;
-  opts.max_lhs_size = 1;
+  opts.max_level = 2;  // |X| <= 2: LHSs of at most one attribute
   TaneResult result = DiscoverFds(r, opts);
   for (const FunctionalDependency& fd : result.fds) {
     EXPECT_LE(fd.lhs.size(), 1u);
   }
+  // The cap stops the walk as every set walk's does: level 3 is not built.
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(result.stop_reason, StopReason::kLevelCap);
+  EXPECT_EQ(result.stop_state.level, 3u);
+  EXPECT_EQ(result.stop_state.frontier_size, 0u);
 }
 
 class TaneAgreementTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -112,11 +112,15 @@ TEST(UccTest, BudgetStopsEarly) {
 TEST(UccTest, MaxSizeCap) {
   CodedRelation r = testutil::RandomCodedTable(6, 20, 5, 2);
   UccOptions opts;
-  opts.max_size = 1;
+  opts.max_level = 1;
   UccResult result = DiscoverUccs(r, opts);
   for (const Ucc& u : result.uccs) {
     EXPECT_EQ(u.columns.size(), 1u);
   }
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(result.stop_reason, StopReason::kLevelCap);
+  EXPECT_EQ(result.stop_state.level, 2u);
+  EXPECT_EQ(result.stop_state.frontier_size, 0u);
 }
 
 TEST(UccTest, RankKeyCandidatesPrefersDiverseColumns) {

@@ -16,10 +16,11 @@
 # deterministic reason — `none` (completed), `level_cap` or `check_budget`
 # — must agree on `checks`, `ocds` and `ods`: any drift is printed as FAIL
 # and the script exits 1 after the sweep. Deadline, memory and cancelled
-# stops depend on the host and are not compared. Entries that got more
-# than 10% slower, or whose stop reason changed, are flagged with a WARN
-# line; timings on a shared box are advisory, so warnings never fail the
-# run.
+# stops depend on the host and are not compared. Entries that got both
+# more than 10% and more than 5 ms slower (MIN_SLOWDOWN_SECONDS below, so
+# sub-millisecond entries do not warn on noise), or whose stop reason
+# changed, are flagged with a WARN line; timings on a shared box are
+# advisory, so warnings never fail the run.
 #
 #   tools/run_bench.sh [out_dir]          # default out_dir: bench-out
 #
@@ -80,7 +81,7 @@ ls -l "${OUT}"/BENCH_*.json
 
 # Diff each fresh report against the committed baseline of the same name.
 echo "==> regression check vs committed baselines" \
-     "(count drift => FAIL, >10% slower => WARN)"
+     "(count drift => FAIL, >10% and >5 ms slower => WARN)"
 drift=0
 for fresh in "${OUT}"/BENCH_*.json; do
   base="$(basename "${fresh}")"
@@ -99,6 +100,8 @@ def stop(e):
     # Entries without a stop_reason stopped for none when they completed.
     return e.get("stop_reason", "none" if e.get("completed") else "unknown")
 DETERMINISTIC = ("none", "level_cap", "check_budget")
+# A slowdown warns only when it is also this many seconds long.
+MIN_SLOWDOWN_SECONDS = 0.005
 base = {key(e): e for e in json.load(open(base_path))["entries"]}
 warned = matched = failed = 0
 for e in json.load(open(fresh_path))["entries"]:
@@ -119,7 +122,7 @@ for e in json.load(open(fresh_path))["entries"]:
             print(f"  FAIL {base_path} {key(e)}: {count} "
                   f"{b.get(count)} -> {e.get(count)}")
     old, new = seconds(b), seconds(e)
-    if old > 0 and new > old * 1.10:
+    if old > 0 and new > old * 1.10 and new - old > MIN_SLOWDOWN_SECONDS:
         warned += 1
         print(f"  WARN {base_path} {key(e)}: {old:.3f}s -> {new:.3f}s "
               f"(+{100.0 * (new - old) / old:.0f}%)")
