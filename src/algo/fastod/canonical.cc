@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "algo/set_walk.h"
@@ -24,10 +25,21 @@ struct Pair {
   friend bool operator==(const Pair&, const Pair&) = default;
 };
 
-struct CanonicalState {
-  AttrSet cc;                    ///< constancy candidates (TANE's C⁺)
+/// The swap state of a set.
+struct Swaps {
   std::vector<Pair> swap_pairs;  ///< active pairs, context = set \ {a,b}
   std::vector<Pair> falsified;   ///< pairs whose check found a swap
+};
+
+struct NoSwaps {};
+
+/// What the canonical rules track per set: the constancy candidates, and
+/// the swap state only when the walk checks swaps, so TANE's sets, of
+/// which a level holds millions, carry no empty vectors.
+template <bool kSwaps>
+struct CanonicalState {
+  AttrSet cc;  ///< constancy candidates (TANE's C⁺)
+  [[no_unique_address]] std::conditional_t<kSwaps, Swaps, NoSwaps> swaps;
 };
 
 struct SwapOutcome {
@@ -87,10 +99,12 @@ SwapOutcome CheckSwap(const rel::CodedRelation& relation,
   return out;
 }
 
-/// The canonical rules (see `DiscoverCanonical`) for `SetLevelWalk`.
+/// The canonical rules (see `DiscoverCanonical`) for `SetLevelWalk`;
+/// `kSwaps` iff the spec checks a polarity.
+template <bool kSwaps>
 class CanonicalRules {
  public:
-  using State = CanonicalState;
+  using State = CanonicalState<kSwaps>;
   using Node = SetNode<State>;
   static constexpr int kPhases = 2;  // constancy, then swaps
 
@@ -105,7 +119,7 @@ class CanonicalRules {
   }
 
   bool reads_contexts() const { return !anti_.empty(); }
-  State Seed() const { return State{universe_, {}, {}}; }
+  State Seed() const { return State{universe_, {}}; }
 
   template <typename Count>
   void Check(int phase, Node& node, const SetHistory& history,
@@ -125,6 +139,49 @@ class CanonicalRules {
       }
       return;
     }
+    if constexpr (kSwaps) CheckSwaps(node, history, count);
+  }
+
+  bool Keep(const Node& node) const {
+    if constexpr (kSwaps) {
+      if (!node.state.swaps.falsified.empty()) return true;
+    }
+    return !node.state.cc.empty();
+  }
+
+  /// The child's C⁺ is its subsets' intersection; a pair is active iff
+  /// every immediate subset holding both attributes falsified it, so each
+  /// pair of a two-attribute child starts active.
+  std::optional<State> Join(const std::vector<std::size_t>& attrs,
+                            const std::vector<const Node*>& subsets) const {
+    State s{universe_, {}};
+    for (const Node* sub : subsets) s.cc = s.cc.Intersect(sub->state.cc);
+    if constexpr (kSwaps) {
+      for (std::size_t i = 0; i < attrs.size(); ++i) {
+        for (std::size_t j = i + 1; j < attrs.size(); ++j) {
+          for (bool anti : anti_) {
+            const Pair pair{static_cast<std::uint8_t>(attrs[i]),
+                            static_cast<std::uint8_t>(attrs[j]), anti};
+            bool active = true;
+            for (std::size_t k = 0; k < attrs.size() && active; ++k) {
+              if (k == i || k == j) continue;
+              const std::vector<Pair>& f = subsets[k]->state.swaps.falsified;
+              active = std::find(f.begin(), f.end(), pair) != f.end();
+            }
+            if (active) s.swaps.swap_pairs.push_back(pair);
+          }
+        }
+      }
+      if (!s.swaps.swap_pairs.empty()) return s;
+    }
+    if (s.cc.empty()) return std::nullopt;
+    return s;
+  }
+
+ private:
+  template <typename Count>
+  void CheckSwaps(Node& node, const SetHistory& history, Count&& count) {
+    Swaps& s = node.state.swaps;
     for (const Pair& pair : s.swap_pairs) {
       const AttrSet context = node.set.WithoutAttr(pair.a).WithoutAttr(pair.b);
       auto it = history.contexts.find(context);
@@ -143,37 +200,6 @@ class CanonicalRules {
     }
   }
 
-  bool Keep(const Node& node) const {
-    return !node.state.cc.empty() || !node.state.falsified.empty();
-  }
-
-  /// The child's C⁺ is its subsets' intersection; a pair is active iff
-  /// every immediate subset holding both attributes falsified it, so each
-  /// pair of a two-attribute child starts active.
-  std::optional<State> Join(const std::vector<std::size_t>& attrs,
-                            const std::vector<const Node*>& subsets) const {
-    State s{universe_, {}, {}};
-    for (const Node* sub : subsets) s.cc = s.cc.Intersect(sub->state.cc);
-    for (std::size_t i = 0; i < attrs.size(); ++i) {
-      for (std::size_t j = i + 1; j < attrs.size(); ++j) {
-        for (bool anti : anti_) {
-          const Pair pair{static_cast<std::uint8_t>(attrs[i]),
-                          static_cast<std::uint8_t>(attrs[j]), anti};
-          bool active = true;
-          for (std::size_t k = 0; k < attrs.size() && active; ++k) {
-            if (k == i || k == j) continue;
-            const std::vector<Pair>& f = subsets[k]->state.falsified;
-            active = std::find(f.begin(), f.end(), pair) != f.end();
-          }
-          if (active) s.swap_pairs.push_back(pair);
-        }
-      }
-    }
-    if (s.cc.empty() && s.swap_pairs.empty()) return std::nullopt;
-    return s;
-  }
-
- private:
   const rel::CodedRelation& relation_;
   const CanonicalSpec& spec_;
   const AttrSet universe_;
@@ -227,19 +253,19 @@ std::vector<AttrSet> ReadSets(ByteReader& r) {
   return sets;
 }
 
-}  // namespace
-
-CanonicalResult DiscoverCanonical(const rel::CodedRelation& relation,
-                                  const CanonicalSpec& spec,
-                                  RunContext* run_context,
-                                  std::size_t max_level,
-                                  const CheckpointConfig& checkpoint) {
+/// `DiscoverCanonical` under `CanonicalRules<kSwaps>`.
+template <bool kSwaps>
+CanonicalResult Walk(const rel::CodedRelation& relation,
+                     const CanonicalSpec& spec, RunContext* run_context,
+                     std::size_t max_level,
+                     const CheckpointConfig& checkpoint) {
+  using Rules = CanonicalRules<kSwaps>;
   CanonicalResult result;
   RunContext local_ctx;
   RunContext& ctx = run_context != nullptr ? *run_context : local_ctx;
-  CanonicalRules rules(relation, spec, result.ods);
-  SetLevelWalk<CanonicalRules> walk(spec.name, rules, relation, ctx, result,
-                                    max_level);
+  Rules rules(relation, spec, result.ods);
+  SetLevelWalk<Rules> walk(spec.name, rules, relation, ctx, result,
+                           max_level);
 
   // Crash-safe checkpoints (docs/checkpointing.md): the state at a level
   // boundary. Partitions are refolded from the sets on resume.
@@ -262,11 +288,17 @@ CanonicalResult DiscoverCanonical(const rel::CodedRelation& relation,
     b.AddSection("meta", meta.Take());
     ByteWriter fr;
     fr.U32(static_cast<std::uint32_t>(walk.level().size()));
-    for (const CanonicalRules::Node& node : walk.level()) {
+    for (const typename Rules::Node& node : walk.level()) {
       WriteSet(fr, node.set);
       WriteSet(fr, node.state.cc);
-      WritePairs(fr, node.state.swap_pairs);
-      WritePairs(fr, node.state.falsified);
+      if constexpr (kSwaps) {
+        WritePairs(fr, node.state.swaps.swap_pairs);
+        WritePairs(fr, node.state.swaps.falsified);
+      } else {
+        // TANE's format 2 keeps the two pair lists, always empty.
+        WritePairs(fr, {});
+        WritePairs(fr, {});
+      }
     }
     b.AddSection("frontier", fr.Take());
     ByteWriter hw;
@@ -330,15 +362,18 @@ CanonicalResult DiscoverCanonical(const rel::CodedRelation& relation,
       return false;
     }
     ByteReader fr(*fr_s);
-    std::vector<CanonicalRules::Node> nodes;
+    std::vector<typename Rules::Node> nodes;
     const std::uint32_t num_nodes = fr.U32();
     for (std::uint32_t i = 0; i < num_nodes && fr.ok(); ++i) {
-      CanonicalRules::Node node;
+      typename Rules::Node node;
       node.set = ReadSet(fr);
       node.state.cc = ReadSet(fr);
       if (!tane_v1) {
-        node.state.swap_pairs = ReadPairs(fr);
-        node.state.falsified = ReadPairs(fr);
+        std::vector<Pair> swap_pairs = ReadPairs(fr);
+        std::vector<Pair> falsified = ReadPairs(fr);
+        if constexpr (kSwaps) {
+          node.state.swaps = Swaps{std::move(swap_pairs), std::move(falsified)};
+        }
       }
       nodes.push_back(std::move(node));
     }
@@ -424,6 +459,18 @@ CanonicalResult DiscoverCanonical(const rel::CodedRelation& relation,
 
   od::SortUnique(result.ods);
   return result;
+}
+
+}  // namespace
+
+CanonicalResult DiscoverCanonical(const rel::CodedRelation& relation,
+                                  const CanonicalSpec& spec,
+                                  RunContext* run_context,
+                                  std::size_t max_level,
+                                  const CheckpointConfig& checkpoint) {
+  return spec.polarities == Polarities::kNone
+             ? Walk<false>(relation, spec, run_context, max_level, checkpoint)
+             : Walk<true>(relation, spec, run_context, max_level, checkpoint);
 }
 
 }  // namespace ocdd::algo

@@ -72,6 +72,8 @@ struct Registry {
   std::mutex mu;
   std::vector<Slab*> live;
   Slab retired;  // folded-in slabs of exited threads
+  std::uint64_t rows_checked = 0;
+  std::uint64_t rows_input = 0;
 };
 
 Registry& GetRegistry() {
@@ -173,6 +175,15 @@ void Reset() {
   std::lock_guard<std::mutex> lock(reg.mu);
   for (Slab* s : reg.live) s->Zero();
   reg.retired.Zero();
+  reg.rows_checked = reg.rows_input = 0;
+}
+
+void SetRows(std::uint64_t checked, std::uint64_t input) {
+  if (!Enabled()) return;
+  Registry& reg = GetRegistry();
+  std::lock_guard<std::mutex> lock(reg.mu);
+  reg.rows_checked = checked;
+  reg.rows_input = input;
 }
 
 void AddBytes(Phase phase, std::uint64_t bytes) {
@@ -210,6 +221,8 @@ Report Snapshot() {
     std::lock_guard<std::mutex> lock(reg.mu);
     for (const Slab* s : reg.live) s->FoldInto(&sum);
     reg.retired.FoldInto(&sum);
+    out.rows_checked = reg.rows_checked;
+    out.rows_input = reg.rows_input;
   }
   for (std::size_t p = 0; p < kNumPhases; ++p) {
     std::uint64_t calls = sum.calls[p].load(std::memory_order_relaxed);
@@ -262,6 +275,13 @@ std::string ToJson(const Report& report) {
                 static_cast<unsigned long long>(report.alloc_bytes),
                 static_cast<unsigned long long>(report.alloc_calls));
   out += buf;
+  if (report.rows_input > 0) {
+    std::snprintf(buf, sizeof(buf),
+                  ",\"rows\":{\"checked\":%llu,\"input\":%llu}",
+                  static_cast<unsigned long long>(report.rows_checked),
+                  static_cast<unsigned long long>(report.rows_input));
+    out += buf;
+  }
   if (report.wall_seconds > 0.0) {
     std::snprintf(buf, sizeof(buf),
                   ",\"wall_seconds\":%.6f,\"unattributed_seconds\":%.6f",

@@ -62,6 +62,11 @@ void AddBytes(Phase phase, std::uint64_t bytes);
 /// report shows where the bytes went without a global operator-new hook.
 void AddAlloc(std::uint64_t bytes);
 
+/// Records the rows the checks of a run read beside the input's rows: a
+/// lattice walk's checker reads one row per distinct tuple when that
+/// halves the input (core/partition_checker.h). The last call wins.
+void SetRows(std::uint64_t checked, std::uint64_t input);
+
 /// RAII scoped timer attributing elapsed TSC cycles (and one call) to a
 /// phase. Nesting is allowed; each scope charges its own wall span, so
 /// nested phases double-count against their parents by design (the report
@@ -96,6 +101,9 @@ struct Report {
   std::vector<PhaseStats> phases;
   std::uint64_t alloc_bytes = 0;
   std::uint64_t alloc_calls = 0;
+  /// Rows the checks read and the input's rows (0 input: no checker ran).
+  std::uint64_t rows_checked = 0;
+  std::uint64_t rows_input = 0;
   /// Wall time of the whole run and the part of it no phase accounts for;
   /// set by a caller that knows both (0 wall: not measured).
   double wall_seconds = 0.0;
@@ -117,7 +125,8 @@ Report Snapshot();
 
 /// `{"cycles_per_second":...,"phases":[{"name":...,"cycles":...,
 ///   "seconds":...,"bytes":...,"calls":...},...],
-///   "alloc":{"bytes":...,"calls":...}}`, plus `"wall_seconds"` and
+///   "alloc":{"bytes":...,"calls":...}}`, plus `"rows":{"checked":...,
+/// "input":...}` when a checker ran, `"wall_seconds"` and
 /// `"unattributed_seconds"` when the wall time was measured, and
 /// `"run_seconds"` and `"busy_ratio"` when the run time was.
 std::string ToJson(const Report& report);

@@ -532,6 +532,7 @@ ScanResult ScanExtremes(const MinMax* ext, std::size_t groups) {
 /// rows filled — a subset's extremes are achieved by real rows, more rows
 /// only widen [lo, hi] — so any split or swap the probe sees is final.
 ScanResult ProbeExtremes(const MinMax* ext, std::size_t groups) {
+  prof::ScopedTimer timer(prof::Phase::kCheckScan);
   ScanResult res;
   std::int32_t running_max = kI32Min;
   for (std::size_t g = 0; g < groups; ++g) {
@@ -578,7 +579,10 @@ ScanResult FillAndScan(const ListPartition& lhs, const ListPartition& rhs,
                        bool need_split) {
   thread_local std::vector<MinMax> out;
   std::size_t groups = static_cast<std::size_t>(lhs.num_groups());
-  out.assign(groups, MinMax{kI32Max, kI32Min});
+  {
+    prof::ScopedTimer timer(prof::Phase::kCheckFill);
+    out.assign(groups, MinMax{kI32Max, kI32Min});
+  }
   MinMax* ext = out.data();
   const std::size_t m = lhs.num_rows();
   ScanResult res;
@@ -614,8 +618,11 @@ void ListPartition::CheckOdBoth(const ListPartition& lhs,
   thread_local std::vector<MinMax> rev_ext;
   std::size_t fwd_groups = static_cast<std::size_t>(lhs.num_groups());
   std::size_t rev_groups = static_cast<std::size_t>(rhs.num_groups());
-  fwd_ext.assign(fwd_groups, MinMax{kI32Max, kI32Min});
-  rev_ext.assign(rev_groups, MinMax{kI32Max, kI32Min});
+  {
+    prof::ScopedTimer timer(prof::Phase::kCheckFill);
+    fwd_ext.assign(fwd_groups, MinMax{kI32Max, kI32Min});
+    rev_ext.assign(rev_groups, MinMax{kI32Max, kI32Min});
+  }
   const std::size_t m = lhs.num_rows();
   // Blocked dual fill with the same monotone early exit as FillScanOne:
   // stop once all four flags are true — the probes' flags are then the

@@ -1,6 +1,7 @@
 #include "core/partition_checker.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/prof.h"
@@ -10,6 +11,10 @@ namespace ocdd::core {
 using od::AttributeList;
 
 namespace {
+
+/// The checks read one row per distinct tuple only when that leaves at
+/// most m / kDistinctTupleDivisor of the m rows.
+constexpr std::size_t kDistinctTupleDivisor = 2;
 
 /// Key of the check-memo slot of {x, y}: (lower id, higher id).
 std::uint64_t SlotKey(PartId x, PartId y) {
@@ -59,30 +64,107 @@ PartitionChecker::PartitionChecker(const rel::CodedRelation& relation,
                                    RunContext& ctx,
                                    std::size_t max_cache_bytes,
                                    bool use_partitions)
-    : relation_(relation),
-      ctx_(ctx),
+    : ctx_(ctx),
       max_cache_bytes_(max_cache_bytes),
       use_partitions_(use_partitions),
-      sorter_(relation),
-      lists_(&ctx) {}
+      lists_(&ctx),
+      distinct_(DistinctTuples(relation)),
+      relation_(distinct_ ? *distinct_ : relation),
+      sorter_(relation_) {
+  prof::SetRows(relation_.num_rows(), relation.num_rows());
+}
 
-PartitionChecker::~PartitionChecker() { ctx_.ReleaseMemory(cache_bytes_); }
+PartitionChecker::~PartitionChecker() {
+  ctx_.ReleaseMemory(cache_bytes_ + distinct_bytes_);
+}
+
+std::optional<rel::CodedRelation> PartitionChecker::DistinctTuples(
+    const rel::CodedRelation& relation) {
+  const std::size_t m = relation.num_rows();
+  const std::size_t most = m / kDistinctTupleDivisor;
+  std::vector<rel::ColumnId> chain(relation.num_columns());
+  std::iota(chain.begin(), chain.end(), rel::ColumnId{0});
+  std::stable_sort(chain.begin(), chain.end(),
+                   [&](rel::ColumnId a, rel::ColumnId b) {
+                     return relation.column(a).num_distinct >
+                            relation.column(b).num_distinct;
+                   });
+  // The widest column alone usually has too many groups: no refine then.
+  if (chain.empty() || most == 0 ||
+      static_cast<std::size_t>(relation.column(chain[0]).num_distinct) >
+          most) {
+    return std::nullopt;
+  }
+  ListPartition tuples = ListPartition::ForColumn(relation, chain[0]);
+  RefineScratch scratch;
+  for (std::size_t i = 1; i < chain.size(); ++i) {
+    tuples = tuples.Refine(relation, chain[i], &scratch);
+    if (static_cast<std::size_t>(tuples.num_groups()) > most) {
+      return std::nullopt;
+    }
+  }
+
+  const auto groups = static_cast<std::size_t>(tuples.num_groups());
+  prof::ScopedTimer plan_timer(prof::Phase::kPlan);
+  // The first row of each tuple, in row order.
+  std::vector<std::uint32_t> rows;
+  rows.reserve(groups);
+  std::vector<char> seen(groups, 0);
+  const rel::CodeView ranks = tuples.view();
+  for (std::size_t row = 0; row < m; ++row) {
+    char& s = seen[static_cast<std::size_t>(ranks.At(row))];
+    if (s == 0) {
+      s = 1;
+      rows.push_back(static_cast<std::uint32_t>(row));
+    }
+  }
+  std::vector<rel::CodedColumn> columns;
+  columns.reserve(relation.num_columns());
+  for (const rel::CodedColumn& c : relation.columns()) {
+    rel::CodedColumn& out = columns.emplace_back();
+    out.name = c.name;
+    out.source_type = c.source_type;
+    out.num_distinct = c.num_distinct;
+    out.has_nulls = c.has_nulls;
+    out.codes.reserve(groups);
+    for (std::uint32_t row : rows) out.codes.push_back(c.codes[row]);
+  }
+  rel::CodedRelation distinct =
+      rel::CodedRelation::FromColumns(std::move(columns));
+  // Charged once built, so a failed build holds no charge. Each kept row
+  // costs its int32 code and its narrow mirror's, if any.
+  std::size_t bytes = 0;
+  for (const rel::CodedColumn& c : distinct.columns()) {
+    bytes += c.codes.size() * sizeof(std::int32_t) + c.codes8.size() +
+             c.codes16.size() * sizeof(std::uint16_t);
+  }
+  if (!ChargeShare(bytes)) return std::nullopt;
+  distinct_bytes_ = bytes;
+  return distinct;
+}
 
 bool PartitionChecker::Charge(std::size_t bytes) {
   if (max_cache_bytes_ != 0 && cache_bytes_ + bytes > max_cache_bytes_) {
     return false;
   }
+  if (!ChargeShare(bytes)) return false;
+  cache_bytes_ += bytes;
+  return true;
+}
+
+bool PartitionChecker::ChargeShare(std::size_t bytes) {
   const std::size_t budget = ctx_.memory_budget();
-  // The cache and the list table share half of the budget; the cache
-  // yields, since it can fall back to sorting and the table cannot.
-  if (budget != 0 &&
-      (cache_bytes_ + lists_.charged_bytes() + bytes > budget / 2 ||
-       ctx_.memory_used() + bytes > budget)) {
+  // The cache, the compact copy and the list table share half of the
+  // budget; the cache yields, since it can fall back to sorting and the
+  // table cannot.
+  if (budget != 0 && (cache_bytes_ + distinct_bytes_ + lists_.charged_bytes() +
+                              bytes >
+                          budget / 2 ||
+                      ctx_.memory_used() + bytes > budget)) {
     return false;
   }
   if (!ctx_.ChargeMemory(bytes)) return false;
   prof::AddAlloc(bytes);
-  cache_bytes_ += bytes;
   return true;
 }
 

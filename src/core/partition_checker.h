@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -86,6 +87,18 @@ struct CandidateOutcome {
 /// The one check path of every lattice walk: OCDDISCOVER, ORDER and
 /// polarized discovery validate candidates only through this class.
 ///
+/// Every split and swap quantifies over pairs of tuples, and a duplicate
+/// tuple adds only pairs of equal tuples, which witness neither. So the
+/// constructor first looks for duplicates: it refines a chain of the
+/// columns, widest `num_distinct` first, and gives up as soon as the
+/// groups pass m / 2 (most inputs give up before any refine, on their
+/// widest column). When the chain ends at or below that,
+/// the checker reads a compact copy of the relation with the first row of
+/// each distinct tuple, in row order: same columns, names, `num_distinct`
+/// and `has_nulls`, so every list has the same groups and every check the
+/// same outcome. The copy is charged to the memory budget on the cache's
+/// side; when the charge is refused, the checker reads the full relation.
+///
 /// It caches sorted partitions (list_partition.h). Before a level's checks,
 /// `Prepare` refines each missing list from its one-shorter prefix (§5.3.1's
 /// re-implementation of ORDER's scheme), so a check reads two rank vectors
@@ -117,8 +130,9 @@ struct CandidateOutcome {
 ///    ORDER's check, is not memoised.
 ///
 /// A new vector or memo slot is stored only when it fits `max_cache_bytes`
-/// and the RunContext memory budget, of which the cache and the list table
-/// together take at most half so the candidate frontier keeps the rest.
+/// and the RunContext memory budget, of which the cache, the compact copy
+/// and the list table together take at most half so the candidate frontier
+/// keeps the rest. The compact copy is not held to `max_cache_bytes`.
 /// The fit is tested before charging, so a full cache falls back to
 /// sorting (a vector) or to an unmemoised kernel run (a slot) and never
 /// latches `kMemoryBudget`; the destructor returns the charge. The table
@@ -186,6 +200,10 @@ class PartitionChecker {
   /// Number of distinct vectors stored.
   std::size_t num_partitions() const { return parts_.size(); }
 
+  /// Rows the checks read: the distinct tuples when the compact copy was
+  /// kept, else every row of the relation.
+  std::size_t checked_rows() const { return relation_.num_rows(); }
+
  private:
   /// Heap footprint of one slot in `slots_`: the node and its bucket.
   static constexpr std::size_t kSlotBytes =
@@ -198,22 +216,33 @@ class PartitionChecker {
   PartId Publish(ListPartition&& result, std::uint64_t hash);
   /// Releases the memo slots `level` does not check again.
   void ReleaseSlots(const std::vector<Candidate>& level);
+  /// The compact copy of `relation`, one row per distinct tuple, when it
+  /// keeps at most m / 2 rows and its charge fits.
+  std::optional<rel::CodedRelation> DistinctTuples(
+      const rel::CodedRelation& relation);
+  /// Charges a new vector or slot: within `max_cache_bytes` and the share.
   bool Charge(std::size_t bytes);
+  /// Charges `bytes` to the RunContext budget within the half that the
+  /// cache, the compact copy and the list table share.
+  bool ChargeShare(std::size_t bytes);
   void Count(std::uint64_t n) const;
 
-  const rel::CodedRelation& relation_;
   RunContext& ctx_;
   const std::size_t max_cache_bytes_;
   const bool use_partitions_;
-  OrderChecker sorter_;
   ListTable lists_;
+  // The charges come before `distinct_`, whose initializer charges the copy.
+  std::size_t cache_bytes_ = 0;
+  std::size_t distinct_bytes_ = 0;
+  const std::optional<rel::CodedRelation> distinct_;
+  const rel::CodedRelation& relation_;  // *distinct_, else the input
+  OrderChecker sorter_;
   mutable std::atomic<std::uint64_t> checks_{0};
   std::vector<ListPartition> parts_;
   std::unordered_multimap<std::uint64_t, PartId> by_content_;
   std::unordered_map<std::uint64_t, PartId> refined_;
   // Mutable: the const checks fill the slots, each once.
   mutable std::unordered_map<std::uint64_t, CheckSlot> slots_;
-  std::size_t cache_bytes_ = 0;
 };
 
 }  // namespace ocdd::core

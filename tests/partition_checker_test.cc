@@ -1,7 +1,8 @@
 // The content-addressed partition cache (core/partition_checker.h): lists
 // with equal sorted partitions share one stored vector, refinements and
-// checks run once per distinct pair of ids, and none of it changes a
-// discovery result or a check count.
+// checks run once per distinct pair of ids, the checks read one row per
+// distinct tuple, and none of it changes a discovery result or a check
+// count.
 
 #include "core/partition_checker.h"
 
@@ -11,9 +12,14 @@
 #include <string>
 #include <utility>
 
+#include "algo/order/order_discover.h"
 #include "common/prof.h"
+#include "common/rng.h"
 #include "core/ocd_discover.h"
+#include "core/polarized.h"
+#include "datagen/random_relation.h"
 #include "datagen/registry.h"
+#include "od/brute_force.h"
 #include "test_util.h"
 
 namespace ocdd::core {
@@ -32,6 +38,44 @@ Candidate Cand(PartitionChecker& checker, const AttributeList& x,
 /// Id of the vector cached for `list`, or `kNoPartId`.
 PartId PartOf(PartitionChecker& checker, const AttributeList& list) {
   return checker.lists().part(checker.lists().Intern(list));
+}
+
+/// Rows the checks of a walk over `r` read.
+std::size_t CheckedRows(const CodedRelation& r) {
+  RunContext ctx;
+  return PartitionChecker(r, ctx, kDefaultPartitionCacheBytes).checked_rows();
+}
+
+/// `r` with every row repeated `times` times, in a shuffled order.
+CodedRelation Repeated(const CodedRelation& r, std::size_t times,
+                       std::uint64_t seed) {
+  std::vector<std::size_t> rows;
+  for (std::size_t t = 0; t < times; ++t) {
+    for (std::size_t row = 0; row < r.num_rows(); ++row) rows.push_back(row);
+  }
+  Rng rng(seed);
+  for (std::size_t i = rows.size(); i > 1; --i) {
+    std::swap(rows[i - 1], rows[rng.Uniform(i)]);
+  }
+  std::vector<rel::CodedColumn> columns;
+  for (const rel::CodedColumn& c : r.columns()) {
+    rel::CodedColumn& out = columns.emplace_back();
+    out.name = c.name;
+    out.source_type = c.source_type;
+    out.num_distinct = c.num_distinct;
+    out.has_nulls = c.has_nulls;
+    for (std::size_t row : rows) out.codes.push_back(c.codes[row]);
+  }
+  return CodedRelation::FromColumns(std::move(columns));
+}
+
+void ExpectSameStop(const WalkCounters& a, const WalkCounters& b) {
+  EXPECT_EQ(a.num_checks, b.num_checks);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.stop_reason, b.stop_reason);
+  EXPECT_EQ(a.stop_state.checks, b.stop_state.checks);
+  EXPECT_EQ(a.stop_state.level, b.stop_state.level);
+  EXPECT_EQ(a.stop_state.frontier_size, b.stop_state.frontier_size);
 }
 
 TEST(PartitionCheckerTest, OrderCompatibleListsShareOneVectorAndOneCharge) {
@@ -148,16 +192,21 @@ TEST(PartitionCheckerTest, CheckSlotsLiveForOneLevel) {
 }
 
 TEST(PartitionCheckerTest, BudgetedRunOnSharedPartitionsMatchesUnbudgeted) {
-  // LATTICE's lists share few distinct vectors across many check pairs, so
-  // a budget that holds only part of its cache tests that memo slots never
-  // keep room that later levels' vectors need.
-  Result<rel::Relation> lattice = datagen::MakeDataset("LATTICE", 6000, 42);
-  ASSERT_TRUE(lattice.ok());
-  CodedRelation r = CodedRelation::Encode(*lattice);
+  // HORSE's lists share vectors across many check pairs over several levels,
+  // so a budget that holds only part of its cache tests that memo slots
+  // never keep room that later levels' vectors need. Its 6000 rows are
+  // distinct tuples, so the cache holds full-length vectors.
+  Result<rel::Relation> horse = datagen::MakeDataset("HORSE", 6000, 42);
+  ASSERT_TRUE(horse.ok());
+  CodedRelation r = CodedRelation::Encode(*horse);
+  {
+    RunContext ctx;
+    ASSERT_EQ(PartitionChecker(r, ctx, 0).checked_rows(), r.num_rows());
+  }
   const OcdDiscoverResult unbudgeted = DiscoverOcds(r);
   ASSERT_TRUE(unbudgeted.completed);
   // Half of this budget caps the cache at 3/4 of its unbudgeted size, and
-  // the other half holds the frontier, which peaks near 2 MB at any row
+  // the other half holds the frontier, which peaks near 0.5 MB at any row
   // count.
   const std::size_t budget = unbudgeted.partition_cache_bytes * 3 / 2;
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -204,6 +253,9 @@ TEST(PartitionCheckerTest, RefinesOncePerDistinctParentAndColumn) {
   }
   level.push_back(Cand(checker, lists.back(), lists.front()));
 
+  // LATTICE 400 has 66 distinct tuples, so the checker refined a chain of
+  // columns to find them when it was built; the reset leaves those out.
+  ASSERT_EQ(checker.checked_rows(), 66u);
   const bool was_enabled = prof::Enabled();
   prof::SetEnabled(true);
   prof::Reset();
@@ -249,6 +301,210 @@ TEST(PartitionCheckerTest, EveryDatasetMatchesTheSortPath) {
       EXPECT_EQ(run.ods, reference.ods);
       EXPECT_EQ(run.num_checks, reference.num_checks);
     }
+  }
+}
+
+TEST(PartitionCheckerTest, ReadsOneRowPerDistinctTuple) {
+  Result<rel::Relation> lattice = datagen::MakeDataset("LATTICE", 20000, 42);
+  ASSERT_TRUE(lattice.ok());
+  EXPECT_EQ(CheckedRows(CodedRelation::Encode(*lattice)), 66u);
+  // LINEITEM's widest column alone has more than m / 2 values.
+  Result<rel::Relation> lineitem = datagen::MakeDataset("LINEITEM", 2000, 42);
+  ASSERT_TRUE(lineitem.ok());
+  EXPECT_EQ(CheckedRows(CodedRelation::Encode(*lineitem)), 2000u);
+  // The first row of each tuple, in row order: every column keeps its
+  // values, so its codes stay dense.
+  CodedRelation r =
+      testutil::CodedIntTable({{3, 1, 3, 2, 1, 3}, {5, 4, 5, 6, 4, 5}});
+  RunContext ctx;
+  PartitionChecker checker(r, ctx, kDefaultPartitionCacheBytes);
+  EXPECT_EQ(checker.checked_rows(), 3u);
+  // Two int32 codes and two 8-bit mirrors per kept row, charged at once.
+  EXPECT_EQ(ctx.memory_used(), 3u * 2 * (sizeof(std::int32_t) + 1));
+}
+
+TEST(PartitionCheckerTest, RepeatedRowsChangeNoWalk) {
+  for (const datagen::DatasetSpec& spec : datagen::AllDatasets()) {
+    SCOPED_TRACE(spec.name);
+    Result<rel::Relation> data = datagen::MakeDataset(spec.name, 200, 42);
+    ASSERT_TRUE(data.ok());
+    const CodedRelation r = CodedRelation::Encode(*data);
+    const CodedRelation tripled = Repeated(r, 3, 7);
+    ASSERT_LE(CheckedRows(tripled), r.num_rows());
+    // FLIGHT_1K's 109 columns stop every walk at level 2.
+    const std::size_t max_level = spec.num_columns > 100 ? 2 : 0;
+
+    OcdDiscoverOptions ocd;
+    ocd.max_level = max_level;
+    const OcdDiscoverResult ocd_r = DiscoverOcds(r, ocd);
+    const OcdDiscoverResult ocd_t = DiscoverOcds(tripled, ocd);
+    EXPECT_EQ(ocd_r.ocds, ocd_t.ocds);
+    EXPECT_EQ(ocd_r.ods, ocd_t.ods);
+    ExpectSameStop(ocd_r, ocd_t);
+
+    // ORDER's walks over DBTESMA's 30 columns take seconds past level 4.
+    algo::OrderDiscoverOptions order;
+    order.max_level = max_level;
+    if (spec.num_columns == 30) order.max_level = 4;
+    const algo::OrderDiscoverResult order_r =
+        algo::DiscoverOrderDependencies(r, order);
+    const algo::OrderDiscoverResult order_t =
+        algo::DiscoverOrderDependencies(tripled, order);
+    EXPECT_EQ(order_r.ods, order_t.ods);
+    ExpectSameStop(order_r, order_t);
+
+    PolarizedDiscoverOptions polarized;
+    if (max_level != 0) polarized.max_level = max_level;
+    const PolarizedDiscoverResult polarized_r =
+        DiscoverPolarizedOcds(r, polarized);
+    const PolarizedDiscoverResult polarized_t =
+        DiscoverPolarizedOcds(tripled, polarized);
+    EXPECT_EQ(polarized_r.ocds, polarized_t.ocds);
+    EXPECT_EQ(polarized_r.ods, polarized_t.ods);
+    ExpectSameStop(polarized_r, polarized_t);
+  }
+}
+
+TEST(PartitionCheckerTest, CompactedChecksMatchBruteForce) {
+  // The QA generator's relations, always with a round of duplicate rows;
+  // every candidate of up to two columns a side, both check paths.
+  datagen::RandomRelationSpec spec;
+  spec.duplicate_rows_prob = 1.0;
+  Rng rng(2024);
+  std::size_t compacted = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    SCOPED_TRACE("iter=" + std::to_string(iter));
+    const CodedRelation r =
+        CodedRelation::Encode(datagen::MakeRandomRelation(rng, spec));
+    std::vector<rel::ColumnId> universe;
+    for (rel::ColumnId c = 0; c < r.num_columns(); ++c) universe.push_back(c);
+    const std::vector<AttributeList> lists = od::EnumerateLists(universe, 2);
+    RunContext ctx;
+    PartitionChecker cached(r, ctx, kDefaultPartitionCacheBytes);
+    PartitionChecker sorting(r, ctx, 1);
+    if (cached.checked_rows() == r.num_rows()) continue;
+    ++compacted;
+    ASSERT_EQ(sorting.checked_rows(), cached.checked_rows());
+    std::vector<std::pair<AttributeList, AttributeList>> pairs;
+    std::vector<Candidate> level;
+    std::vector<Candidate> sort_level;
+    for (const AttributeList& x : lists) {
+      for (const AttributeList& y : lists) {
+        bool disjoint = true;
+        for (rel::ColumnId a : x.ids()) disjoint = disjoint && !y.Contains(a);
+        if (!disjoint) continue;
+        pairs.emplace_back(x, y);
+        level.push_back(Cand(cached, x, y));
+        sort_level.push_back(Cand(sorting, x, y));
+      }
+    }
+    const auto slots = cached.Prepare(level, nullptr);
+    sorting.Prepare(sort_level, nullptr);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const auto& [x, y] = pairs[i];
+      SCOPED_TRACE(x.ToString() + " ~ " + y.ToString());
+      const bool ocd = od::BruteForceHoldsOcd(r, x, y);
+      const bool od_xy = od::BruteForceHoldsOd(r, x, y);
+      const bool od_yx = od::BruteForceHoldsOd(r, y, x);
+      for (const CandidateOutcome& out :
+           {cached.CheckOcdAndOds(level[i].x, level[i].y, slots[i]),
+            sorting.CheckOcdAndOds(sort_level[i].x, sort_level[i].y,
+                                   nullptr)}) {
+        EXPECT_EQ(out.ocd_valid, ocd);
+        if (ocd) {
+          EXPECT_EQ(out.od_xy, od_xy);
+          EXPECT_EQ(out.od_yx, od_yx);
+        }
+      }
+      EXPECT_EQ(cached.CheckOd(level[i].x, level[i].y).valid(), od_xy);
+      EXPECT_EQ(sorting.CheckOd(sort_level[i].x, sort_level[i].y).valid(),
+                od_xy);
+    }
+    // The walk's claims hold on the relation with its duplicates.
+    const OcdDiscoverResult walk = DiscoverOcds(r);
+    for (const od::OrderCompatibility& c : walk.ocds) {
+      EXPECT_TRUE(od::BruteForceHoldsOcd(r, c.lhs, c.rhs)) << c.ToString();
+    }
+    for (const od::OrderDependency& d : walk.ods) {
+      EXPECT_TRUE(od::BruteForceHoldsOd(r, d.lhs, d.rhs)) << d.ToString();
+    }
+  }
+  EXPECT_GE(compacted, 50u);
+}
+
+TEST(PartitionCheckerTest, DistinctCopyIsChargedToTheCacheShare) {
+  Result<rel::Relation> lattice = datagen::MakeDataset("LATTICE", 2000, 42);
+  ASSERT_TRUE(lattice.ok());
+  const CodedRelation r = CodedRelation::Encode(*lattice);
+  std::size_t copy_bytes = 0;
+  {
+    RunContext ctx;
+    ctx.set_memory_budget(std::size_t{64} << 20);
+    PartitionChecker checker(r, ctx, kDefaultPartitionCacheBytes);
+    ASSERT_EQ(checker.checked_rows(), 66u);
+    copy_bytes = ctx.memory_used();
+    EXPECT_GT(copy_bytes, 0u);
+  }
+  // A run returns the copy's charge with the cache's.
+  const OcdDiscoverResult unbudgeted = DiscoverOcds(r);
+  RunContext ctx;
+  ctx.set_memory_budget(std::size_t{64} << 20);
+  OcdDiscoverOptions opts;
+  opts.run_context = &ctx;
+  const OcdDiscoverResult budgeted = DiscoverOcds(r, opts);
+  EXPECT_TRUE(budgeted.completed);
+  EXPECT_EQ(budgeted.ocds, unbudgeted.ocds);
+  EXPECT_EQ(budgeted.num_checks, unbudgeted.num_checks);
+  EXPECT_GE(ctx.peak_memory(), copy_bytes);
+  EXPECT_EQ(ctx.memory_used(), 0u);
+  // Half a budget one byte short of the copy refuses it.
+  RunContext tight;
+  tight.set_memory_budget(2 * copy_bytes - 2);
+  PartitionChecker full(r, tight, kDefaultPartitionCacheBytes);
+  EXPECT_EQ(full.checked_rows(), r.num_rows());
+  EXPECT_EQ(tight.memory_used(), 0u);
+}
+
+TEST(PartitionCheckerTest, RefusedCopyGivesTheSameWalk) {
+  // Three columns over 4000 rows with at most 1000 distinct tuples: the
+  // copy is the largest charge, so a budget can refuse it and still hold
+  // the frontier; the checks then sort the full relation.
+  const CodedRelation r = testutil::RandomCodedTable(5, 4000, 3, 10);
+  ASSERT_LE(CheckedRows(r), 1000u);
+  const OcdDiscoverResult compact_ocd = DiscoverOcds(r);
+  const algo::OrderDiscoverResult compact_order =
+      algo::DiscoverOrderDependencies(r);
+  std::size_t copy_bytes = 0;
+  {
+    RunContext probe;
+    PartitionChecker checker(r, probe, kDefaultPartitionCacheBytes);
+    copy_bytes = probe.memory_used();
+  }
+  ASSERT_GT(copy_bytes, 0u);
+  for (int algo = 0; algo < 2; ++algo) {
+    SCOPED_TRACE(algo == 0 ? "ocddiscover" : "order");
+    RunContext ctx;
+    ctx.set_memory_budget(copy_bytes);
+    {
+      PartitionChecker checker(r, ctx, kDefaultPartitionCacheBytes);
+      ASSERT_EQ(checker.checked_rows(), r.num_rows());
+    }
+    if (algo == 0) {
+      OcdDiscoverOptions opts;
+      opts.run_context = &ctx;
+      const OcdDiscoverResult run = DiscoverOcds(r, opts);
+      EXPECT_EQ(run.ocds, compact_ocd.ocds);
+      EXPECT_EQ(run.ods, compact_ocd.ods);
+      ExpectSameStop(run, compact_ocd);
+    } else {
+      algo::OrderDiscoverOptions opts;
+      opts.run_context = &ctx;
+      const algo::OrderDiscoverResult run =
+          algo::DiscoverOrderDependencies(r, opts);
+      EXPECT_EQ(run.ods, compact_order.ods);
+      ExpectSameStop(run, compact_order);
+    }
+    EXPECT_EQ(ctx.memory_used(), 0u);
   }
 }
 

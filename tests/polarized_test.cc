@@ -10,6 +10,7 @@
 #include "common/prof.h"
 #include "core/checker.h"
 #include "core/ocd_discover.h"
+#include "core/partition_checker.h"
 #include "datagen/generators.h"
 #include "datagen/registry.h"
 #include "test_util.h"
@@ -142,8 +143,17 @@ TEST(PolarizedTest, ProfileTimesGeneration) {
 TEST(PolarizedTest, MemoryBudgetCapsTheFrontier) {
   // The frontier is charged to the budget: a walk that outgrows it stops
   // with a partial result and returns every byte it charged.
-  // LATTICE's co-monotone columns keep every level's frontier wide.
+  // LATTICE's co-monotone columns keep every level's frontier wide. At
+  // 100 rows it has more than 50 distinct tuples, so the checks read every
+  // row and the cache holds full-length vectors.
   CodedRelation r = CodedRelation::Encode(datagen::MakeLattice(100, 42));
+  {
+    RunContext ctx;
+    ASSERT_EQ(PartitionChecker(AugmentWithReversedColumns(r), ctx,
+                               kDefaultPartitionCacheBytes)
+                  .checked_rows(),
+              r.num_rows());
+  }
   RunContext unbudgeted;
   PolarizedDiscoverOptions opts;
   opts.run_context = &unbudgeted;

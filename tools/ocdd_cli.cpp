@@ -256,8 +256,9 @@ void PrintIngestNote(const ocdd::rel::CsvIngestReport& report) {
 }
 
 /// Non-JSON rendering of a `--profile` run (one `# profile:` line per
-/// phase, the allocation hook's totals, the unattributed wall time, and the
-/// run's own seconds and busy ratio).
+/// phase, the allocation hook's totals, the rows the checks read of the
+/// input's, the unattributed wall time, and the run's own seconds and busy
+/// ratio).
 void PrintProfileNote(const ocdd::prof::Report& report) {
   for (const auto& p : report.phases) {
     std::printf("# profile: %-20s %10.6fs %14llu bytes %10llu calls\n",
@@ -267,6 +268,11 @@ void PrintProfileNote(const ocdd::prof::Report& report) {
   std::printf("# profile: %-20s %21llu bytes %10llu allocs\n", "alloc",
               static_cast<unsigned long long>(report.alloc_bytes),
               static_cast<unsigned long long>(report.alloc_calls));
+  if (report.rows_input > 0) {
+    std::printf("# profile: %-20s %llu of %llu\n", "rows",
+                static_cast<unsigned long long>(report.rows_checked),
+                static_cast<unsigned long long>(report.rows_input));
+  }
   std::printf("# profile: %-20s %10.6fs of %.6fs wall\n", "unattributed",
               report.unattributed_seconds, report.wall_seconds);
   std::printf("# profile: %-20s %10.6fs %.4f busy_ratio\n", "run",
