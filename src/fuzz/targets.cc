@@ -36,6 +36,48 @@ std::string Join(const std::vector<std::string>& lines) {
   return out;
 }
 
+/// `relation` as CSV with every field quoted, header included.
+std::string QuoteEveryField(const rel::Relation& relation) {
+  std::string out;
+  auto append = [&out](std::size_t c, const std::string& field) {
+    if (c > 0) out.push_back(',');
+    out.push_back('"');
+    for (char ch : field) {
+      if (ch == '"') out.push_back('"');
+      out.push_back(ch);
+    }
+    out.push_back('"');
+  };
+  const rel::Schema& schema = relation.schema();
+  for (std::size_t c = 0; c < schema.num_columns(); ++c) {
+    append(c, schema.attribute(c).name);
+  }
+  out.push_back('\n');
+  for (std::size_t r = 0; r < relation.num_rows(); ++r) {
+    for (std::size_t c = 0; c < schema.num_columns(); ++c) {
+      append(c, relation.ValueAt(r, c).ToString());
+    }
+    out.push_back('\n');
+  }
+  return out;
+}
+
+/// Same names, types, rows and cells.
+bool SameRelation(const rel::Relation& a, const rel::Relation& b) {
+  if (a.num_rows() != b.num_rows() || a.num_columns() != b.num_columns()) {
+    return false;
+  }
+  for (std::size_t c = 0; c < a.num_columns(); ++c) {
+    const rel::Attribute& x = a.schema().attribute(c);
+    const rel::Attribute& y = b.schema().attribute(c);
+    if (x.name != y.name || x.type != y.type) return false;
+    for (std::size_t r = 0; r < a.num_rows(); ++r) {
+      if (!(a.ValueAt(r, c) == b.ValueAt(r, c))) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int RunCsvTarget(const std::uint8_t* data, std::size_t size) {
@@ -83,6 +125,12 @@ int RunCsvTarget(const std::uint8_t* data, std::size_t size) {
   Check(again.ok(), "csv: accepted relation fails to re-read");
   Check(again->num_rows() == read->relation.num_rows(),
         "csv: round-trip changed the row count");
+  // Quoting every field sends each line through the byte-wise scanner; it
+  // must read the fields the line path reads.
+  auto quoted = rel::ReadCsvString(QuoteEveryField(read->relation));
+  Check(quoted.ok(), "csv: quoted rendering fails to re-read");
+  Check(SameRelation(*again, *quoted),
+        "csv: quoted rendering reads to another relation");
   return 0;
 }
 

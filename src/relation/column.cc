@@ -62,18 +62,15 @@ void Column::AppendNull() {
   }
 }
 
-void Column::Reserve(std::size_t rows) {
-  nulls_.reserve(rows);
-  switch (type_) {
-    case DataType::kInt:
-      ints_.reserve(rows);
-      break;
-    case DataType::kDouble:
-      doubles_.reserve(rows);
-      break;
-    case DataType::kString:
-      string_begins_.reserve(rows + 1);
-      break;
+void Column::Extend(const Column& tail) {
+  assert(tail.type_ == type_);
+  nulls_.insert(nulls_.end(), tail.nulls_.begin(), tail.nulls_.end());
+  ints_.insert(ints_.end(), tail.ints_.begin(), tail.ints_.end());
+  doubles_.insert(doubles_.end(), tail.doubles_.begin(), tail.doubles_.end());
+  const std::size_t base = chars_.size();
+  chars_ += tail.chars_;
+  for (std::size_t r = 1; r < tail.string_begins_.size(); ++r) {
+    string_begins_.push_back(base + tail.string_begins_[r]);
   }
 }
 

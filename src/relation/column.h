@@ -60,8 +60,8 @@ class Column {
     string_begins_.push_back(chars_.size());
   }
 
-  /// Reserves room for `rows` cells.
-  void Reserve(std::size_t rows);
+  /// Appends every cell of `tail`, which must have this column's type.
+  void Extend(const Column& tail);
 
  private:
   DataType type_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <string_view>
 
 #include "common/io_env.h"
@@ -45,21 +46,32 @@ struct RawRecord {
 /// The declared CsvLimits are enforced while scanning — before the parser
 /// buffers more than one limit's worth of bytes on the input's behalf.
 ///
-/// Fields are views into the input. A field whose unescaped bytes are not
-/// contiguous there (it holds a doubled quote `""` followed by more bytes,
-/// or bytes after its closing quote) is copied into `arena`, which must
-/// outlive the views; no other field is copied.
+/// Two paths give the same records. A line that holds no `"` or NUL, ends
+/// at LF, CR or CRLF, and is within every limit is split at its separators
+/// with memchr (the line path). Every other line, and every line when the
+/// separator is `"`, NUL, CR or LF, goes through the byte-wise loop, which
+/// alone reports errors, so their codes, offsets and excerpts do not
+/// depend on the path.
+///
+/// Fields are views into the input, valid until the next call to `Next`.
+/// A field whose unescaped bytes are not contiguous there (it holds a
+/// doubled quote `""` followed by more bytes, or bytes after its closing
+/// quote) is copied into the scanner's arena; no other field is copied.
 class RecordScanner {
  public:
   RecordScanner(std::string_view text, const CsvOptions& options,
-                std::size_t start, std::deque<std::string>* arena)
-      : text_(text), options_(options), pos_(start), arena_(arena) {
+                std::size_t start)
+      : text_(text), options_(options), pos_(start) {
     for (char c : {options.separator, '\n', '\r', '\0', '"'}) {
       plain_stop_[static_cast<unsigned char>(c)] = true;
     }
     for (char c : {'"', '\0'}) {
       quoted_stop_[static_cast<unsigned char>(c)] = true;
     }
+    for (char c : {'"', '\0', '\r', '\n'}) {
+      if (options.separator == c) line_path_ = false;
+    }
+    for (int k = 0; k < 3; ++k) next_special_[k] = Find(kSpecial[k], start);
   }
 
   /// Scans the next record into `*rec`; false at end of input. Blank lines
@@ -84,6 +96,9 @@ class RecordScanner {
     rec->error = IngestError{};
     rec->begin = pos_;
     rec->row = ++row_;
+    arena_.clear();
+    if (line_path_ && SplitLine(rec)) return true;
+    rec->fields.clear();
     field_bytes_ = 0;
     copied_ = false;
 
@@ -188,6 +203,62 @@ class RecordScanner {
   }
 
  private:
+  /// The line path: splits the record at `pos_` when it ends at the first
+  /// LF or CR (a CR ends it as in the byte-wise loop, CRLF included), holds
+  /// no `"` or NUL before that, and is within every limit. False, with
+  /// `pos_` unchanged, when the byte-wise loop must scan it. Only the bytes
+  /// before the next tracked byte, and at most `max_record_bytes` of them,
+  /// are searched for the LF, so a record costs the line path no more than
+  /// its own bytes.
+  bool SplitLine(RawRecord* rec) {
+    const std::size_t n = text_.size();
+    const char* data = text_.data();
+    // A tracked byte is looked for again only once the scan has passed it.
+    std::size_t special = n;
+    for (int k = 0; k < 3; ++k) {
+      if (next_special_[k] < pos_) next_special_[k] = Find(kSpecial[k], pos_);
+      special = std::min(special, next_special_[k]);
+    }
+    const CsvLimits& lim = options_.limits;
+    const void* lf = std::memchr(
+        data + pos_, '\n', std::min(special - pos_, lim.max_record_bytes));
+    std::size_t eol = special;
+    std::size_t next = special;
+    if (lf != nullptr) {
+      eol = static_cast<const char*>(lf) - data;
+      next = eol + 1;
+    } else if (special - pos_ >= lim.max_record_bytes) {
+      return false;
+    } else if (special < n) {
+      if (data[special] != '\r') return false;
+      next = special + ((special + 1 < n && data[special + 1] == '\n') ? 2 : 1);
+    }
+    for (std::size_t begin = pos_;;) {
+      const void* sep =
+          std::memchr(data + begin, options_.separator, eol - begin);
+      const std::size_t end =
+          sep == nullptr ? eol : static_cast<const char*>(sep) - data;
+      if (end - begin > lim.max_field_bytes ||
+          rec->fields.size() >= lim.max_columns) {
+        return false;
+      }
+      rec->fields.emplace_back(data + begin, end - begin);
+      if (sep == nullptr) break;
+      begin = end + 1;
+    }
+    rec->end = eol;
+    pos_ = next;
+    return true;
+  }
+
+  /// The offset of the first `byte` at or after `from`, else the input's
+  /// size.
+  std::size_t Find(char byte, std::size_t from) const {
+    const void* p = std::memchr(text_.data() + from, byte, text_.size() - from);
+    return p == nullptr ? text_.size()
+                        : static_cast<const char*>(p) - text_.data();
+  }
+
   /// Appends the byte at `i`, which passed every per-byte check, and the
   /// run of bytes after it that would pass them too: none is in `stop`, and
   /// neither the record limit nor the field limit is reached. Returns the
@@ -228,9 +299,9 @@ class RecordScanner {
   std::string_view TakeField() {
     std::string_view field;
     if (copied_) {
-      arena_->push_back(std::move(scratch_));
+      arena_.push_back(std::move(scratch_));
       scratch_.clear();
-      field = arena_->back();
+      field = arena_.back();
     } else if (field_bytes_ > 0) {
       field = text_.substr(field_begin_, field_bytes_);
     }
@@ -268,10 +339,20 @@ class RecordScanner {
   const CsvOptions& options_;
   std::size_t pos_;
   std::uint64_t row_ = 0;
-  std::deque<std::string>* arena_;
+  /// The current record's copied fields.
+  std::deque<std::string> arena_;
   /// Bytes that end a run of plain field content outside / inside quotes.
   bool plain_stop_[256] = {};
   bool quoted_stop_[256] = {};
+  /// False when the separator is a byte the line path leaves to the
+  /// byte-wise loop.
+  bool line_path_ = true;
+  /// The bytes the line path stops at (a `"` or NUL sends the line to the
+  /// byte-wise loop, a CR ends it), and the offset of the next of each at
+  /// or after the last line path start (the input's size when there is
+  /// none).
+  static constexpr char kSpecial[3] = {'"', '\0', '\r'};
+  std::size_t next_special_[3];
   /// The field being scanned: `field_bytes_` unescaped bytes, either the
   /// input view at `field_begin_` or, once `copied_`, `scratch_`.
   std::size_t field_begin_ = 0;
@@ -296,24 +377,11 @@ IngestError RaggedRowError(std::string_view text, const RawRecord& rec,
   return err;
 }
 
-/// An upper bound on the cells of `text` in rows of `width`, when its lines
-/// end in '\n': a row ends a line, and a cell takes at least one byte.
-/// Reserving it saves growing the cell vector through ever larger copies;
-/// what a quoted newline or a blank line makes it overshoot is address
-/// space, never touched.
-std::size_t CellBound(std::string_view text, std::size_t width) {
-  std::size_t lines = 1;
-  for (const char* p = text.data(), *end = p + text.size();
-       (p = static_cast<const char*>(std::memchr(p, '\n', end - p))) !=
-       nullptr;
-       ++p) {
-    ++lines;
-  }
-  return std::min(lines * width, text.size() + width);
-}
-
-/// The reader behind both entry points: scans `text` to views, applies the
-/// bad-row policy, then types and fills each column in one pass.
+/// The reader behind both entry points: scans `text` record by record,
+/// applies the bad-row policy, and types each accepted record straight
+/// into its columns. When a column widened after its first row, one replay
+/// of the scan re-derives the rows before: it passes over the header and
+/// the records the first pass rejected, and counts nothing again.
 Result<CsvRead> ParseCsv(std::string_view text, const CsvOptions& options) {
   CsvRead out;
   CsvIngestReport& report = out.report;
@@ -322,15 +390,15 @@ Result<CsvRead> ParseCsv(std::string_view text, const CsvOptions& options) {
   std::size_t start = 0;
   if (text.substr(0, 3) == "\xEF\xBB\xBF") start = 3;
 
-  std::deque<std::string> arena;
-  RecordScanner scanner(text, options, start, &arena);
+  RecordScanner scanner(text, options, start);
   RawRecord rec;
 
   std::vector<std::string> names;
-  /// Ingested rows, row-major.
-  std::vector<std::string_view> cells;
-  bool have_width = false;
+  std::optional<ColumnFiller> filler;  // set by the first record
   std::size_t width = 0;
+  auto accepted = [&](const RawRecord& r) {
+    return r.ok && r.fields.size() == width;
+  };
 
   // Applies the bad-row policy to one rejected record. Returns non-OK only
   // when the whole read must stop (kFail, or a RunContext budget ran out).
@@ -354,14 +422,13 @@ Result<CsvRead> ParseCsv(std::string_view text, const CsvOptions& options) {
   };
 
   while (scanner.Next(&rec)) {
-    if (!have_width) {
+    if (!filler) {
       // The first record anchors the schema (names or width); it must be
       // structurally sound no matter the policy — there is nothing to
       // ingest against without it.
       if (!rec.ok) return rec.error.ToStatus();
       width = rec.fields.size();
-      have_width = true;
-      cells.reserve(CellBound(text.substr(rec.begin), width));
+      filler.emplace(width, options.type_inference);
       if (options.has_header) {
         names.assign(rec.fields.begin(), rec.fields.end());
         continue;
@@ -386,15 +453,15 @@ Result<CsvRead> ParseCsv(std::string_view text, const CsvOptions& options) {
       OCDD_RETURN_IF_ERROR(reject(rec, rec.error));
       continue;
     }
-    if (rec.fields.size() != width) {
+    if (!accepted(rec)) {
       OCDD_RETURN_IF_ERROR(reject(rec, RaggedRowError(text, rec, width)));
       continue;
     }
-    cells.insert(cells.end(), rec.fields.begin(), rec.fields.end());
+    filler->Add(rec.fields.data());
     ++report.rows_ingested;
   }
 
-  if (!have_width) {
+  if (!filler) {
     IngestError err;
     err.code = IngestErrorCode::kEmptyInput;
     err.detail = "empty CSV input";
@@ -418,8 +485,19 @@ Result<CsvRead> ParseCsv(std::string_view text, const CsvOptions& options) {
     report.quarantined_rows.clear();
   }
 
-  std::vector<Column> columns =
-      InferColumns(cells, width, options.type_inference);
+  if (std::size_t rows = filler->rows_to_replay(); rows > 0) {
+    RecordScanner replay(text, options, start);
+    bool header = options.has_header;
+    while (rows > 0 && replay.Next(&rec)) {
+      if (header) {
+        header = false;
+      } else if (accepted(rec)) {
+        filler->Replay(rec.fields.data());
+        --rows;
+      }
+    }
+  }
+  std::vector<Column> columns = filler->Finish();
   std::vector<Attribute> attrs(width);
   for (std::size_t c = 0; c < width; ++c) {
     attrs[c].name = std::move(names[c]);

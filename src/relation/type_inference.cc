@@ -1,6 +1,7 @@
 #include "relation/type_inference.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/string_util.h"
 
@@ -16,13 +17,41 @@ bool IsStrippedNullMarker(std::string_view stripped,
   return false;
 }
 
-/// Appends `field` to `column` under the column's type; false (nothing
-/// appended) when a non-NULL field does not parse as that type.
-/// `max_marker` is the length of the longest NULL marker.
-bool AppendField(std::string_view field, const TypeInferenceOptions& opts,
-                 std::size_t max_marker, Column* column) {
+DataType Wider(DataType type) {
+  return type == DataType::kInt ? DataType::kDouble : DataType::kString;
+}
+
+}  // namespace
+
+bool IsNullMarker(std::string_view field, const TypeInferenceOptions& opts) {
+  return IsStrippedNullMarker(StripAsciiWhitespace(field), opts);
+}
+
+ColumnFiller::ColumnFiller(std::size_t width, const TypeInferenceOptions& opts)
+    : opts_(opts) {
+  const DataType first =
+      opts.force_lexicographic ? DataType::kString : DataType::kInt;
+  slots_.resize(width);
+  for (Slot& slot : slots_) slot.tail = Column(first);
+  for (const std::string& marker : opts.null_markers) {
+    max_marker_ = std::max(max_marker_, marker.size());
+    if (marker.empty()) {
+      empty_is_null_ = true;
+    } else {
+      marker_first_[static_cast<unsigned char>(marker[0])] = true;
+    }
+  }
+}
+
+bool ColumnFiller::Append(std::string_view field, Column* column) const {
   const std::string_view stripped = StripAsciiWhitespace(field);
-  if (stripped.size() <= max_marker && IsStrippedNullMarker(stripped, opts)) {
+  const bool null =
+      stripped.empty()
+          ? empty_is_null_
+          : stripped.size() <= max_marker_ &&
+                marker_first_[static_cast<unsigned char>(stripped[0])] &&
+                IsStrippedNullMarker(stripped, opts_);
+  if (null) {
     column->AppendNull();
     return true;
   }
@@ -46,62 +75,58 @@ bool AppendField(std::string_view field, const TypeInferenceOptions& opts,
   return false;
 }
 
-DataType Wider(DataType type) {
-  return type == DataType::kInt ? DataType::kDouble : DataType::kString;
+void ColumnFiller::Add(const std::string_view* fields) {
+  for (std::size_t c = 0; c < slots_.size(); ++c) {
+    Slot& slot = slots_[c];
+    if (Append(fields[c], &slot.tail)) continue;
+    // Widen from this row on; a kString append cannot fail.
+    DataType type = slot.tail.type();
+    do {
+      type = Wider(type);
+      slot.tail = Column(type);
+    } while (!Append(fields[c], &slot.tail));
+    slot.since = rows_;
+  }
+  ++rows_;
 }
 
-}  // namespace
-
-bool IsNullMarker(std::string_view field, const TypeInferenceOptions& opts) {
-  return IsStrippedNullMarker(StripAsciiWhitespace(field), opts);
+std::size_t ColumnFiller::rows_to_replay() const {
+  std::size_t rows = 0;
+  for (const Slot& slot : slots_) rows = std::max(rows, slot.since);
+  return rows;
 }
 
-std::vector<Column> InferColumns(const std::vector<std::string_view>& cells,
-                                 std::size_t width,
-                                 const TypeInferenceOptions& opts) {
-  const std::size_t rows = width == 0 ? 0 : cells.size() / width;
-  const DataType first =
-      opts.force_lexicographic ? DataType::kString : DataType::kInt;
-  std::size_t max_marker = 0;
-  for (const std::string& marker : opts.null_markers) {
-    max_marker = std::max(max_marker, marker.size());
+void ColumnFiller::Replay(const std::string_view* fields) {
+  for (std::size_t c = 0; c < slots_.size(); ++c) {
+    Slot& slot = slots_[c];
+    if (replayed_ >= slot.since) continue;
+    if (replayed_ == 0) slot.head = Column(slot.tail.type());
+    [[maybe_unused]] const bool fits = Append(fields[c], &slot.head);
+    assert(fits);
   }
-  std::vector<Column> columns(width, Column(first));
-  for (Column& column : columns) column.Reserve(rows);
+  ++replayed_;
+}
 
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::string_view* row = cells.data() + r * width;
-    for (std::size_t c = 0; c < width; ++c) {
-      if (AppendField(row[c], opts, max_marker, &columns[c])) continue;
-      // Rows 0..r of column c do not all fit its type: refill them at the
-      // next wider one. A kString refill cannot fail.
-      DataType type = columns[c].type();
-      bool filled = false;
-      while (!filled) {
-        type = Wider(type);
-        Column wider(type);
-        wider.Reserve(rows);
-        filled = true;
-        for (std::size_t rr = 0; rr <= r && filled; ++rr) {
-          filled = AppendField(cells[rr * width + c], opts, max_marker,
-                               &wider);
-        }
-        if (filled) columns[c] = std::move(wider);
-      }
+std::vector<Column> ColumnFiller::Finish() {
+  assert(replayed_ == rows_to_replay());
+  std::vector<Column> columns;
+  columns.reserve(slots_.size());
+  for (Slot& slot : slots_) {
+    Column column = std::move(slot.tail);
+    if (slot.since > 0) {
+      slot.head.Extend(column);
+      column = std::move(slot.head);
     }
-  }
-
-  // A numeric column that never saw a value is all NULL: kString.
-  for (std::size_t c = 0; c < width; ++c) {
-    if (columns[c].type() == DataType::kString) continue;
-    bool null_only = true;
-    for (std::size_t r = 0; r < rows && null_only; ++r) {
-      null_only = columns[c].is_null(r);
+    // A numeric column that never saw a value is all NULL: kString.
+    bool null_only = column.type() != DataType::kString;
+    for (std::size_t r = 0; r < rows_ && null_only; ++r) {
+      null_only = column.is_null(r);
     }
-    if (!null_only) continue;
-    Column nulls(DataType::kString);
-    for (std::size_t r = 0; r < rows; ++r) nulls.AppendNull();
-    columns[c] = std::move(nulls);
+    if (null_only) {
+      column = Column(DataType::kString);
+      for (std::size_t r = 0; r < rows_; ++r) column.AppendNull();
+    }
+    columns.push_back(std::move(column));
   }
   return columns;
 }

@@ -224,19 +224,19 @@ const std::vector<Task>& Tasks() {
         "json threads max-level profile expand max-expanded"},
        RunDiscover},
       {"fds", "TANE: minimal functional dependencies",
-       {kBudgetFlags, kCheckpointFlags, "json"}, RunFds},
+       {kBudgetFlags, kCheckpointFlags, "json profile"}, RunFds},
       {"fastod", "FASTOD: set-based canonical order dependencies",
-       {kBudgetFlags, kCheckpointFlags, "json"}, RunFastod},
+       {kBudgetFlags, kCheckpointFlags, "json profile"}, RunFastod},
       {"fastod-bid", "bidirectional canonical order dependencies",
-       {kBudgetFlags, "json"}, RunFastodBid},
+       {kBudgetFlags, "json profile"}, RunFastodBid},
       {"order", "ORDER: disjoint-side order dependencies",
-       {kBudgetFlags, "json"}, RunOrder},
-      {"approx", "approximate pairwise OCDs (g3 error)", {"max-ratio json"},
-       RunApprox},
+       {kBudgetFlags, "json profile"}, RunOrder},
+      {"approx", "approximate pairwise OCDs (g3 error)",
+       {"max-ratio json profile"}, RunApprox},
       {"uccs", "minimal unique column combinations (key candidates)",
-       {kBudgetFlags}, RunUccs},
+       {kBudgetFlags, "profile"}, RunUccs},
       {"polarized", "bidirectional OCDs/ODs (per-attribute ASC/DESC)",
-       {kBudgetFlags, "max-level"}, RunPolarized},
+       {kBudgetFlags, "max-level profile"}, RunPolarized},
   };
   return tasks;
 }

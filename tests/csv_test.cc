@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <regex>
 #include <sstream>
 
 #include "common/io_env.h"
@@ -454,6 +459,263 @@ TEST(CsvWriteTest, RoundTripKeepsTypesAndCodes) {
       EXPECT_EQ(a.column(c).codes, b2.column(c).codes) << c << " lex " << lex;
     }
   }
+}
+
+// ---- the line path against the byte-wise scanner ----
+
+/// `lines` as CSV text, each ended by `eol`, every field quoted when
+/// `quote`; an empty `line`, or one empty field, is a blank line either way.
+std::string Render(const std::vector<std::vector<std::string>>& lines,
+                   bool quote, const std::string& eol) {
+  std::string out;
+  for (const std::vector<std::string>& line : lines) {
+    const bool blank = line.empty() || (line.size() == 1 && line[0].empty());
+    for (std::size_t i = 0; i < line.size() && !blank; ++i) {
+      if (i > 0) out += ',';
+      out += quote ? "\"" + line[i] + "\"" : line[i];
+    }
+    out += eol;
+  }
+  return out;
+}
+
+/// The code and row of a failed read's ingest error, which do not depend
+/// on the quoting (its byte offset and excerpt do).
+std::string CodeAndRow(const Status& status) {
+  static const std::regex kError(
+      "(\\[[a-z_]+\\]) at byte [0-9]+ (\\(row [0-9]+)");
+  std::smatch m;
+  if (!std::regex_search(status.message(), m, kError)) return status.message();
+  return m[1].str() + " " + m[2].str();
+}
+
+void ExpectSameRead(const Result<CsvRead>& a, const Result<CsvRead>& b) {
+  ASSERT_EQ(a.ok(), b.ok()) << (a.ok() ? b : a).status().message();
+  if (!a.ok()) {
+    EXPECT_EQ(CodeAndRow(a.status()), CodeAndRow(b.status()));
+    return;
+  }
+  const Relation& x = a->relation;
+  const Relation& y = b->relation;
+  ASSERT_EQ(x.num_columns(), y.num_columns());
+  ASSERT_EQ(x.num_rows(), y.num_rows());
+  for (std::size_t c = 0; c < x.num_columns(); ++c) {
+    EXPECT_EQ(x.schema().attribute(c).name, y.schema().attribute(c).name);
+    ASSERT_EQ(x.schema().attribute(c).type, y.schema().attribute(c).type)
+        << "column " << c;
+    for (std::size_t r = 0; r < x.num_rows(); ++r) {
+      const Value u = x.ValueAt(r, c);
+      const Value v = y.ValueAt(r, c);
+      EXPECT_EQ(u.is_null(), v.is_null()) << r << "," << c;
+      EXPECT_EQ(u, v) << r << "," << c;
+      if (u.is_double() && v.is_double()) {
+        EXPECT_EQ(std::signbit(u.double_value()),
+                  std::signbit(v.double_value()));
+      }
+    }
+  }
+  const CsvIngestReport& p = a->report;
+  const CsvIngestReport& q = b->report;
+  EXPECT_EQ(p.records_total, q.records_total);
+  EXPECT_EQ(p.rows_ingested, q.rows_ingested);
+  EXPECT_EQ(p.rows_rejected, q.rows_rejected);
+  EXPECT_EQ(p.rejected_by_code.ToString(), q.rejected_by_code.ToString());
+  EXPECT_EQ(p.quarantined_rows.size(), q.quarantined_rows.size());
+  ASSERT_EQ(p.samples.size(), q.samples.size());
+  for (std::size_t i = 0; i < p.samples.size(); ++i) {
+    EXPECT_EQ(p.samples[i].code, q.samples[i].code);
+    EXPECT_EQ(p.samples[i].row, q.samples[i].row);
+    EXPECT_EQ(p.samples[i].column, q.samples[i].column);
+  }
+}
+
+TEST(CsvLinePathTest, QuoteFreeTextsReadAsWhenEveryFieldIsQuoted) {
+  // Quoting every field sends every line through the byte-wise scanner.
+  // Columns draw from ints, then numbers, then anything, with a few
+  // fields from the widest pool, so columns widen at late rows too.
+  const std::vector<std::vector<std::string>> pools = {
+      {"1", "-2", "+3", "0", "-0", "42", "?", "", " 7 ", "NULL"},
+      {"1", "-2", "+3", "0", "-0", "?", "", "4.5", "-.5", "1e3", "3.", " 8"},
+      {"1", "-0", "", "?", "4.5", "abc", "x y", "12a", "null", "  ", "+-5",
+       "..", "9999999999999999999"}};
+  for (unsigned seed = 0; seed < 300; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&rng](std::size_t n) {
+      return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+    };
+    const std::size_t width = 1 + pick(4);
+    std::vector<std::size_t> pool(width);
+    for (std::size_t& p : pool) p = pick(pools.size());
+    std::vector<std::vector<std::string>> lines;
+    const std::size_t rows = pick(14);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::size_t roll = pick(10);
+      if (roll == 0) {
+        lines.emplace_back();  // a blank line
+        continue;
+      }
+      const std::size_t n = roll == 1 ? 1 + pick(width + 1) : width;
+      std::vector<std::string> line;
+      for (std::size_t c = 0; c < n; ++c) {
+        const auto& from = pools[pick(10) == 0 ? 2 : pool[c % width]];
+        line.push_back(from[pick(from.size())]);
+      }
+      lines.push_back(std::move(line));
+    }
+    const std::string bom = pick(3) == 0 ? "\xEF\xBB\xBF" : "";
+    const std::string eol =
+        std::vector<std::string>{"\n", "\r\n", "\r"}[pick(3)];
+    for (BadRowPolicy policy : {BadRowPolicy::kFail, BadRowPolicy::kSkip,
+                                BadRowPolicy::kQuarantine}) {
+      for (bool header : {true, false}) {
+        SCOPED_TRACE(testing::Message()
+                     << "seed " << seed << " policy "
+                     << BadRowPolicyName(policy) << " header " << header
+                     << " eol "
+                     << (eol == "\n" ? "LF" : eol == "\r" ? "CR" : "CRLF")
+                     << "\n"
+                     << Render(lines, false, "\n"));
+        CsvOptions opts;
+        opts.on_bad_row = policy;
+        opts.has_header = header;
+        ExpectSameRead(
+            ReadCsvWithReport(bom + Render(lines, false, eol), opts),
+            ReadCsvWithReport(bom + Render(lines, true, eol), opts));
+      }
+    }
+  }
+}
+
+TEST(CsvLinePathTest, LateWideningReplaysTheRowsBefore) {
+  // Column a widens to double at its fifth value and to string at its
+  // sixth; c widens to double after "-0". Rejected records and blank lines
+  // come first, and one accepted record is quoted (the byte-wise path).
+  const std::string body =
+      "1,p,7\n"
+      "\n"
+      "ragged\n"
+      "2,q,-0\n"
+      "\"3\",\"r\",\"8\"\n"
+      "\n"
+      "4,s,t,u\n"
+      "4,s,1.5\n"
+      "5.5,t,9\n"
+      "x,u,10\n";
+  const std::vector<std::string> a = {"1", "2", "3", "4", "5.5", "x"};
+  const std::vector<double> c = {7, -0.0, 8, 1.5, 9, 10};
+  for (BadRowPolicy policy : {BadRowPolicy::kSkip, BadRowPolicy::kQuarantine}) {
+    for (bool header : {true, false}) {
+      SCOPED_TRACE(testing::Message() << BadRowPolicyName(policy) << " header "
+                                      << header);
+      CsvOptions opts;
+      opts.on_bad_row = policy;
+      opts.has_header = header;
+      auto r = ReadCsvWithReport((header ? "a,b,c\n" : "") + body, opts);
+      ASSERT_TRUE(r.ok()) << r.status().message();
+      EXPECT_EQ(r->report.records_total, 8u);
+      EXPECT_EQ(r->report.rows_rejected, 2u);
+      EXPECT_EQ(r->report.quarantined_rows.size(),
+                policy == BadRowPolicy::kQuarantine ? 2u : 0u);
+      EXPECT_EQ(r->report.samples.size(), 2u);
+      const Relation& rel = r->relation;
+      ASSERT_EQ(rel.num_rows(), 6u);
+      ASSERT_EQ(rel.schema().attribute(0).type, DataType::kString);
+      ASSERT_EQ(rel.schema().attribute(1).type, DataType::kString);
+      ASSERT_EQ(rel.schema().attribute(2).type, DataType::kDouble);
+      for (std::size_t row = 0; row < 6; ++row) {
+        EXPECT_EQ(rel.ValueAt(row, 0), Value::String(a[row])) << row;
+        EXPECT_EQ(rel.ValueAt(row, 2), Value::Double(c[row])) << row;
+      }
+      // Re-derived from the text, "-0" is −0.0, not the int 0 widened.
+      EXPECT_TRUE(std::signbit(rel.ValueAt(1, 2).double_value()));
+    }
+  }
+  // Lexicographic: every column is text, "-0" included.
+  CsvOptions lex;
+  lex.on_bad_row = BadRowPolicy::kSkip;
+  lex.type_inference.force_lexicographic = true;
+  auto r = ReadCsvWithReport("a,b,c\n" + body, lex);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->relation.ValueAt(1, 2), Value::String("-0"));
+}
+
+TEST(CsvLinePathTest, LimitsHoldExactlyOnQuoteFreeLines) {
+  struct Case {
+    std::string text;
+    CsvLimits limits;
+    const char* error;  // nullptr: the read succeeds
+  };
+  auto limits = [](std::size_t field, std::size_t record,
+                   std::size_t columns) {
+    CsvLimits l;
+    l.max_field_bytes = field;
+    l.max_record_bytes = record;
+    l.max_columns = columns;
+    return l;
+  };
+  const std::vector<Case> cases = {
+      // A field of exactly max_field_bytes; one byte more fails at it.
+      {"a,b\n1234,5\n", limits(4, 64, 8), nullptr},
+      {"a,b\n12345,5\n", limits(4, 64, 8), "[field_too_large] at byte 8 "},
+      {"a,b\n5,1234\n", limits(4, 64, 8), nullptr},
+      {"a,b\n5,12345", limits(4, 64, 8), "[field_too_large] at byte 10 "},
+      // A record of max_record_bytes − 1 and its terminator; one byte
+      // more fails at the terminator.
+      {"a,b\n123,5678\n", limits(8, 9, 8), nullptr},
+      {"a,b\n123,56789\n", limits(8, 9, 8), "[record_too_large] at byte 13 "},
+      // The same with CRLF and lone CR terminators, which end a record at
+      // the CR.
+      {"a,b\r\n123,5678\r\n", limits(8, 9, 8), nullptr},
+      {"a,b\r\n123,56789\r\n", limits(8, 9, 8),
+       "[record_too_large] at byte 14 "},
+      {"a,b\r123,5678\r", limits(8, 9, 8), nullptr},
+      {"a,b\r123,56789\r", limits(8, 9, 8), "[record_too_large] at byte 13 "},
+      // max_columns fields; one more fails where that field ends.
+      {"a,b,c\n1,2,3\n", limits(8, 64, 3), nullptr},
+      {"a,b,c\n1,2,3,4\n", limits(8, 64, 3), "[too_many_columns] at byte 13 "},
+      {"a,b,c\n1,2,3,\n", limits(8, 64, 3), "[too_many_columns] at byte 12 "},
+      {"a,b,c\n1,2,3,4,5", limits(8, 64, 3), "[too_many_columns] at byte 13 "},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text);
+    CsvOptions opts;
+    opts.limits = c.limits;
+    auto r = ReadCsvWithReport(c.text, opts);
+    if (c.error == nullptr) {
+      EXPECT_TRUE(r.ok()) << r.status().message();
+      continue;
+    }
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.status().message().find(c.error), std::string::npos)
+        << r.status().message();
+  }
+}
+
+TEST(CsvLinePathTest, CrTerminatedInputReadsInLinearTime) {
+  // Lone CR ends a record. Each record's search for its line end must stop
+  // at that CR: one that ran on to the next LF (here, none) would cost the
+  // rest of the input per record, hundreds of GB of scanning on this text.
+  std::string lf_text = "a,b,c\n";
+  for (int r = 0; r < 200000; ++r) {
+    lf_text += std::to_string(r) + ",abcdefgh," + std::to_string(r % 97) +
+               ".25\n";
+  }
+  std::string cr_text = lf_text;
+  std::replace(cr_text.begin(), cr_text.end(), '\n', '\r');
+  auto seconds = [](const std::string& text) {
+    const auto start = std::chrono::steady_clock::now();
+    auto r = ReadCsvWithReport(text);
+    EXPECT_TRUE(r.ok());
+    if (r.ok()) {
+      EXPECT_EQ(r->relation.num_rows(), 200000u);
+    }
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  const double lf = seconds(lf_text);
+  const double cr = seconds(cr_text);
+  EXPECT_LT(cr, 10 * lf + 1.0) << "LF " << lf << " s, CR " << cr << " s";
 }
 
 TEST(CsvFileTest, MissingFileIsNotFound) {

@@ -83,6 +83,22 @@ TEST(TasksTest, EveryTaskRejectsAFlagAnotherRowReads) {
   }
 }
 
+TEST(TasksTest, OrderAndFdsReadProfile) {
+  for (const char* name : {"order", "fds"}) {
+    SCOPED_TRACE(name);
+    RunResult run = RunCli(std::string(name) + " NUMBERS --profile");
+    EXPECT_EQ(run.exit_code, 0) << run.output;
+    EXPECT_NE(run.output.find("# profile: "), std::string::npos)
+        << run.output;
+    run = RunCli(std::string(name) + " NUMBERS --profile --json");
+    ASSERT_EQ(run.exit_code, 0) << run.output;
+    auto json = report::ParseJson(run.output);
+    ASSERT_TRUE(json.ok()) << run.output;
+    EXPECT_EQ((*json)["profile"].kind(), report::JsonValue::Kind::kObject)
+        << run.output;
+  }
+}
+
 TEST(TasksTest, RunAndTheDaemonAcceptExactlyTheCheckpointRows) {
   for (const Task& task : Tasks()) {
     SCOPED_TRACE(task.name);
