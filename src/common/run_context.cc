@@ -72,6 +72,10 @@ void AppendWithAncestors(std::string_view root, std::string_view path,
   }
 }
 
+/// Threads that have counted a check on any RunContext, in the order of
+/// their first count; each takes the tally of its order modulo the slots.
+std::atomic<std::size_t> g_threads_counting{0};
+
 }  // namespace
 
 std::size_t DefaultMemoryBudget(std::string_view cgroup_memory_max,
@@ -197,7 +201,31 @@ bool RunContext::RequestStop(StopReason reason) {
                                               std::memory_order_relaxed);
 }
 
-bool RunContext::ShouldStop() {
+std::size_t RunContext::ThreadSlot() {
+  // Release pairs with SlotsInUse's acquire: a reader that sees a thread's
+  // add to its tally also sees the slot it took.
+  thread_local const std::size_t slot =
+      g_threads_counting.fetch_add(1, std::memory_order_release) %
+      kCheckSlots;
+  return slot;
+}
+
+std::size_t RunContext::SlotsInUse() {
+  return std::min(g_threads_counting.load(std::memory_order_acquire),
+                  kCheckSlots);
+}
+
+std::uint64_t RunContext::checks() const {
+  std::uint64_t sum = budget_spent_.load(std::memory_order_relaxed);
+  for (std::size_t i = 0, n = SlotsInUse(); i < n; ++i) {
+    sum += tallies_[i].checks.load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
+bool RunContext::ShouldStop() { return Poll(/*budget_spent=*/false); }
+
+bool RunContext::Poll(bool budget_spent) {
   if (stop_reason_.load(std::memory_order_relaxed) !=
       static_cast<int>(StopReason::kNone)) {
     return true;
@@ -206,8 +234,7 @@ bool RunContext::ShouldStop() {
     RequestStop(StopReason::kCancelled);
     return true;
   }
-  std::uint64_t budget = check_budget_.load(std::memory_order_relaxed);
-  if (budget != 0 && checks_.load(std::memory_order_relaxed) >= budget) {
+  if (budget_spent) {
     RequestStop(StopReason::kCheckBudget);
     return true;
   }
@@ -220,8 +247,15 @@ bool RunContext::ShouldStop() {
 }
 
 bool RunContext::CountCheck(std::uint64_t n) {
-  checks_.fetch_add(n, std::memory_order_relaxed);
-  return ShouldStop();
+  const std::uint64_t budget = check_budget_.load(std::memory_order_relaxed);
+  if (budget == 0) {
+    tallies_[ThreadSlot()].checks.fetch_add(n, std::memory_order_relaxed);
+    return false;
+  }
+  // One add on the shared counter; its total order makes exactly one add
+  // the first to reach the budget, and that add's poll latches it.
+  return Poll(budget_spent_.fetch_add(n, std::memory_order_relaxed) + n >=
+              budget);
 }
 
 bool RunContext::ChargeMemory(std::size_t bytes) {
@@ -280,8 +314,7 @@ bool RunContext::CheckpointDue() const {
   if (every_checks == 0 && every_ns == 0) return true;
   if (every_checks != 0) {
     const std::uint64_t since =
-        checks_.load(std::memory_order_relaxed) -
-        checkpoint_checks_mark_.load(std::memory_order_relaxed);
+        checks() - checkpoint_checks_mark_.load(std::memory_order_relaxed);
     if (since >= every_checks) return true;
   }
   if (every_ns != 0) {
@@ -298,8 +331,7 @@ bool RunContext::CheckpointDue() const {
 }
 
 void RunContext::MarkCheckpointed() {
-  checkpoint_checks_mark_.store(checks_.load(std::memory_order_relaxed),
-                                std::memory_order_relaxed);
+  checkpoint_checks_mark_.store(checks(), std::memory_order_relaxed);
   checkpoint_time_mark_ns_.store(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
@@ -311,7 +343,8 @@ void RunContext::Reset() {
   stop_reason_.store(static_cast<int>(StopReason::kNone),
                      std::memory_order_relaxed);
   cancelled_.store(false, std::memory_order_relaxed);
-  checks_.store(0, std::memory_order_relaxed);
+  budget_spent_.store(0, std::memory_order_relaxed);
+  for (Tally& tally : tallies_) tally.checks.store(0);
   memory_used_.store(0, std::memory_order_relaxed);
   memory_peak_.store(0, std::memory_order_relaxed);
   MarkCheckpointed();

@@ -126,6 +126,14 @@ struct StopState {
 /// Thread-safety: all methods are safe to call concurrently *during* a run.
 /// Configuration (`set_*`) must happen before the run starts; `Reset()` must
 /// not race with a run.
+///
+/// Without a check budget, checks are counted per thread, each thread's
+/// tally on a cache line of its own, so pool workers that count checks
+/// never write a line another worker writes. Under a budget they are
+/// counted on one shared counter, whose single add per count latches the
+/// budget exactly. The fields `ShouldStop()` reads on every check sit on a
+/// line that only configuration and the stop latch write. `checks()` sums
+/// the counter and the tallies.
 class RunContext {
  public:
   RunContext() = default;
@@ -140,7 +148,8 @@ class RunContext {
   /// Arms an absolute monotonic deadline.
   void set_deadline(std::chrono::steady_clock::time_point deadline);
 
-  /// Total candidate checks allowed; 0 = unlimited.
+  /// Total candidate checks allowed; 0 = unlimited. Only checks counted
+  /// while it is set spend it, so set it before the run.
   void set_check_budget(std::uint64_t checks);
 
   /// Byte budget for `ChargeMemory`; 0 = unlimited.
@@ -173,11 +182,19 @@ class RunContext {
 
   // ---- hot-path API (called inside algorithm loops) ----
 
-  /// Evaluates every stop condition, latching the first one observed.
-  /// Returns true when the run should unwind.
+  /// Evaluates every stop condition, latching the first one observed; the
+  /// check budget is judged by the count that spends it (`CountCheck`), so
+  /// this reads no counter. Returns true when the run should unwind.
   bool ShouldStop();
 
-  /// Accounts `n` candidate checks, then evaluates `ShouldStop()`.
+  /// Accounts `n` candidate checks. Without a check budget that is one add
+  /// on this thread's tally, returning false: callers poll `ShouldStop()`
+  /// between checks for the other stops. Under a budget it is one add on
+  /// the shared counter, then the poll of `ShouldStop()` with the budget
+  /// judged by that add's total, so the budget latches at the count that
+  /// spends it. Pool workers that passed their poll before then still
+  /// count the checks they had started: the budget is overshot by at most
+  /// the largest `n` per other worker.
   bool CountCheck(std::uint64_t n = 1);
 
   /// Accounts an allocation of `bytes`. Returns false — and latches
@@ -214,9 +231,9 @@ class RunContext {
     return static_cast<StopReason>(
         stop_reason_.load(std::memory_order_relaxed));
   }
-  std::uint64_t checks() const {
-    return checks_.load(std::memory_order_relaxed);
-  }
+  /// Checks counted since construction or `Reset()`: the budgeted counter
+  /// plus the per-thread tallies.
+  std::uint64_t checks() const;
   std::size_t memory_used() const {
     return memory_used_.load(std::memory_order_relaxed);
   }
@@ -229,19 +246,40 @@ class RunContext {
   void Reset();
 
  private:
-  std::atomic<int> stop_reason_{static_cast<int>(StopReason::kNone)};
+  static constexpr std::size_t kCacheLine = 64;
+  /// Tallies per context. A thread counts on the tally of its first-count
+  /// order modulo this; threads that share one still count exactly, since
+  /// each adds with a read-modify-write.
+  static constexpr std::size_t kCheckSlots = 64;
+  struct alignas(kCacheLine) Tally {
+    std::atomic<std::uint64_t> checks{0};
+  };
+
+  /// The stop poll; `budget_spent` says a count has spent the check budget.
+  bool Poll(bool budget_spent);
+  /// The calling thread's tally index.
+  static std::size_t ThreadSlot();
+  /// The tallies any thread may have written: those below this.
+  static std::size_t SlotsInUse();
+
+  // Read on every check; written by configuration and the stop latch.
+  alignas(kCacheLine) std::atomic<int> stop_reason_{
+      static_cast<int>(StopReason::kNone)};
   std::atomic<bool> cancelled_{false};
-  std::atomic<std::uint64_t> checks_{0};
+  std::atomic<bool> has_deadline_{false};
   std::atomic<std::uint64_t> check_budget_{0};
-  std::atomic<std::size_t> memory_used_{0};
+  std::chrono::steady_clock::time_point deadline_{};
+  // Written by memory charges and checkpoint marks, never per check.
+  alignas(kCacheLine) std::atomic<std::size_t> memory_used_{0};
   std::atomic<std::size_t> memory_peak_{0};
   std::atomic<std::size_t> memory_budget_{0};
-  std::atomic<bool> has_deadline_{false};
-  std::chrono::steady_clock::time_point deadline_{};
   std::atomic<std::uint64_t> checkpoint_every_checks_{0};
   std::atomic<std::int64_t> checkpoint_every_ns_{0};
   std::atomic<std::uint64_t> checkpoint_checks_mark_{0};
   std::atomic<std::int64_t> checkpoint_time_mark_ns_{0};
+  // Checks counted while a check budget was set.
+  alignas(kCacheLine) std::atomic<std::uint64_t> budget_spent_{0};
+  Tally tallies_[kCheckSlots];
 };
 
 }  // namespace ocdd

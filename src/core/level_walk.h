@@ -127,6 +127,8 @@ class LevelWalk {
             checker_.Prepare(level_.candidates(), pool_,
                              Rules::kMemoizeChecks);
         std::vector<Checked> checked(level_.size());
+        // The one poll of a check; counting it polls again only under a
+        // check budget.
         auto check_one = [&](std::size_t i) {
           if (ctx_.ShouldStop()) return;
           ctx_.AtInjectionPoint(check_point_.c_str());

@@ -269,8 +269,8 @@ OcdDiscoverResult DiscoverOcds(const rel::CodedRelation& relation,
   result.num_checks += checks_base;
   result.stop_state.checks = result.num_checks;
   store.Finalize();
-  result.ocds = store.ocds();
-  result.ods = store.ods();
+  result.ocds = store.TakeOcds();
+  result.ods = store.TakeOds();
   result.partition_cache_bytes = checker.cache_bytes();
   result.elapsed_seconds = timer.ElapsedSeconds();
   return result;

@@ -65,6 +65,7 @@ PartitionChecker::PartitionChecker(const rel::CodedRelation& relation,
                                    std::size_t max_cache_bytes,
                                    bool use_partitions)
     : ctx_(ctx),
+      checks_base_(ctx.checks()),
       max_cache_bytes_(max_cache_bytes),
       use_partitions_(use_partitions),
       lists_(&ctx),
@@ -166,11 +167,6 @@ bool PartitionChecker::ChargeShare(std::size_t bytes) {
   if (!ctx_.ChargeMemory(bytes)) return false;
   prof::AddAlloc(bytes);
   return true;
-}
-
-void PartitionChecker::Count(std::uint64_t n) const {
-  checks_.fetch_add(n, std::memory_order_relaxed);
-  ctx_.CountCheck(n);
 }
 
 std::vector<PartitionChecker::CheckSlot*> PartitionChecker::Prepare(
@@ -369,7 +365,6 @@ CandidateOutcome PartitionChecker::CheckOcdAndOds(ListId x, ListId y,
   CandidateOutcome out;
   const PartId ix = lists_.part(x);
   const PartId iy = lists_.part(y);
-  Count(1);
   if (ix != kNoPartId && iy != kNoPartId) {
     // One row pass fills both directions' extremes: the swap bit answers
     // the OCD single check, the full outcomes both embedded ODs.
@@ -390,27 +385,26 @@ CandidateOutcome PartitionChecker::CheckOcdAndOds(ListId x, ListId y,
     }
     out.ocd_valid = !xy.has_swap;
     if (out.ocd_valid) {
-      Count(2);
       out.od_xy = xy.valid();
       out.od_yx = yx.valid();
     }
-    return out;
+  } else {
+    const AttributeList& lx = lists_.list(x);
+    const AttributeList& ly = lists_.list(y);
+    out.ocd_valid = sorter_.HoldsOcd(lx, ly);
+    if (out.ocd_valid) {
+      out.od_xy = sorter_.HoldsOd(lx, ly);
+      out.od_yx = sorter_.HoldsOd(ly, lx);
+    }
   }
-  const AttributeList& lx = lists_.list(x);
-  const AttributeList& ly = lists_.list(y);
-  out.ocd_valid = sorter_.HoldsOcd(lx, ly);
-  if (out.ocd_valid) {
-    Count(2);
-    out.od_xy = sorter_.HoldsOd(lx, ly);
-    out.od_yx = sorter_.HoldsOd(ly, lx);
-  }
+  ctx_.CountCheck(out.ocd_valid ? 3 : 1);
   return out;
 }
 
 OdCheckOutcome PartitionChecker::CheckOd(ListId lhs, ListId rhs) const {
   const PartId il = lists_.part(lhs);
   const PartId ir = lists_.part(rhs);
-  Count(1);
+  ctx_.CountCheck(1);
   if (il == kNoPartId || ir == kNoPartId) {
     return sorter_.CheckOd(lists_.list(lhs), lists_.list(rhs),
                            /*early_exit=*/false);

@@ -1,7 +1,6 @@
 #ifndef OCDD_CORE_PARTITION_CHECKER_H_
 #define OCDD_CORE_PARTITION_CHECKER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -137,8 +136,9 @@ struct CandidateOutcome {
 /// sorting (a vector) or to an unmemoised kernel run (a slot) and never
 /// latches `kMemoryBudget`; the destructor returns the charge. The table
 /// charges its lists itself (list_table.h) and the cache yields to it.
-/// Every check counts on `num_checks()` and on the RunContext check
-/// budget, memoised or not.
+/// Every check counts on the RunContext, and so on `num_checks()` and the
+/// check budget, memoised or not; a candidate's checks count once it has
+/// been checked, as one add.
 ///
 /// `Prepare` and the table's writers must not overlap the checks; the
 /// `Check*` methods are const and may run concurrently from pool workers
@@ -189,9 +189,10 @@ class PartitionChecker {
   /// 1 check.
   OdCheckOutcome CheckOd(ListId lhs, ListId rhs) const;
 
-  std::uint64_t num_checks() const {
-    return checks_.load(std::memory_order_relaxed);
-  }
+  /// Checks counted on the RunContext since the checker was built, so
+  /// rows the ingest rejected on the same context stay out. No other walk
+  /// may count on the context meanwhile; none shares one.
+  std::uint64_t num_checks() const { return ctx_.checks() - checks_base_; }
 
   /// Bytes the cache holds and has charged: the distinct vectors, which
   /// are kept for the whole walk, and the current level's memo slots.
@@ -225,9 +226,9 @@ class PartitionChecker {
   /// Charges `bytes` to the RunContext budget within the half that the
   /// cache, the compact copy and the list table share.
   bool ChargeShare(std::size_t bytes);
-  void Count(std::uint64_t n) const;
 
   RunContext& ctx_;
+  const std::uint64_t checks_base_;
   const std::size_t max_cache_bytes_;
   const bool use_partitions_;
   ListTable lists_;
@@ -237,7 +238,6 @@ class PartitionChecker {
   const std::optional<rel::CodedRelation> distinct_;
   const rel::CodedRelation& relation_;  // *distinct_, else the input
   OrderChecker sorter_;
-  mutable std::atomic<std::uint64_t> checks_{0};
   std::vector<ListPartition> parts_;
   std::unordered_multimap<std::uint64_t, PartId> by_content_;
   std::unordered_map<std::uint64_t, PartId> refined_;

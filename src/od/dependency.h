@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "od/attribute_list.h"
@@ -36,9 +37,14 @@ struct OrderCompatibility {
   AttributeList lhs;
   AttributeList rhs;
 
-  OrderCompatibility Canonical() const {
+  OrderCompatibility Canonical() const& {
     if (rhs < lhs) return {rhs, lhs};
     return *this;
+  }
+  /// Swaps the sides in place rather than copying them.
+  OrderCompatibility Canonical() && {
+    if (rhs < lhs) std::swap(lhs, rhs);
+    return std::move(*this);
   }
 
   std::string ToString(const rel::CodedRelation& relation) const;

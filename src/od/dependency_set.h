@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "od/dependency.h"
@@ -26,7 +27,7 @@ class DependencyStore {
  public:
   void AddOd(OrderDependency od) { ods_.push_back(std::move(od)); }
   void AddOcd(OrderCompatibility ocd) {
-    ocds_.push_back(ocd.Canonical());
+    ocds_.push_back(std::move(ocd).Canonical());
   }
   void AddFd(FunctionalDependency fd) { fds_.push_back(std::move(fd)); }
   void AddCanonicalOd(CanonicalOd od) { canonical_.push_back(std::move(od)); }
@@ -41,6 +42,12 @@ class DependencyStore {
   const std::vector<OrderCompatibility>& ocds() const { return ocds_; }
   const std::vector<FunctionalDependency>& fds() const { return fds_; }
   const std::vector<CanonicalOd>& canonical_ods() const { return canonical_; }
+
+  /// Moves the ODs or OCDs out, leaving that collection empty.
+  std::vector<OrderDependency> TakeOds() { return std::exchange(ods_, {}); }
+  std::vector<OrderCompatibility> TakeOcds() {
+    return std::exchange(ocds_, {});
+  }
 
   std::size_t TotalCount() const {
     return ods_.size() + ocds_.size() + fds_.size() + canonical_.size();

@@ -310,10 +310,11 @@ class RecordScanner {
     return field;
   }
 
-  /// Marks the record bad and resynchronizes at the next raw '\n' after
-  /// `offset`. The scan is quote-blind: once a record is structurally
-  /// broken its quote state cannot be trusted, and a plain line boundary is
-  /// the recovery point that salvages the most subsequent rows.
+  /// Marks the record bad and resynchronizes at the next raw line end
+  /// (LF, CR or CRLF) after `offset`. The scan is quote-blind: once a
+  /// record is structurally broken its quote state cannot be trusted, and a
+  /// plain line boundary is the recovery point that salvages the most
+  /// subsequent rows.
   void Fail(RawRecord* rec, IngestErrorCode code, std::size_t offset,
             std::uint64_t column, std::string detail) {
     rec->ok = false;
@@ -322,11 +323,16 @@ class RecordScanner {
     rec->error.row = rec->row;
     rec->error.column = column;
     rec->error.detail = std::move(detail);
-    const std::size_t term = text_.find('\n', offset);
+    const std::size_t term = text_.find_first_of("\r\n", offset);
     if (term == std::string_view::npos) {
       rec->end = text_.size();
       pos_ = text_.size();
+    } else if (text_[term] == '\r') {
+      rec->end = term;
+      pos_ = term + ((term + 1 < text_.size() && text_[term + 1] == '\n') ? 2
+                                                                          : 1);
     } else {
+      // An LF at `offset` may follow a CR the scan passed inside quotes.
       rec->end = (term > rec->begin && text_[term - 1] == '\r') ? term - 1
                                                                 : term;
       pos_ = term + 1;
@@ -411,7 +417,9 @@ Result<CsvRead> ParseCsv(std::string_view text, const CsvOptions& options) {
       report.quarantined_rows.emplace_back(
           text.substr(bad.begin, bad.end - bad.begin));
     }
-    if (options.run_context != nullptr && options.run_context->CountCheck(1)) {
+    if (options.run_context != nullptr &&
+        (options.run_context->CountCheck(1) ||
+         options.run_context->ShouldStop())) {
       return Status::ResourceExhausted(
           "ingest stopped after " + std::to_string(report.rows_rejected) +
           " rejected rows (" +

@@ -384,6 +384,48 @@ TEST(CsvPolicyTest, RecoveryAfterBrokenQuoteSalvagesLaterRows) {
   EXPECT_EQ(r->report.rejected_by_code.count("field_too_large"), 1u);
 }
 
+TEST(CsvPolicyTest, RecoveryResyncsAtEveryLineEnd) {
+  // A quote left open takes its record up to the next line end, whichever
+  // terminator the file uses, and no further.
+  const std::string lf = "a,b\n1,2\n\"3,4\n5,6\n7,8\n9,10\n";
+  for (const char* eol : {"\n", "\r", "\r\n"}) {
+    SCOPED_TRACE(testing::PrintToString(std::string(eol)));
+    std::string text;
+    for (char c : lf) text += c == '\n' ? std::string(eol) : std::string(1, c);
+    CsvOptions opts;
+    opts.on_bad_row = BadRowPolicy::kQuarantine;
+    auto r = ReadCsvWithReport(text, opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->relation.num_rows(), 4u);
+    EXPECT_EQ(r->report.rows_ingested, 4u);
+    EXPECT_EQ(r->report.rows_rejected, 1u);
+    EXPECT_EQ(r->report.rejected_by_code.count("unterminated_quote"), 1u);
+    ASSERT_EQ(r->report.quarantined_rows.size(), 1u);
+    EXPECT_EQ(r->report.quarantined_rows[0], "\"3,4");
+    ASSERT_EQ(r->report.samples.size(), 1u);
+    const IngestError& e = r->report.samples[0];
+    EXPECT_EQ(e.row, 3u);
+    EXPECT_EQ(e.excerpt, "\"3,4");
+    // The bad record starts after two lines of this file's line ends.
+    EXPECT_EQ(e.byte_offset, 8u + 2 * (std::string(eol).size() - 1));
+  }
+}
+
+TEST(CsvPolicyTest, RecoveryResyncsAtALoneCrInAnLfFile) {
+  // Recovery is quote-blind, and outside quotes the scanner ends a record
+  // at a lone CR whatever the file's other line ends are; so the open
+  // quote's record ends there, and "5,6" after it is a record of its own.
+  CsvOptions opts;
+  opts.on_bad_row = BadRowPolicy::kQuarantine;
+  auto r = ReadCsvWithReport("a,b\n1,2\n\"3,4\r5,6\n7,8\n", opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->report.rows_ingested, 3u);
+  EXPECT_EQ(r->report.rows_rejected, 1u);
+  ASSERT_EQ(r->report.quarantined_rows.size(), 1u);
+  EXPECT_EQ(r->report.quarantined_rows[0], "\"3,4");
+  ASSERT_EQ(r->relation.num_rows(), 3u);
+}
+
 TEST(CsvPolicyTest, BadHeaderIsFatalUnderEveryPolicy) {
   for (BadRowPolicy policy : {BadRowPolicy::kFail, BadRowPolicy::kSkip,
                               BadRowPolicy::kQuarantine}) {

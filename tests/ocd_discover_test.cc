@@ -9,6 +9,7 @@
 #include "datagen/registry.h"
 #include "od/brute_force.h"
 #include "od/inference.h"
+#include "relation/csv.h"
 #include "test_util.h"
 
 namespace ocdd::core {
@@ -176,6 +177,55 @@ TEST(OcdDiscoverTest, ChecksAreCounted) {
   // Level 2 has 3 candidate pairs → at least 3 OCD checks.
   EXPECT_GE(result.num_checks, 3u);
   EXPECT_GE(result.candidates_generated, 3u);
+}
+
+TEST(OcdDiscoverTest, ThreadCountChangesNoCountOrClaim) {
+  // Each worker counts its checks on a tally of its own; the sum, and the
+  // claims, must not depend on how many workers shared the checks.
+  for (const char* name : {"LATTICE", "DBTESMA"}) {
+    SCOPED_TRACE(name);
+    auto data = datagen::MakeDataset(name, 2000, 42);
+    ASSERT_TRUE(data.ok());
+    const CodedRelation r = CodedRelation::Encode(*data);
+    const OcdDiscoverResult one = DiscoverOcds(r);
+    ASSERT_TRUE(one.completed);
+    ASSERT_GT(one.num_checks, 0u);
+    for (std::size_t threads : {2, 4, 8}) {
+      SCOPED_TRACE(threads);
+      OcdDiscoverOptions opts;
+      opts.num_threads = threads;
+      const OcdDiscoverResult many = DiscoverOcds(r, opts);
+      EXPECT_TRUE(many.completed);
+      EXPECT_EQ(many.num_checks, one.num_checks);
+      EXPECT_EQ(many.stop_state.checks, one.stop_state.checks);
+      EXPECT_EQ(many.candidates_generated, one.candidates_generated);
+      EXPECT_EQ(many.ocds, one.ocds);
+      EXPECT_EQ(many.ods, one.ods);
+    }
+  }
+}
+
+TEST(OcdDiscoverTest, ChecksLeaveOutRowsIngestRejected) {
+  // Ingest counts each rejected row on the run's context; the walk's
+  // `num_checks` counts only its own checks.
+  rel::CsvOptions csv;
+  csv.on_bad_row = rel::BadRowPolicy::kSkip;
+  RunContext ctx;
+  csv.run_context = &ctx;
+  auto read = rel::ReadCsvWithReport(
+      "a,b,c\n1,2,3\nbad\n2,1,3\nworse\n3,3,1\n4,4,2\n", csv);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read->report.rows_rejected, 2u);
+  ASSERT_EQ(ctx.checks(), 2u);
+  const CodedRelation r = CodedRelation::Encode(read->relation);
+
+  const OcdDiscoverResult fresh = DiscoverOcds(r);
+  OcdDiscoverOptions opts;
+  opts.run_context = &ctx;
+  const OcdDiscoverResult shared = DiscoverOcds(r, opts);
+  EXPECT_EQ(shared.num_checks, fresh.num_checks);
+  EXPECT_EQ(shared.stop_state.checks, fresh.num_checks);
+  EXPECT_EQ(ctx.checks(), 2u + fresh.num_checks);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/io_env.h"
+#include "common/thread_pool.h"
 
 namespace ocdd {
 namespace {
@@ -149,6 +150,84 @@ TEST(RunContextTest, ConcurrentRequestStopLatchesExactlyOne) {
     for (auto& t : threads) t.join();
     EXPECT_EQ(winners.load(), 1);
     EXPECT_EQ(ctx.stop_reason(), winning_reason.load());
+  }
+}
+
+TEST(RunContextTest, ConcurrentCountsSumExactly) {
+  RunContext ctx;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&ctx] {
+      for (int i = 0; i < 100'000; ++i) EXPECT_FALSE(ctx.CountCheck(1));
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(ctx.checks(), 800'000u);
+  EXPECT_EQ(ctx.stop_reason(), StopReason::kNone);
+}
+
+TEST(RunContextTest, ResetZeroesEveryThreadsTally) {
+  RunContext ctx;
+  auto count_on_threads = [&ctx](std::uint64_t each) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&ctx, each] { (void)ctx.CountCheck(each); });
+    }
+    for (auto& t : threads) t.join();
+  };
+  count_on_threads(5);
+  (void)ctx.CountCheck(1);
+  ASSERT_EQ(ctx.checks(), 21u);
+  ctx.Reset();
+  EXPECT_EQ(ctx.checks(), 0u);
+  count_on_threads(3);
+  EXPECT_EQ(ctx.checks(), 12u);
+}
+
+TEST(RunContextTest, CountCheckPollsOnlyUnderABudget) {
+  RunContext unbudgeted;
+  unbudgeted.set_deadline(std::chrono::steady_clock::now() -
+                          std::chrono::milliseconds(1));
+  EXPECT_FALSE(unbudgeted.CountCheck(1));  // counts, polls nothing
+  EXPECT_EQ(unbudgeted.stop_reason(), StopReason::kNone);
+  EXPECT_TRUE(unbudgeted.ShouldStop());
+  EXPECT_EQ(unbudgeted.stop_reason(), StopReason::kDeadline);
+
+  RunContext budgeted;
+  budgeted.set_check_budget(3);
+  EXPECT_FALSE(budgeted.CountCheck(2));
+  EXPECT_TRUE(budgeted.CountCheck(1));  // the check that spends the budget
+  EXPECT_EQ(budgeted.stop_reason(), StopReason::kCheckBudget);
+  EXPECT_EQ(budgeted.checks(), 3u);
+}
+
+TEST(RunContextTest, BudgetCrossedByPoolWorkersLatchesOnce) {
+  // Workers poll before each candidate and count its 1 or 3 checks after
+  // it, as the lattice walk does. The count that reaches the budget latches
+  // it; each other worker may finish the candidate it had started.
+  constexpr std::uint64_t kBudget = 1'000;
+  constexpr std::uint64_t kLargestCount = 3;
+  constexpr std::size_t kWorkers = 4;
+  for (int round = 0; round < 20; ++round) {
+    RunContext ctx;
+    ctx.set_check_budget(kBudget);
+    ThreadPool pool(kWorkers);
+    std::atomic<std::uint64_t> latched_by_count{0};
+    ASSERT_TRUE(pool.ParallelFor(10 * kBudget, [&](std::size_t i) {
+                      if (ctx.ShouldStop()) return;
+                      if (ctx.CountCheck(i % 2 == 0 ? 1 : kLargestCount)) {
+                        latched_by_count.fetch_add(1);
+                      }
+                    })
+                    .ok());
+    EXPECT_EQ(ctx.stop_reason(), StopReason::kCheckBudget);
+    EXPECT_FALSE(ctx.RequestStop(StopReason::kCheckBudget));
+    EXPECT_GE(ctx.checks(), kBudget);
+    // The latching count ends below kBudget + kLargestCount; each other
+    // worker adds at most one more count.
+    EXPECT_LT(ctx.checks(), kBudget + kLargestCount * kWorkers);
+    EXPECT_GE(latched_by_count.load(), 1u);
+    EXPECT_LE(latched_by_count.load(), kWorkers);
   }
 }
 

@@ -46,6 +46,12 @@ run_one() {
   ctest --test-dir "${dir}" --output-on-failure \
         -R "serve_disk|io_env|io_fault_sweep|crash_consistency|fsck" \
         --repeat until-fail:3
+  # Check counting: pool workers count on per-thread tallies of one
+  # RunContext and race the budget latch; repeat the suites that share it.
+  echo "==> ${preset}: check counting across pool workers (repeated)"
+  ctest --test-dir "${dir}" --output-on-failure \
+        -R "run_context|partition_checker|ocd_discover|perf_smoke" \
+        --repeat until-fail:5
   # SIMD backend passes: the check-kernel suites once with the scalar
   # fallback pinned (OCDD_SIMD=off) and once with AVX2 explicitly
   # requested. The AVX2 request degrades silently to scalar on CPUs
