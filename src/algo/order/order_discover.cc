@@ -1,12 +1,13 @@
 #include "algo/order/order_discover.h"
 
+#include <memory>
 #include <utility>
 
 #include "common/run_context.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/level_walk.h"
 #include "core/partition_checker.h"
-#include "od/dependency_set.h"
 
 namespace ocdd::algo {
 
@@ -25,7 +26,7 @@ struct OrderRules {
 
   const core::ListTable& lists;
   std::size_t num_columns;
-  std::vector<od::OrderDependency>& ods;
+  std::vector<Candidate>& ods;
 
   /// Level 2: every ordered pair (A, B), A ≠ B — direction matters for ODs.
   std::vector<std::pair<rel::ColumnId, rel::ColumnId>> SeedPairs() const {
@@ -44,9 +45,7 @@ struct OrderRules {
   }
 
   void Emit(Candidate c, const Outcome& outcome) {
-    if (outcome.valid()) {
-      ods.push_back(od::OrderDependency{lists.list(c.x), lists.list(c.y)});
-    }
+    if (outcome.valid()) ods.push_back(c);
   }
 
   /// Valid: extend the RHS only (X → YA is not implied by X → Y, but
@@ -75,12 +74,20 @@ OrderDiscoverResult DiscoverOrderDependencies(
       options.run_context != nullptr ? *options.run_context : local_ctx;
   core::PartitionChecker checker(relation, ctx,
                                  options.max_partition_cache_bytes);
-  OrderRules rules{checker.lists(), relation.num_columns(), result.ods};
+  const core::ListTable& lists = checker.lists();
+  std::vector<Candidate> ods;
+  OrderRules rules{lists, relation.num_columns(), ods};
+  std::unique_ptr<ThreadPool> pool;
+  if (options.num_threads > 1) {
+    pool = std::make_unique<ThreadPool>(options.num_threads);
+  }
   core::LevelWalk<OrderRules> walk("order", rules, checker, ctx, result,
-                                   options.max_level);
+                                   options.max_level, pool.get());
   walk.Seed();
   walk.Run([] {});
-  od::SortUnique(result.ods);
+  for (const Candidate& c : core::SortPairs(ods, lists.LexRanks(), false)) {
+    result.ods.push_back(od::OrderDependency{lists.list(c.x), lists.list(c.y)});
+  }
   result.elapsed_seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -20,6 +20,10 @@ struct OrderDiscoverOptions {
 
   std::size_t max_level = 0;           ///< cap on |X|+|Y| (0 = unlimited)
 
+  /// Worker threads for candidate checking and expansion; 1 = sequential.
+  /// Results and counts never depend on it.
+  std::size_t num_threads = 1;
+
   /// Byte budget of the sorted-partition cache candidates are checked
   /// with (core/partition_checker.h); lists that do not fit are checked by
   /// sorting. 0 = unlimited.

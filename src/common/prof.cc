@@ -141,6 +141,7 @@ double CyclesPerSecond() {
 const char* PhaseName(Phase phase) {
   switch (phase) {
     case Phase::kIngest: return "ingest";
+    case Phase::kSynthesize: return "synthesize";
     case Phase::kEncode: return "encode";
     case Phase::kPlan: return "partition.plan";
     case Phase::kRefine: return "partition.refine";

@@ -32,6 +32,7 @@ namespace ocdd::prof {
 /// The instrumented phases. Keep in sync with `PhaseName`.
 enum class Phase : std::uint8_t {
   kIngest = 0,     // CSV read, scan, type inference and column fill
+  kSynthesize,     // a registry dataset's generation (a source, not a CSV)
   kEncode,         // dictionary encoding / narrow-mirror builds
   kPlan,           // per-level partition planning (sequential)
   kRefine,         // partition refinement kernels

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
@@ -26,6 +27,14 @@ inline constexpr std::size_t kMaxCandidatesPerLevel = 4'000'000;
 /// The side of a candidate `x ~ y` that a child extends by one column.
 enum class Side : std::uint8_t { kX, kY };
 
+/// The claims of a list walk by id, in emission order: OCDs `x ~ y` and ODs
+/// `x → y`. The walk copies no list per claim; `SortPairs` orders the
+/// claims once, after the walk, and only the output materialises lists.
+struct IdClaims {
+  std::vector<Candidate> ocds;
+  std::vector<Candidate> ods;
+};
+
 /// The counters every lattice walk reports; each walk's result extends it.
 struct WalkCounters {
   /// Checks performed — the `#checks` column of Table 6.
@@ -48,12 +57,15 @@ struct WalkCounters {
 /// The breadth-first lattice walk of Algorithm 1, which ORDER (§5.3.1) and
 /// polarized discovery run too. Per level it runs the level-boundary hook
 /// and polls the stops; checks every candidate with `Rules::Check`, on
-/// `pool` when given (§4.2.2); emits every checked candidate with
-/// `Rules::Emit` and counts the children `Rules::Expand` names; then stops
-/// with `kLevelCap`, building nothing, when level `max_level` has a child
-/// or the level has more than `kMaxCandidatesPerLevel`, and otherwise
-/// builds the next level. Injection points `<name>.level`, `<name>.check`
-/// and `<name>.generate` mark the three phases. A stop keeps every
+/// `pool` when given (§4.2.2); counts the children `Rules::Expand` names
+/// for every checked candidate, on the pool too; emits every checked
+/// candidate with `Rules::Emit`, in level order on the calling thread; then
+/// stops with `kLevelCap`, building nothing, when level `max_level` has a
+/// child or the level has more than `kMaxCandidatesPerLevel`, and otherwise
+/// lists the children on the pool and interns them in level order, so
+/// list ids and the next level's order never depend on the thread count.
+/// Injection points `<name>.level`, `<name>.check` and `<name>.generate`
+/// (once per emitted candidate) mark the three phases. A stop keeps every
 /// dependency emitted so far; a level whose checks were cut short builds
 /// nothing.
 ///
@@ -66,7 +78,8 @@ struct WalkCounters {
 ///                   PartitionChecker::CheckSlot*) const;  // thread-safe
 ///     void Emit(Candidate, const Outcome&);
 ///     template <typename Child>  // child(Side, rel::ColumnId), in order
-///     void Expand(Candidate, const Outcome&, Child&& child) const;
+///     void Expand(Candidate, const Outcome&,
+///                 Child&& child) const;  // thread-safe
 template <typename Rules>
 class LevelWalk {
  public:
@@ -126,56 +139,77 @@ class LevelWalk {
         const std::vector<PartitionChecker::CheckSlot*> slots =
             checker_.Prepare(level_.candidates(), pool_,
                              Rules::kMemoizeChecks);
-        std::vector<Checked> checked(level_.size());
+        const std::size_t n = level_.size();
+        std::vector<Checked> checked(n);
         // The one poll of a check; counting it polls again only under a
         // check budget.
-        auto check_one = [&](std::size_t i) {
-          if (ctx_.ShouldStop()) return;
-          ctx_.AtInjectionPoint(check_point_.c_str());
-          checked[i] = rules_.Check(checker_, level_[i], slots[i]);
-        };
-        if (pool_ == nullptr) {
-          for (std::size_t i = 0; i < level_.size(); ++i) check_one(i);
-        } else if (!pool_->ParallelFor(level_.size(), check_one).ok()) {
+        if (!ForEach(n, [&](std::size_t i) {
+              if (ctx_.ShouldStop()) return;
+              ctx_.AtInjectionPoint(check_point_.c_str());
+              checked[i] = rules_.Check(checker_, level_[i], slots[i]);
+            })) {
           // A check threw on a worker; the pool contained it.
           ctx_.RequestStop(StopReason::kFaultInjected);
         }
         const bool interrupted = ctx_.stop_requested();
 
-        // Emission, then the count of children: any child of the capped
-        // last level stops the walk, elsewhere more than the candidate
-        // cap do.
+        // The children of the checked candidates, counted on the pool: any
+        // child of the capped last level stops the walk, elsewhere more
+        // than the candidate cap do. Then emission, in level order.
         const bool last_level =
             max_level_ != 0 && current_level_ >= max_level_;
         const std::size_t room = last_level ? 0 : kMaxCandidatesPerLevel;
         prof::ScopedTimer generate_timer(prof::Phase::kGenerate);
-        std::size_t children = 0;
-        bool capped = false;
-        for (std::size_t i = 0; i < level_.size(); ++i) {
+        // Candidate i's children are children[first[i], first[i + 1]),
+        // each its column shifted left once, plus 1 on side y.
+        std::vector<std::size_t> first(n + 1, 0);
+        std::vector<std::uint32_t> children;
+        bool expanded =
+            !interrupted && ForEach(n, [&](std::size_t i) {
+              if (!checked[i]) return;
+              rules_.Expand(level_[i], *checked[i],
+                            [&](Side, rel::ColumnId) { ++first[i + 1]; });
+            });
+        std::partial_sum(first.begin(), first.end(), first.begin());
+        const bool capped = first.back() > room;
+        if (expanded && !capped && first.back() > 0) {
+          children.resize(first.back());
+          expanded = ForEach(n, [&](std::size_t i) {
+            if (!checked[i]) return;
+            std::uint32_t* out = children.data() + first[i];
+            rules_.Expand(level_[i], *checked[i],
+                          [&](Side side, rel::ColumnId a) {
+                            *out++ = static_cast<std::uint32_t>(a) << 1 |
+                                     (side == Side::kY ? 1u : 0u);
+                          });
+          });
+        }
+        if (!interrupted && !expanded) {
+          // An expansion threw on a worker; the pool contained it.
+          ctx_.RequestStop(StopReason::kFaultInjected);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
           if (!checked[i]) continue;
           ctx_.AtInjectionPoint(generate_point_.c_str());
           rules_.Emit(level_[i], *checked[i]);
-          if (interrupted || capped) continue;
-          rules_.Expand(level_[i], *checked[i],
-                        [&](Side, rel::ColumnId) { ++children; });
-          capped = children > room;
         }
-        if (interrupted) break;
+        if (!expanded) break;
         counters_.levels_completed = current_level_;
         ++current_level_;
         if (capped) cap = StopReason::kLevelCap;
 
-        // Build the next level, until a charge is refused.
+        // Intern the children in level order, until a charge is refused.
         ListTable& lists = checker_.lists();
         Frontier next(lists, ctx_);
-        bool ok = children > 0 && !capped;
-        for (std::size_t i = 0; i < level_.size() && ok; ++i) {
+        next.Reserve(children.size());
+        bool ok = !children.empty();
+        for (std::size_t i = 0; i < n && ok; ++i) {
           const Candidate c = level_[i];
-          rules_.Expand(c, *checked[i], [&](Side side, rel::ColumnId a) {
-            if (!ok) return;
-            ok = side == Side::kX ? next.Add(lists.Child(c.x, a), c.y)
-                                  : next.Add(c.x, lists.Child(c.y, a));
-          });
+          for (std::size_t k = first[i]; k < first[i + 1] && ok; ++k) {
+            const rel::ColumnId a = children[k] >> 1;
+            ok = (children[k] & 1) != 0 ? next.Add(c.x, lists.Child(c.y, a))
+                                        : next.Add(lists.Child(c.x, a), c.y);
+          }
         }
         counters_.candidates_generated += next.size();
         level_ = std::move(next);
@@ -202,6 +236,18 @@ class LevelWalk {
  private:
   // Empty when a stop came before the check.
   using Checked = std::optional<typename Rules::Outcome>;
+
+  /// Runs `fn(i)` for every i below `n`, on the pool when the walk has one;
+  /// false when a call threw on a worker (the pool contained it). Without
+  /// a pool a throw propagates.
+  template <typename Fn>
+  bool ForEach(std::size_t n, const Fn& fn) const {
+    if (pool_ == nullptr) {
+      for (std::size_t i = 0; i < n; ++i) fn(i);
+      return true;
+    }
+    return pool_->ParallelFor(n, fn).ok();
+  }
 
   Rules& rules_;
   PartitionChecker& checker_;

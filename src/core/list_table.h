@@ -23,6 +23,18 @@ inline std::uint64_t PairKey(std::uint32_t hi, std::uint32_t lo) {
   return (static_cast<std::uint64_t>(hi) << 32) | lo;
 }
 
+/// One candidate of a lattice walk, or one claim it emits: the interned
+/// lists of `x ~ y` (ORDER reads it as `x → y`), ids of the walk's
+/// `ListTable`.
+struct Candidate {
+  ListId x = kNoListId;
+  ListId y = kNoListId;
+
+  friend bool operator==(const Candidate& a, const Candidate& b) {
+    return a.x == b.x && a.y == b.y;
+  }
+};
+
 /// Open-addressing index of dense 32-bit ids whose keys the caller keeps
 /// (ids `0..n-1`, each with a 64-bit key): one flat array of ids, linear
 /// probing, at most half full, so a slot costs 4 bytes. The caller's
@@ -47,6 +59,14 @@ class IdIndex {
 
   /// Heap bytes `Reserve(count)` allocates (0 when it does not grow).
   std::size_t GrowthBytes(std::size_t count) const;
+
+  /// Sizes an empty index for `count` ids, so that adding them grows
+  /// nothing.
+  void Presize(std::size_t count) {
+    std::size_t size = slots_.size();
+    while (2 * count > size) size *= 2;
+    slots_.assign(size, kEmpty);
+  }
 
   /// Grows the index, if `count` ids would pass half full, and re-inserts
   /// ids `0..count-1` under `key_of(id)`; true when it grew.
@@ -124,6 +144,13 @@ class ListTable {
 
   std::size_t size() const { return nodes_.size(); }
 
+  /// Each list's place in the lexicographic order of the table's lists
+  /// (`od::AttributeList`'s `<`), by id: the preorder of the prefix trie,
+  /// with each list's children in column order. `column_rank[c]`, when
+  /// given, orders column `c` in place of its id.
+  std::vector<std::uint32_t> LexRanks(
+      const std::vector<std::uint32_t>& column_rank = {}) const;
+
   /// Bytes charged to the RunContext.
   std::size_t charged_bytes() const { return charged_; }
 
@@ -144,6 +171,15 @@ class ListTable {
   IdIndex index_;                        // by (parent id, column)
   std::size_t charged_ = 0;
 };
+
+/// `pairs` in the lexicographic order of their lists, each once, with
+/// `rank` from `ListTable::LexRanks`. Two lists are equal exactly when their
+/// ids are, so the order is that of the materialised pairs. `symmetric`
+/// first puts each pair's lesser list first, as
+/// `od::OrderCompatibility::Canonical` does.
+std::vector<Candidate> SortPairs(const std::vector<Candidate>& pairs,
+                                 const std::vector<std::uint32_t>& rank,
+                                 bool symmetric);
 
 }  // namespace ocdd::core
 

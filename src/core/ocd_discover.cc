@@ -10,7 +10,6 @@
 #include "common/timer.h"
 #include "core/level_walk.h"
 #include "core/partition_checker.h"
-#include "od/dependency_set.h"
 
 namespace ocdd::core {
 
@@ -29,7 +28,7 @@ struct OcdRules {
   const ListTable& lists;
   const std::vector<ColumnId>& universe;
   bool apply_od_pruning;
-  od::DependencyStore& store;
+  IdClaims& claims;
 
   /// Level 2: all unordered single-attribute pairs (Algorithm 1 line 4).
   std::vector<std::pair<ColumnId, ColumnId>> SeedPairs() const {
@@ -49,11 +48,9 @@ struct OcdRules {
 
   void Emit(Candidate c, const Outcome& r) {
     if (!r.ocd_valid) return;
-    const AttributeList& x = lists.list(c.x);
-    const AttributeList& y = lists.list(c.y);
-    store.AddOcd(od::OrderCompatibility{x, y});
-    if (r.od_xy) store.AddOd(od::OrderDependency{x, y});
-    if (r.od_yx) store.AddOd(od::OrderDependency{y, x});
+    claims.ocds.push_back(c);
+    if (r.od_xy) claims.ods.push_back(c);
+    if (r.od_yx) claims.ods.push_back(Candidate{c.y, c.x});
   }
 
   template <typename Child>
@@ -94,7 +91,7 @@ OcdDiscoverResult DiscoverOcds(const rel::CodedRelation& relation,
       options.run_context != nullptr ? *options.run_context : local_ctx;
   PartitionChecker checker(relation, ctx, options.max_partition_cache_bytes,
                            options.use_sorted_partitions);
-  const ListTable& lists = checker.lists();
+  ListTable& lists = checker.lists();
 
   if (options.apply_column_reduction) {
     result.reduction = ReduceColumns(relation);
@@ -104,9 +101,9 @@ OcdDiscoverResult DiscoverOcds(const rel::CodedRelation& relation,
     }
   }
 
-  od::DependencyStore store;
+  IdClaims claims;
   OcdRules rules{lists, result.reduction.reduced_universe,
-                 options.apply_od_pruning, store};
+                 options.apply_od_pruning, claims};
   std::unique_ptr<ThreadPool> pool;
   if (options.num_threads > 1) {
     pool = std::make_unique<ThreadPool>(options.num_threads);
@@ -145,16 +142,18 @@ OcdDiscoverResult DiscoverOcds(const rel::CodedRelation& relation,
       fr.IdVec(lists.list(c.y).ids());
     }
     b.AddSection("frontier", fr.Take());
+    // The claims in emission order, each OCD's lesser side first.
     ByteWriter cl;
-    cl.U32(static_cast<std::uint32_t>(store.ods().size()));
-    for (const od::OrderDependency& d : store.ods()) {
-      cl.IdVec(d.lhs.ids());
-      cl.IdVec(d.rhs.ids());
+    cl.U32(static_cast<std::uint32_t>(claims.ods.size()));
+    for (const Candidate& d : claims.ods) {
+      cl.IdVec(lists.list(d.x).ids());
+      cl.IdVec(lists.list(d.y).ids());
     }
-    cl.U32(static_cast<std::uint32_t>(store.ocds().size()));
-    for (const od::OrderCompatibility& d : store.ocds()) {
-      cl.IdVec(d.lhs.ids());
-      cl.IdVec(d.rhs.ids());
+    cl.U32(static_cast<std::uint32_t>(claims.ocds.size()));
+    for (const Candidate& d : claims.ocds) {
+      const bool swap = lists.list(d.y) < lists.list(d.x);
+      cl.IdVec(lists.list(swap ? d.y : d.x).ids());
+      cl.IdVec(lists.list(swap ? d.x : d.y).ids());
     }
     b.AddSection("claims", cl.Take());
     return b.Encode();
@@ -208,24 +207,35 @@ OcdDiscoverResult DiscoverOcds(const rel::CodedRelation& relation,
       return false;
     }
     ByteReader cl(*cl_s);
-    od::DependencyStore claims;
+    std::vector<std::pair<AttributeList, AttributeList>> ods;
+    std::vector<std::pair<AttributeList, AttributeList>> ocds;
     ReadPairs(cl, [&](AttributeList lhs, AttributeList rhs) {
-      claims.AddOd(od::OrderDependency{std::move(lhs), std::move(rhs)});
+      ods.emplace_back(std::move(lhs), std::move(rhs));
     });
     ReadPairs(cl, [&](AttributeList lhs, AttributeList rhs) {
-      claims.AddOcd(od::OrderCompatibility{std::move(lhs), std::move(rhs)});
+      ocds.emplace_back(std::move(lhs), std::move(rhs));
     });
     if (!cl.ok()) {
       ck.warning = "resume skipped: snapshot claims damaged";
       return false;
     }
-    // Commit: the walk interns the frontier's lists and replays its memory
-    // charge, then the state is adopted.
+    // Commit: the claims' lists are interned, then the walk interns the
+    // frontier's lists and replays its memory charge, and the state is
+    // adopted. A refused charge has latched `kMemoryBudget`, which ends
+    // the run with the claims interned so far.
+    auto intern = [&](const auto& pairs, std::vector<Candidate>& into) {
+      for (const auto& [x, y] : pairs) {
+        const Candidate c{lists.Intern(x), lists.Intern(y)};
+        if (c.x == kNoListId || c.y == kNoListId) return;
+        into.push_back(c);
+      }
+    };
+    intern(ods, claims.ods);
+    intern(ocds, claims.ocds);
     walk.Resume(static_cast<std::size_t>(s_level), frontier);
     checks_base = s_checks;
     result.levels_completed = static_cast<std::size_t>(s_levels_completed);
     result.candidates_generated = s_candidates;
-    store = std::move(claims);
     return true;
   };
 
@@ -268,9 +278,15 @@ OcdDiscoverResult DiscoverOcds(const rel::CodedRelation& relation,
 
   result.num_checks += checks_base;
   result.stop_state.checks = result.num_checks;
-  store.Finalize();
-  result.ocds = store.TakeOcds();
-  result.ods = store.TakeOds();
+  // The claims in list order, each materialised once.
+  const std::vector<std::uint32_t> rank = lists.LexRanks();
+  for (const Candidate& c : SortPairs(claims.ocds, rank, true)) {
+    result.ocds.push_back(
+        od::OrderCompatibility{lists.list(c.x), lists.list(c.y)});
+  }
+  for (const Candidate& c : SortPairs(claims.ods, rank, false)) {
+    result.ods.push_back(od::OrderDependency{lists.list(c.x), lists.list(c.y)});
+  }
   result.partition_cache_bytes = checker.cache_bytes();
   result.elapsed_seconds = timer.ElapsedSeconds();
   return result;

@@ -42,6 +42,11 @@ Frontier& Frontier::operator=(Frontier&& other) noexcept {
   return *this;
 }
 
+void Frontier::Reserve(std::size_t count) {
+  candidates_.reserve(count);
+  seen_.Presize(count);
+}
+
 bool Frontier::Add(ListId x, ListId y) {
   if (x == kNoListId || y == kNoListId) return false;
   const Candidate c{x, y};

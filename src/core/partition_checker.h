@@ -22,17 +22,6 @@ namespace ocdd::core {
 /// Default byte budget of a walk's sorted-partition cache.
 inline constexpr std::size_t kDefaultPartitionCacheBytes = 1ULL << 30;
 
-/// One candidate of a lattice walk: the interned lists of `x ~ y` (ORDER
-/// reads it as `x → y`), ids of the walk's `ListTable`.
-struct Candidate {
-  ListId x = kNoListId;
-  ListId y = kNoListId;
-
-  friend bool operator==(const Candidate& a, const Candidate& b) {
-    return a.x == b.x && a.y == b.y;
-  }
-};
-
 /// Frontier charge of one candidate: the footprint of its two lists as
 /// values. The table shares them and is charged on its own; the frontier
 /// charge stays per candidate, so a memory budget bounds the frontier by
@@ -60,6 +49,10 @@ class Frontier {
   /// is refused: the RunContext has then latched `kMemoryBudget` and the
   /// walk ends.
   bool Add(ListId x, ListId y);
+
+  /// Makes room for `count` candidates in an empty frontier, so that
+  /// adding them grows nothing.
+  void Reserve(std::size_t count);
 
   const std::vector<Candidate>& candidates() const { return candidates_; }
   const Candidate& operator[](std::size_t i) const { return candidates_[i]; }

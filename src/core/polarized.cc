@@ -1,7 +1,9 @@
 #include "core/polarized.h"
 
-#include <algorithm>
+#include <memory>
+#include <utility>
 
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/run_context.h"
 #include "core/level_walk.h"
@@ -104,7 +106,7 @@ struct PolarizedRules {
   const ListTable& lists;
   std::size_t n;                            // base columns
   const std::vector<rel::ColumnId>& active;  // non-constant base columns
-  PolarizedDiscoverResult& result;
+  IdClaims& claims;
 
   /// Level 2, mirror-canonical: the lhs head is ascending. Per unordered
   /// base pair {a, b} with a < b this yields (a+, b+) and (a+, b-); the
@@ -127,11 +129,9 @@ struct PolarizedRules {
 
   void Emit(Candidate c, const Outcome& out) {
     if (!out.ocd_valid) return;
-    PolarizedList x = DecodeList(lists.list(c.x), n);
-    PolarizedList y = DecodeList(lists.list(c.y), n);
-    if (out.od_xy) result.ods.push_back(PolarizedOd{x, y});
-    if (out.od_yx) result.ods.push_back(PolarizedOd{y, x});
-    result.ocds.push_back(PolarizedOcd{std::move(x), std::move(y)});
+    claims.ocds.push_back(c);
+    if (out.od_xy) claims.ods.push_back(c);
+    if (out.od_yx) claims.ods.push_back(Candidate{c.y, c.x});
   }
 
   template <typename Child>
@@ -175,13 +175,34 @@ PolarizedDiscoverResult DiscoverPolarizedOcds(
     if (!relation.column(c).is_constant()) active.push_back(c);
   }
 
-  PolarizedRules rules{checker.lists(), n, active, result};
+  const ListTable& lists = checker.lists();
+  IdClaims claims;
+  PolarizedRules rules{lists, n, active, claims};
+  std::unique_ptr<ThreadPool> pool;
+  if (options.num_threads > 1) {
+    pool = std::make_unique<ThreadPool>(options.num_threads);
+  }
   LevelWalk<PolarizedRules> walk("polarized", rules, checker, ctx, result,
-                                 options.max_level);
+                                 options.max_level, pool.get());
   walk.Seed();
   walk.Run([] {});
-  std::sort(result.ocds.begin(), result.ocds.end());
-  std::sort(result.ods.begin(), result.ods.end());
+
+  // The lists in `PolarizedAttribute` order: by base column, ascending
+  // first. Mirror-canonical seeds repeat no claim, so `SortPairs` drops
+  // none.
+  std::vector<std::uint32_t> column_rank(2 * n);
+  for (std::size_t c = 0; c < 2 * n; ++c) {
+    column_rank[c] = static_cast<std::uint32_t>(2 * (c % n) + c / n);
+  }
+  const std::vector<std::uint32_t> rank = lists.LexRanks(column_rank);
+  for (const Candidate& c : SortPairs(claims.ocds, rank, false)) {
+    result.ocds.push_back(PolarizedOcd{DecodeList(lists.list(c.x), n),
+                                       DecodeList(lists.list(c.y), n)});
+  }
+  for (const Candidate& c : SortPairs(claims.ods, rank, false)) {
+    result.ods.push_back(PolarizedOd{DecodeList(lists.list(c.x), n),
+                                     DecodeList(lists.list(c.y), n)});
+  }
   result.elapsed_seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -100,6 +100,9 @@ struct PolarizedDiscoverOptions {
   /// Polarized trees grow 2× faster per level than unidirectional ones;
   /// the default caps candidate sides at |X| + |Y| = 4.
   std::size_t max_level = 4;
+  /// Worker threads for candidate checking and expansion; 1 = sequential.
+  /// Results and counts never depend on it.
+  std::size_t num_threads = 1;
 };
 
 /// Output of a polarized run; the walk's counters (level_walk.h) count OCD

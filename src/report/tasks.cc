@@ -140,6 +140,7 @@ TaskOutput RunOrder(const rel::CodedRelation& coded, const TaskParams& params,
                     RunContext* context) {
   algo::OrderDiscoverOptions opts;
   opts.run_context = context;
+  opts.num_threads = params.threads;
   algo::OrderDiscoverResult result =
       algo::DiscoverOrderDependencies(coded, opts);
   result.stop_state.ingest_rejected = params.ingest_rejected;
@@ -191,6 +192,7 @@ TaskOutput RunPolarized(const rel::CodedRelation& coded,
                         const TaskParams& params, RunContext* context) {
   core::PolarizedDiscoverOptions opts;
   opts.run_context = context;
+  opts.num_threads = params.threads;
   if (params.max_level) opts.max_level = *params.max_level;
   const core::PolarizedDiscoverResult result =
       core::DiscoverPolarizedOcds(coded, opts);
@@ -230,13 +232,13 @@ const std::vector<Task>& Tasks() {
       {"fastod-bid", "bidirectional canonical order dependencies",
        {kBudgetFlags, "json profile"}, RunFastodBid},
       {"order", "ORDER: disjoint-side order dependencies",
-       {kBudgetFlags, "json profile"}, RunOrder},
+       {kBudgetFlags, "json threads profile"}, RunOrder},
       {"approx", "approximate pairwise OCDs (g3 error)",
        {"max-ratio json profile"}, RunApprox},
       {"uccs", "minimal unique column combinations (key candidates)",
        {kBudgetFlags, "profile"}, RunUccs},
       {"polarized", "bidirectional OCDs/ODs (per-attribute ASC/DESC)",
-       {kBudgetFlags, "max-level profile"}, RunPolarized},
+       {kBudgetFlags, "threads max-level profile"}, RunPolarized},
   };
   return tasks;
 }

@@ -453,6 +453,54 @@ TEST(CheckpointResumeTest, FingerprintMismatchStartsFresh) {
   EXPECT_EQ(crossed.ocds, fresh.ocds);
 }
 
+TEST(CheckpointResumeTest, ResumingAtEveryLevelBoundaryMatchesOneRun) {
+  // Claims are kept by list id and sorted once after the walk; the claims a
+  // snapshot restores go through the same sort as the ones the resumed run
+  // emits.
+  auto relation = datagen::MakeDataset("LATTICE", 400, 42);
+  ASSERT_TRUE(relation.ok());
+  const rel::CodedRelation coded = rel::CodedRelation::Encode(*relation);
+  const core::OcdDiscoverResult fresh = core::DiscoverOcds(coded);
+  ASSERT_TRUE(fresh.completed);
+  ASSERT_FALSE(fresh.ocds.empty());
+
+  // One generation per level boundary, every one kept.
+  ScratchDir all("every_level");
+  RunContext ctx;
+  ctx.set_checkpoint_cadence(/*every_checks=*/1, /*every_seconds=*/0.0);
+  core::OcdDiscoverOptions opts;
+  opts.run_context = &ctx;
+  opts.checkpoint.dir = all.path;
+  opts.checkpoint.keep_generations = 100;
+  ASSERT_TRUE(core::DiscoverOcds(coded, opts).completed);
+  const std::vector<std::uint64_t> generations =
+      SnapshotStore(all.path, "ocddiscover").Generations();
+  // A snapshot at the start of each level from 3 to the last (none is due
+  // before the first checks), then the finished run's.
+  ASSERT_EQ(generations.size(), fresh.levels_completed - 1);
+
+  ScratchDir one("one_level");
+  for (std::uint64_t gen : generations) {
+    SCOPED_TRACE(gen);
+    fs::remove_all(one.path);
+    fs::create_directories(one.path);
+    fs::copy_file(GenerationPath(all.path, "ocddiscover", gen),
+                  GenerationPath(one.path, "ocddiscover", gen));
+    core::OcdDiscoverOptions resume;
+    resume.checkpoint.dir = one.path;
+    resume.checkpoint.resume = true;
+    const core::OcdDiscoverResult resumed = core::DiscoverOcds(coded, resume);
+    ASSERT_TRUE(resumed.checkpoint_stats.resumed)
+        << resumed.checkpoint_stats.warning;
+    EXPECT_TRUE(resumed.completed);
+    EXPECT_EQ(resumed.ocds, fresh.ocds);
+    EXPECT_EQ(resumed.ods, fresh.ods);
+    EXPECT_EQ(resumed.num_checks, fresh.num_checks);
+    EXPECT_EQ(resumed.candidates_generated, fresh.candidates_generated);
+    EXPECT_EQ(resumed.levels_completed, fresh.levels_completed);
+  }
+}
+
 /// A snapshot written before lists became table ids resumes to the same
 /// result: the fixture is generation 3 of `ocdd run LINEITEM --rows 60
 /// --algo discover --max-checks 250 --checkpoint DIR` from the release

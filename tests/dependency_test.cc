@@ -74,27 +74,5 @@ TEST(SortUniqueTest, SortsAndDeduplicates) {
   EXPECT_EQ(v[0], (OrderDependency{AttributeList{0}, AttributeList{1}}));
 }
 
-TEST(DependencyStoreTest, CanonicalizesOcdsOnAdd) {
-  DependencyStore store;
-  store.AddOcd(OrderCompatibility{AttributeList{2}, AttributeList{1}});
-  store.AddOcd(OrderCompatibility{AttributeList{1}, AttributeList{2}});
-  store.Finalize();
-  ASSERT_EQ(store.ocds().size(), 1u);
-  EXPECT_EQ(store.ocds()[0].lhs, AttributeList{1});
-}
-
-TEST(DependencyStoreTest, MergeFromMovesEverything) {
-  DependencyStore a;
-  DependencyStore b;
-  a.AddOd(OrderDependency{AttributeList{0}, AttributeList{1}});
-  b.AddOd(OrderDependency{AttributeList{1}, AttributeList{2}});
-  b.AddFd(FunctionalDependency{{0}, 1});
-  a.MergeFrom(std::move(b));
-  a.Finalize();
-  EXPECT_EQ(a.ods().size(), 2u);
-  EXPECT_EQ(a.fds().size(), 1u);
-  EXPECT_EQ(a.TotalCount(), 3u);
-}
-
 }  // namespace
 }  // namespace ocdd::od

@@ -67,6 +67,46 @@ TEST(ListTableTest, ChildAndParentIdsArePrefixClosed) {
   EXPECT_EQ(table.list(child), (AttributeList{4, 2, 9}));
 }
 
+TEST(ListTableTest, LexRanksOrderListsAsTheirValues) {
+  // Interned out of order, so neither ids nor the interning order are the
+  // lexicographic order.
+  ListTable table;
+  for (const AttributeList& list :
+       {AttributeList{3, 1}, AttributeList{2, 0, 1}, AttributeList{0},
+        AttributeList{0, 2}, AttributeList{2, 0, 3}, AttributeList{1},
+        AttributeList{3, 1, 0}, AttributeList{2, 3}}) {
+    ASSERT_NE(table.Intern(list), kNoListId);
+  }
+  // Column c ordered as 3 - c: the order of the lists with mirrored ids.
+  const std::vector<std::uint32_t> reversed = {3, 2, 1, 0};
+  auto mirrored = [&](ListId id) {
+    std::vector<rel::ColumnId> ids = table.list(id).ids();
+    for (rel::ColumnId& c : ids) c = 3 - c;
+    return AttributeList(std::move(ids));
+  };
+  const std::vector<std::uint32_t> rank = table.LexRanks();
+  const std::vector<std::uint32_t> by_reversed = table.LexRanks(reversed);
+  ASSERT_EQ(rank.size(), table.size());
+  for (ListId a = 0; a < table.size(); ++a) {
+    for (ListId b = 0; b < table.size(); ++b) {
+      SCOPED_TRACE(table.list(a).ToString() + " " + table.list(b).ToString());
+      EXPECT_EQ(rank[a] < rank[b], table.list(a) < table.list(b));
+      EXPECT_EQ(by_reversed[a] < by_reversed[b], mirrored(a) < mirrored(b));
+    }
+  }
+
+  // Pairs sort by their lists, each once; symmetric pairs put the lesser
+  // list first.
+  const ListId a = table.Intern(AttributeList{0});
+  const ListId ab = table.Intern(AttributeList{0, 2});
+  const ListId d = table.Intern(AttributeList{3, 1});
+  const std::vector<Candidate> pairs = {{d, a}, {ab, a}, {a, d}, {d, a}};
+  EXPECT_EQ(SortPairs(pairs, rank, false),
+            (std::vector<Candidate>{{a, d}, {ab, a}, {d, a}}));
+  EXPECT_EQ(SortPairs(pairs, rank, true),
+            (std::vector<Candidate>{{a, ab}, {a, d}}));
+}
+
 /// A walk's table as (parent, last column, partition id) rows, after three
 /// levels of an OCDDISCOVER-style walk checked on `threads` threads.
 std::vector<std::tuple<ListId, rel::ColumnId, PartId>> WalkTable(

@@ -4,10 +4,15 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "algo/order/order_discover.h"
+#include "core/polarized.h"
 #include "datagen/fixtures.h"
 #include "datagen/registry.h"
 #include "od/brute_force.h"
+#include "od/dependency_set.h"
 #include "od/inference.h"
 #include "relation/csv.h"
 #include "test_util.h"
@@ -179,29 +184,141 @@ TEST(OcdDiscoverTest, ChecksAreCounted) {
   EXPECT_GE(result.candidates_generated, 3u);
 }
 
+/// What a list walk reports that must not depend on its thread count:
+/// its claims, rendered, and its counters.
+struct WalkReport {
+  std::vector<std::string> claims;
+  std::uint64_t num_checks = 0;
+  std::uint64_t candidates_generated = 0;
+  StopReason stop_reason = StopReason::kNone;
+  StopState stop_state;
+};
+
+template <typename Result>
+WalkReport Report(const Result& result, std::vector<std::string> claims) {
+  WalkReport report;
+  report.claims = std::move(claims);
+  report.num_checks = result.num_checks;
+  report.candidates_generated = result.candidates_generated;
+  report.stop_reason = result.stop_reason;
+  report.stop_state = result.stop_state;
+  return report;
+}
+
+template <typename Items>
+void Render(const Items& items, const CodedRelation& r,
+            std::vector<std::string>& out) {
+  for (const auto& item : items) out.push_back(item.ToString(r));
+}
+
+/// The three list walks at `threads` threads, `max_level` 0 = their default.
+WalkReport RunOcd(const CodedRelation& r, std::size_t threads,
+                  std::size_t max_level) {
+  OcdDiscoverOptions opts;
+  opts.num_threads = threads;
+  opts.max_level = max_level;
+  const OcdDiscoverResult result = DiscoverOcds(r, opts);
+  std::vector<std::string> claims;
+  Render(result.ocds, r, claims);
+  Render(result.ods, r, claims);
+  return Report(result, std::move(claims));
+}
+
+WalkReport RunOrder(const CodedRelation& r, std::size_t threads,
+                    std::size_t max_level) {
+  algo::OrderDiscoverOptions opts;
+  opts.num_threads = threads;
+  opts.max_level = max_level;
+  const algo::OrderDiscoverResult result =
+      algo::DiscoverOrderDependencies(r, opts);
+  std::vector<std::string> claims;
+  Render(result.ods, r, claims);
+  return Report(result, std::move(claims));
+}
+
+WalkReport RunPolarized(const CodedRelation& r, std::size_t threads,
+                        std::size_t max_level) {
+  PolarizedDiscoverOptions opts;
+  opts.num_threads = threads;
+  if (max_level != 0) opts.max_level = max_level;
+  const PolarizedDiscoverResult result = DiscoverPolarizedOcds(r, opts);
+  std::vector<std::string> claims;
+  Render(result.ocds, r, claims);
+  Render(result.ods, r, claims);
+  return Report(result, std::move(claims));
+}
+
 TEST(OcdDiscoverTest, ThreadCountChangesNoCountOrClaim) {
-  // Each worker counts its checks on a tally of its own; the sum, and the
-  // claims, must not depend on how many workers shared the checks.
-  for (const char* name : {"LATTICE", "DBTESMA"}) {
-    SCOPED_TRACE(name);
-    auto data = datagen::MakeDataset(name, 2000, 42);
+  // Checks, and the children of every checked candidate, run on the pool;
+  // claims are kept by id and children interned in level order, so no
+  // claim, count, list id or stop may depend on how many workers ran.
+  const struct {
+    const char* walk;
+    WalkReport (*run)(const CodedRelation&, std::size_t, std::size_t);
+    const char* dataset;
+    std::size_t max_level;
+    StopReason stop;
+  } kRuns[] = {
+      {"ocddiscover", &RunOcd, "LATTICE", 0, StopReason::kNone},
+      {"ocddiscover", &RunOcd, "DBTESMA", 0, StopReason::kNone},
+      {"ocddiscover", &RunOcd, "LATTICE", 4, StopReason::kLevelCap},
+      {"order", &RunOrder, "LATTICE", 0, StopReason::kNone},
+      // ORDER's DBTESMA walk takes seconds past level 4.
+      {"order", &RunOrder, "DBTESMA", 4, StopReason::kLevelCap},
+      // Polarized discovery stops at its default cap, level 4.
+      {"polarized", &RunPolarized, "LATTICE", 0, StopReason::kLevelCap},
+      {"polarized", &RunPolarized, "DBTESMA", 0, StopReason::kLevelCap},
+  };
+  for (const auto& run : kRuns) {
+    SCOPED_TRACE(std::string(run.walk) + " " + run.dataset +
+                 " max_level=" + std::to_string(run.max_level));
+    auto data = datagen::MakeDataset(run.dataset, 2000, 42);
     ASSERT_TRUE(data.ok());
     const CodedRelation r = CodedRelation::Encode(*data);
-    const OcdDiscoverResult one = DiscoverOcds(r);
-    ASSERT_TRUE(one.completed);
+    const WalkReport one = run.run(r, 1, run.max_level);
+    ASSERT_EQ(one.stop_reason, run.stop);
     ASSERT_GT(one.num_checks, 0u);
     for (std::size_t threads : {2, 4, 8}) {
       SCOPED_TRACE(threads);
-      OcdDiscoverOptions opts;
-      opts.num_threads = threads;
-      const OcdDiscoverResult many = DiscoverOcds(r, opts);
-      EXPECT_TRUE(many.completed);
+      const WalkReport many = run.run(r, threads, run.max_level);
+      EXPECT_EQ(many.claims, one.claims);
       EXPECT_EQ(many.num_checks, one.num_checks);
-      EXPECT_EQ(many.stop_state.checks, one.stop_state.checks);
       EXPECT_EQ(many.candidates_generated, one.candidates_generated);
-      EXPECT_EQ(many.ocds, one.ocds);
-      EXPECT_EQ(many.ods, one.ods);
+      EXPECT_EQ(many.stop_reason, one.stop_reason);
+      EXPECT_EQ(many.stop_state.checks, one.stop_state.checks);
+      EXPECT_EQ(many.stop_state.level, one.stop_state.level);
+      EXPECT_EQ(many.stop_state.frontier_size, one.stop_state.frontier_size);
     }
+  }
+}
+
+TEST(OcdDiscoverTest, ClaimsByIdSortAsTheirLists) {
+  // The walks order their claims by list ranks; the list-valued sort of
+  // the same claims, each OCD's sides given in the other order first, must
+  // agree.
+  for (const datagen::DatasetSpec& spec : datagen::AllDatasets()) {
+    SCOPED_TRACE(spec.name);
+    auto data = datagen::MakeDataset(spec.name, 200, 42);
+    ASSERT_TRUE(data.ok());
+    const CodedRelation r = CodedRelation::Encode(*data);
+    OcdDiscoverOptions opts;
+    // FLIGHT_1K's 109 columns give level 3 tens of thousands of
+    // candidates and level 4 millions.
+    opts.max_level = spec.num_columns > 100 ? 2 : 0;
+    const OcdDiscoverResult result = DiscoverOcds(r, opts);
+    std::vector<OrderCompatibility> ocds;
+    for (auto it = result.ocds.rbegin(); it != result.ocds.rend(); ++it) {
+      ocds.push_back(OrderCompatibility{it->rhs, it->lhs}.Canonical());
+    }
+    std::vector<OrderDependency> ods(result.ods.rbegin(), result.ods.rend());
+    od::SortUnique(ocds);
+    od::SortUnique(ods);
+    EXPECT_EQ(result.ocds, ocds);
+    EXPECT_EQ(result.ods, ods);
+
+    const PolarizedDiscoverResult polarized = DiscoverPolarizedOcds(r);
+    EXPECT_TRUE(std::is_sorted(polarized.ocds.begin(), polarized.ocds.end()));
+    EXPECT_TRUE(std::is_sorted(polarized.ods.begin(), polarized.ods.end()));
   }
 }
 

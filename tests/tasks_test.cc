@@ -99,6 +99,40 @@ TEST(TasksTest, OrderAndFdsReadProfile) {
   }
 }
 
+TEST(TasksTest, ListWalksReadThreads) {
+  // OCDDISCOVER, ORDER and polarized discovery share one walk, which checks
+  // and expands on a pool past one thread; the report stays the same.
+  for (const char* name : {"discover", "order", "polarized"}) {
+    SCOPED_TRACE(name);
+    const std::string command = std::string(name) + " LATTICE --rows 400";
+    const RunResult one = RunCli(command + " --threads 1");
+    const RunResult four = RunCli(command + " --threads 4");
+    ASSERT_EQ(one.exit_code, 0) << one.output;
+    ASSERT_EQ(four.exit_code, 0) << four.output;
+    EXPECT_EQ(MaskTimes(four.output), MaskTimes(one.output));
+  }
+}
+
+TEST(TasksTest, ProfileTimesARegistrySourcesSynthesis) {
+  // Generating LINEITEM's 50,000 rows takes most of the wall time; it is
+  // the `synthesize` phase, so little is left unattributed.
+  const RunResult run = RunCli("discover LINEITEM --profile --json");
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  auto json = report::ParseJson(run.output);
+  ASSERT_TRUE(json.ok()) << run.output;
+  const report::JsonValue& profile = (*json)["profile"];
+  double synthesize = 0.0;
+  for (const report::JsonValue& phase : profile["phases"].array()) {
+    if (phase["name"].string_value() == "synthesize") {
+      synthesize = phase["seconds"].number_value();
+    }
+  }
+  const double wall = profile["wall_seconds"].number_value();
+  EXPECT_GT(synthesize, 0.0) << run.output;
+  EXPECT_LT(profile["unattributed_seconds"].number_value(), 0.1 * wall)
+      << run.output;
+}
+
 TEST(TasksTest, RunAndTheDaemonAcceptExactlyTheCheckpointRows) {
   for (const Task& task : Tasks()) {
     SCOPED_TRACE(task.name);
